@@ -24,7 +24,8 @@ using namespace rrm;
 int
 main(int argc, char **argv)
 {
-    bench::BenchOptions opts = bench::BenchOptions::parse(argc, argv);
+    bench::BenchOptions opts = bench::BenchOptions::parse(
+        argc, argv, "bench_ablation", bench::PlanFlags);
     if (opts.workloads.empty())
         opts.workloads = {"libquantum", "GemsFDTD"};
     const auto workloads = opts.selectedWorkloads();

@@ -5,12 +5,13 @@
 
 #include "bench_common.hh"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "common/atomic_file.hh"
 #include "common/interrupt.hh"
@@ -24,207 +25,190 @@ namespace rrm::bench
 namespace
 {
 
+/** A flag's argument, with strict numeric conversions. */
+struct FlagValue
+{
+    const std::string &flag;
+    std::string text; ///< empty for argument-less flags
+
+    /**
+     * The whole text as a T, via std::from_chars: no leading space, no
+     * sign on unsigned types, no trailing junk, no overflow, and (for
+     * floating types) finite. fatal() naming the flag and the value
+     * otherwise — "--jobs abc" must not quietly become 0.
+     */
+    template <typename T>
+    T
+    number() const
+    {
+        T out{};
+        const char *end = text.data() + text.size();
+        const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+        bool ok = ec == std::errc() && ptr == end;
+        if constexpr (std::is_floating_point_v<T>)
+            ok = ok && std::isfinite(out);
+        if (!ok) {
+            fatal("flag ", flag, " needs ",
+                  std::is_floating_point_v<T> ? "a finite number"
+                                              : "a non-negative integer",
+                  ", got '", text, "'");
+        }
+        return out;
+    }
+
+    /** The text split at commas (list-valued flags). */
+    std::vector<std::string>
+    list() const
+    {
+        std::vector<std::string> out;
+        std::stringstream ss(text);
+        std::string item;
+        while (std::getline(ss, item, ','))
+            out.push_back(item);
+        return out;
+    }
+};
+
 /** One entry of the declarative flag table. */
 struct BenchFlag
 {
     const char *name;      ///< including the leading dashes
     const char *valueName; ///< metavar of the argument; null = none
+    BenchFlagGroup group;  ///< family a bench declares to accept it
     const char *doc;       ///< one-line help text
-    /** Apply the flag; `value` is empty for argument-less flags. */
-    std::function<void(BenchOptions &, const std::string &value)> apply;
+    std::function<void(BenchOptions &, const FlagValue &)> apply;
 };
 
 /**
- * The flag table: name, argument kind, doc string, and effect, in
- * --help order. Adding a runner/bench flag is one entry here.
+ * The flag table: name, argument kind, family, doc string, and
+ * effect, in --help order. Adding a runner/bench flag is one entry
+ * here.
  */
 const std::vector<BenchFlag> &
 benchFlagTable()
 {
+    using O = BenchOptions;
+    using V = FlagValue;
     static const std::vector<BenchFlag> table = {
-        {"--quick", nullptr, "8 ms window (smoke-test the bench)",
-         [](BenchOptions &o, const std::string &) {
-             o.windowSeconds = 0.008;
+        {"--quick", nullptr, RunFlags, "8 ms window (smoke-test the bench)",
+         [](O &o, const V &) { o.windowSeconds = 0.008; }},
+        {"--window-ms", "F", RunFlags, "window length in milliseconds",
+         [](O &o, const V &v) {
+             o.windowSeconds = v.number<double>() / 1e3;
          }},
-        {"--window-ms", "F", "window length in milliseconds",
-         [](BenchOptions &o, const std::string &v) {
-             o.windowSeconds = std::atof(v.c_str()) / 1e3;
+        {"--scale", "F", RunFlags, "retention time-scale factor",
+         [](O &o, const V &v) { o.timeScale = v.number<double>(); }},
+        {"--seed", "N", RunFlags, "base RNG seed of every run",
+         [](O &o, const V &v) { o.seed = v.number<std::uint64_t>(); }},
+        {"--workloads", "a,b,c", RunFlags, "subset of Table VII names",
+         [](O &o, const V &v) {
+             for (auto &name : v.list())
+                 o.workloads.push_back(std::move(name));
          }},
-        {"--scale", "F", "retention time-scale factor",
-         [](BenchOptions &o, const std::string &v) {
-             o.timeScale = std::atof(v.c_str());
-         }},
-        {"--seed", "N", "base RNG seed of every run",
-         [](BenchOptions &o, const std::string &v) {
-             o.seed = std::strtoull(v.c_str(), nullptr, 10);
-         }},
-        {"--workloads", "a,b,c", "subset of Table VII names",
-         [](BenchOptions &o, const std::string &v) {
-             std::stringstream ss(v);
-             std::string name;
-             while (std::getline(ss, name, ','))
-                 o.workloads.push_back(name);
-         }},
-        {"--mix", "SPEC",
+        {"--mix", "SPEC", RunFlags,
          "N-core mix spec, e.g. zeusmp,lbm,lbm,milc:2 (repeatable)",
-         [](BenchOptions &o, const std::string &v) {
-             o.mixes.push_back(v);
-         }},
-        {"--tenants", "IDS",
+         [](O &o, const V &v) { o.mixes.push_back(v.text); }},
+        {"--tenants", "IDS", RunFlags,
          "tenant id per core of the matching --mix, e.g. 0,0,1,1",
-         [](BenchOptions &o, const std::string &v) {
-             o.tenants.push_back(v);
+         [](O &o, const V &v) { o.tenants.push_back(v.text); }},
+        {"--schemes", "a,b,c", SchemesFlag, "subset of scheme names",
+         [](O &o, const V &v) {
+             for (auto &name : v.list())
+                 o.schemes.push_back(std::move(name));
          }},
-        {"--schemes", "a,b,c", "subset of scheme names",
-         [](BenchOptions &o, const std::string &v) {
-             std::stringstream ss(v);
-             std::string name;
-             while (std::getline(ss, name, ','))
-                 o.schemes.push_back(name);
-         }},
-        {"--jobs", "N",
+        {"--jobs", "N", RunFlags,
          "worker threads (0 = hardware concurrency, 1 = serial)",
-         [](BenchOptions &o, const std::string &v) {
-             o.jobs = static_cast<unsigned>(
-                 std::strtoul(v.c_str(), nullptr, 10));
-         }},
-        {"--fail-fast", nullptr,
+         [](O &o, const V &v) { o.jobs = v.number<unsigned>(); }},
+        {"--fail-fast", nullptr, RunFlags,
          "cancel queued runs after the first failure",
-         [](BenchOptions &o, const std::string &) {
-             o.failFast = true;
-         }},
-        {"--verbose", nullptr, "per-run progress lines on stderr",
-         [](BenchOptions &o, const std::string &) {
-             o.verbose = true;
-         }},
-        {"--stats-json", "STEM",
+         [](O &o, const V &) { o.failFast = true; }},
+        {"--verbose", nullptr, RunFlags,
+         "per-run progress lines on stderr",
+         [](O &o, const V &) { o.verbose = true; }},
+        {"--stats-json", "STEM", RunFlags,
          "per-run run-record JSON files STEM.<run>.json",
-         [](BenchOptions &o, const std::string &v) {
-             o.statsJsonStem = v;
-         }},
-        {"--sample-csv", "STEM",
+         [](O &o, const V &v) { o.statsJsonStem = v.text; }},
+        {"--sample-csv", "STEM", RunFlags,
          "per-run sampled time series STEM.<run>.csv",
-         [](BenchOptions &o, const std::string &v) {
-             o.sampleCsvStem = v;
-         }},
-        {"--trace-jsonl", "STEM",
+         [](O &o, const V &v) { o.sampleCsvStem = v.text; }},
+        {"--trace-jsonl", "STEM", RunFlags,
          "per-run JSONL trace files STEM.<run>.jsonl",
-         [](BenchOptions &o, const std::string &v) {
-             o.traceJsonlStem = v;
-         }},
-        {"--perfetto-out", "STEM",
+         [](O &o, const V &v) { o.traceJsonlStem = v.text; }},
+        {"--perfetto-out", "STEM", RunFlags,
          "per-run Perfetto timelines STEM.<run>.perfetto.json",
-         [](BenchOptions &o, const std::string &v) {
-             o.perfettoStem = v;
-         }},
-        {"--telemetry", "STEM",
+         [](O &o, const V &v) { o.perfettoStem = v.text; }},
+        {"--telemetry", "STEM", RunFlags,
          "per-run telemetry stats STEM.<run>.telemetry.json",
-         [](BenchOptions &o, const std::string &v) {
-             o.telemetryStem = v;
-         }},
-        {"--profile", nullptr,
+         [](O &o, const V &v) { o.telemetryStem = v.text; }},
+        {"--profile", nullptr, RunFlags,
          "wall-clock self-profiling in run records",
-         [](BenchOptions &o, const std::string &) {
-             o.profile = true;
-         }},
-        {"--progress", nullptr,
+         [](O &o, const V &) { o.profile = true; }},
+        {"--progress", nullptr, RunFlags,
          "throughput/ETA heartbeat lines on stderr",
-         [](BenchOptions &o, const std::string &) {
-             o.progress = true;
-         }},
-        {"--json-out", "F", "bench-report path (benches that emit one)",
-         [](BenchOptions &o, const std::string &v) { o.jsonOut = v; }},
-        {"--timeout", "F", "per-run wall-clock budget in seconds",
-         [](BenchOptions &o, const std::string &v) {
-             o.timeoutSeconds = std::atof(v.c_str());
-         }},
-        {"--retries", "N", "re-attempts after a failed/timed-out run",
-         [](BenchOptions &o, const std::string &v) {
-             o.retries = static_cast<unsigned>(
-                 std::strtoul(v.c_str(), nullptr, 10));
-         }},
-        {"--checkpoint-every", "N",
+         [](O &o, const V &) { o.progress = true; }},
+        {"--json-out", "F", JsonOutFlag, "bench-report path",
+         [](O &o, const V &v) { o.jsonOut = v.text; }},
+        {"--timeout", "F", RunFlags, "per-run wall-clock budget in seconds",
+         [](O &o, const V &v) { o.timeoutSeconds = v.number<double>(); }},
+        {"--retries", "N", RunFlags,
+         "re-attempts after a failed/timed-out run",
+         [](O &o, const V &v) { o.retries = v.number<unsigned>(); }},
+        {"--checkpoint-every", "N", RunFlags,
          "publish a checkpoint every N decay epochs (0 = off)",
-         [](BenchOptions &o, const std::string &v) {
-             o.checkpointEveryEpochs =
-                 std::strtoull(v.c_str(), nullptr, 10);
+         [](O &o, const V &v) {
+             o.checkpointEveryEpochs = v.number<std::uint64_t>();
          }},
-        {"--checkpoint-dir", "DIR",
+        {"--checkpoint-dir", "DIR", RunFlags,
          "root directory for per-run checkpoint subdirectories",
-         [](BenchOptions &o, const std::string &v) {
-             o.checkpointDir = v;
-         }},
-        {"--resume", nullptr,
+         [](O &o, const V &v) { o.checkpointDir = v.text; }},
+        {"--resume", nullptr, RunFlags,
          "resume each run from its newest valid checkpoint",
-         [](BenchOptions &o, const std::string &) {
-             o.resume = true;
-         }},
-        {"--fault-retention", nullptr,
+         [](O &o, const V &) { o.resume = true; }},
+        {"--fault-retention", nullptr, FaultRateFlags,
          "track retention deadlines of short-retention writes",
-         [](BenchOptions &o, const std::string &) {
-             o.fault.retentionTracking = true;
-         }},
-        {"--fault-strict", nullptr,
+         [](O &o, const V &) { o.fault.retentionTracking = true; }},
+        {"--fault-strict", nullptr, RunFlags,
          "treat a retention violation as a check failure",
-         [](BenchOptions &o, const std::string &) {
-             o.fault.strict = true;
+         [](O &o, const V &) { o.fault.strict = true; }},
+        {"--fault-rate", "F", FaultRateFlags,
+         "transient write-failure probability",
+         [](O &o, const V &v) {
+             o.fault.transientWriteFailureRate = v.number<double>();
          }},
-        {"--fault-rate", "F", "transient write-failure probability",
-         [](BenchOptions &o, const std::string &v) {
-             o.fault.transientWriteFailureRate = std::atof(v.c_str());
+        {"--fault-seed", "N", RunFlags, "fault-injector RNG seed",
+         [](O &o, const V &v) {
+             o.fault.seed = v.number<std::uint64_t>();
          }},
-        {"--fault-seed", "N", "fault-injector RNG seed",
-         [](BenchOptions &o, const std::string &v) {
-             o.fault.seed = std::strtoull(v.c_str(), nullptr, 10);
-         }},
-        {"--fault-wear-threshold", "N",
+        {"--fault-wear-threshold", "N", RunFlags,
          "region write count per stuck-at fault chance (0 = off)",
-         [](BenchOptions &o, const std::string &v) {
-             o.fault.stuckAtWearThreshold =
-                 std::strtoull(v.c_str(), nullptr, 10);
+         [](O &o, const V &v) {
+             o.fault.stuckAtWearThreshold = v.number<std::uint64_t>();
          }},
-        {"--fault-stall-ms", "F",
+        {"--fault-stall-ms", "F", RunFlags,
          "periodic refresh-queue stall length in milliseconds",
-         [](BenchOptions &o, const std::string &v) {
-             o.fault.refreshStallSeconds = std::atof(v.c_str()) / 1e3;
+         [](O &o, const V &v) {
+             o.fault.refreshStallSeconds = v.number<double>() / 1e3;
          }},
-        {"--fault-stall-period-ms", "F",
+        {"--fault-stall-period-ms", "F", RunFlags,
          "refresh-stall period in milliseconds (0 = 4x length)",
-         [](BenchOptions &o, const std::string &v) {
-             o.fault.refreshStallPeriodSeconds =
-                 std::atof(v.c_str()) / 1e3;
+         [](O &o, const V &v) {
+             o.fault.refreshStallPeriodSeconds = v.number<double>() / 1e3;
          }},
-        {"--trace-cache", nullptr,
-         "materialize instruction streams in memory and reuse them",
-         [](BenchOptions &o, const std::string &) {
-             o.traceMode = trace::TraceMode::Materialized;
-         }},
-        {"--no-trace-cache", nullptr,
-         "generate instruction streams inline (per-record RNG)",
-         [](BenchOptions &o, const std::string &) {
-             o.traceMode = trace::TraceMode::Generate;
-         }},
-        {"--trace-packs", "DIR",
+        {"--trace-packs", "DIR", RunFlags,
          "replay .rtp packs from DIR (see tools/trace-pack)",
-         [](BenchOptions &o, const std::string &v) {
-             o.traceMode = trace::TraceMode::Pack;
-             o.tracePackDir = v;
-         }},
-        {"--delay-queues", nullptr,
-         "deliver fixed-latency hops via DelayQueues",
-         [](BenchOptions &o, const std::string &) {
-             o.delayQueues = true;
-         }},
+         [](O &o, const V &v) { o.tracePackDir = v.text; }},
     };
     return table;
 }
 
-/** Print the --help text generated from the flag table. */
+/** Print the --help text: the flags `groups` accepts. */
 void
-printFlagHelp()
+printFlagHelp(const char *bench, unsigned groups)
 {
-    std::printf("flags:\n");
+    std::printf("usage: %s [flags]\nflags:\n", bench);
     for (const BenchFlag &flag : benchFlagTable()) {
+        if (!(flag.group & groups))
+            continue;
         std::string usage = flag.name;
         if (flag.valueName)
             usage += std::string(" ") + flag.valueName;
@@ -233,22 +217,15 @@ printFlagHelp()
     std::printf("  %-22s %s\n", "--help, -h", "this text");
 }
 
-} // namespace
-
-BenchOptions
-BenchOptions::parse(int argc, char **argv)
+/** Apply argv to `opts`; fatal() on the first bad flag or value. */
+void
+applyFlags(BenchOptions &opts, int argc, char **argv, const char *bench,
+           unsigned groups)
 {
-    return parse(argc, argv, BenchOptions{});
-}
-
-BenchOptions
-BenchOptions::parse(int argc, char **argv, const BenchOptions &defaults)
-{
-    BenchOptions opts = defaults;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--help" || arg == "-h") {
-            printFlagHelp();
+            printFlagHelp(bench, groups);
             std::exit(0);
         }
         const BenchFlag *match = nullptr;
@@ -259,14 +236,35 @@ BenchOptions::parse(int argc, char **argv, const BenchOptions &defaults)
             }
         }
         if (!match)
-            fatal("unknown flag '", arg, "' (see --help)");
-        std::string value;
+            fatal(bench, ": unknown flag '", arg, "' (see --help)");
+        if (!(match->group & groups)) {
+            fatal(bench, " does not read flag ", arg,
+                  " (see --help for the flags it accepts)");
+        }
+        FlagValue value{arg, {}};
         if (match->valueName) {
             if (i + 1 >= argc)
                 fatal("flag ", arg, " needs a value");
-            value = argv[++i];
+            value.text = argv[++i];
         }
         match->apply(opts, value);
+    }
+}
+
+} // namespace
+
+BenchOptions
+BenchOptions::parse(int argc, char **argv, const char *bench,
+                    unsigned groups)
+{
+    BenchOptions opts;
+    try {
+        applyFlags(opts, argc, argv, bench, groups);
+    } catch (const FatalError &e) {
+        // A usage error: report it and exit like --help does, rather
+        // than unwinding out of main() into an abort.
+        std::fprintf(stderr, "%s\n", e.what());
+        std::exit(2);
     }
     return opts;
 }
@@ -322,13 +320,6 @@ BenchOptions::runnerOptions() const
         };
     }
     return ro;
-}
-
-trace::TraceCache &
-globalTraceCache()
-{
-    static trace::TraceCache cache;
-    return cache;
 }
 
 PlanBuilder &
@@ -433,11 +424,7 @@ makeConfig(const trace::Workload &workload, const sys::Scheme &scheme,
     cfg.warmupFraction = opts.warmupFraction;
     cfg.seed = opts.seed;
     cfg.fault = opts.fault;
-    cfg.traceMode = opts.traceMode;
-    if (cfg.traceMode == trace::TraceMode::Materialized)
-        cfg.traceCache = &globalTraceCache();
     cfg.tracePackDir = opts.tracePackDir;
-    cfg.useDelayQueues = opts.delayQueues;
 
     const std::string run_tag =
         tag.empty() ? workload.name + "." + scheme.name() : tag;

@@ -24,6 +24,29 @@
 namespace rrm::bench
 {
 
+/**
+ * The flag families a bench can honour. Each bench passes the union
+ * of the families it reads to BenchOptions::parse, which rejects
+ * every other flag: no flag is accepted and then silently ignored.
+ */
+enum BenchFlagGroup : unsigned
+{
+    NoFlags = 0,
+    /**
+     * Everything makeConfig() and the runner consume: window, scale,
+     * seed, workload and mix selection, runner policy, per-run
+     * outputs, checkpoints, trace packs, and the --fault-* knobs
+     * other than the two below.
+     */
+    RunFlags = 1u << 0,
+    /** --fault-retention / --fault-rate (the fault sweep sets both). */
+    FaultRateFlags = 1u << 1,
+    SchemesFlag = 1u << 2, ///< --schemes, read via selectedSchemes()
+    JsonOutFlag = 1u << 3, ///< --json-out, for benches writing a report
+    /** What every plan-running bench honours. */
+    PlanFlags = RunFlags | FaultRateFlags,
+};
+
 /** Options common to all reproduction benches. */
 struct BenchOptions
 {
@@ -111,34 +134,23 @@ struct BenchOptions
     fault::FaultConfig fault;
 
     /**
-     * Instruction-stream source for every run (--trace-cache /
-     * --no-trace-cache / --trace-packs). All modes are byte-identical
-     * in results; Materialized and Pack trade memory for generation
-     * work, which pays off when many runs replay few streams. The
-     * default everywhere is Generate — the inline generator is cheap
-     * enough that replay only wins on heavily repeated plans.
+     * .rtp pack directory every run replays its instruction streams
+     * from (--trace-packs); empty = generate inline. Both sources are
+     * byte-identical in results.
      */
-    trace::TraceMode traceMode = trace::TraceMode::Generate;
-
-    /** Pack directory for TraceMode::Pack (--trace-packs). */
     std::string tracePackDir;
 
     /**
-     * Route fixed-latency hops through DelayQueues (--delay-queues);
-     * see SystemConfig::useDelayQueues for the equivalence caveat.
-     */
-    bool delayQueues = false;
-
-    /**
      * Parse argv against the declarative flag table (see
-     * benchFlagTable() in bench_common.cc); --help prints the
-     * generated usage text and exits. `defaults` seeds the options a
-     * bench wants to differ on (e.g. bench_speed turns the trace
-     * cache on) while still letting flags override.
+     * benchFlagTable() in bench_common.cc), accepting only the flags
+     * of `groups` (a union of BenchFlagGroup values). An unknown or
+     * undeclared flag, a missing value, or a numeric value that is
+     * not wholly a number is a usage error: its fatal() message names
+     * the flag (and `bench`) and the process exits with status 2.
+     * --help prints the flags `bench` accepts and exits.
      */
-    static BenchOptions parse(int argc, char **argv);
-    static BenchOptions parse(int argc, char **argv,
-                              const BenchOptions &defaults);
+    static BenchOptions parse(int argc, char **argv, const char *bench,
+                              unsigned groups);
 
     /** Workloads selected by the options (named + --mix specs). */
     std::vector<trace::Workload> selectedWorkloads() const;
@@ -156,13 +168,6 @@ struct BenchOptions
 
 /** Hook to adjust the SystemConfig before a run (sweep knobs). */
 using ConfigHook = std::function<void(sys::SystemConfig &)>;
-
-/**
- * The process-wide materialized-stream cache every bench run shares
- * when BenchOptions::traceMode is Materialized (runs of one plan
- * reuse each other's generated streams).
- */
-trace::TraceCache &globalTraceCache();
 
 /**
  * Fluent RunPlan construction. A builder replaces the

@@ -44,7 +44,8 @@ runId(const trace::Workload &w, const sys::Scheme &s,
 int
 main(int argc, char **argv)
 {
-    bench::BenchOptions opts = bench::BenchOptions::parse(argc, argv);
+    bench::BenchOptions opts = bench::BenchOptions::parse(
+        argc, argv, "bench_fault_sweep", bench::RunFlags | bench::JsonOutFlag);
     const auto workloads = opts.selectedWorkloads();
 
     const std::vector<sys::Scheme> schemes = {

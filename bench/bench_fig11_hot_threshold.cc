@@ -19,8 +19,8 @@ using namespace rrm;
 int
 main(int argc, char **argv)
 {
-    const bench::BenchOptions opts =
-        bench::BenchOptions::parse(argc, argv);
+    const bench::BenchOptions opts = bench::BenchOptions::parse(
+        argc, argv, "bench_fig11_hot_threshold", bench::PlanFlags);
     const auto workloads = opts.selectedWorkloads();
     const unsigned thresholds[] = {8, 16, 32, 64};
 

@@ -20,8 +20,8 @@ using namespace rrm;
 int
 main(int argc, char **argv)
 {
-    const bench::BenchOptions opts =
-        bench::BenchOptions::parse(argc, argv);
+    const bench::BenchOptions opts = bench::BenchOptions::parse(
+        argc, argv, "bench_fig12_llc_coverage", bench::PlanFlags);
     const auto workloads = opts.selectedWorkloads();
     const unsigned set_counts[] = {128, 256, 512, 1024};
     const char *labels[] = {"2x", "4x", "8x", "16x"};

@@ -20,8 +20,8 @@ using namespace rrm;
 int
 main(int argc, char **argv)
 {
-    const bench::BenchOptions opts =
-        bench::BenchOptions::parse(argc, argv);
+    const bench::BenchOptions opts = bench::BenchOptions::parse(
+        argc, argv, "bench_fig13_entry_size", bench::PlanFlags);
     const auto workloads = opts.selectedWorkloads();
     const std::uint64_t sizes[] = {2_KiB, 4_KiB, 8_KiB, 16_KiB};
 

@@ -24,8 +24,8 @@ using namespace rrm;
 int
 main(int argc, char **argv)
 {
-    const bench::BenchOptions opts =
-        bench::BenchOptions::parse(argc, argv);
+    const bench::BenchOptions opts = bench::BenchOptions::parse(
+        argc, argv, "bench_fig2_3_4_static", bench::PlanFlags);
     const auto workloads = opts.selectedWorkloads();
     const auto schemes = sys::staticSchemes();
 

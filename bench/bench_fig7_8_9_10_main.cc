@@ -26,8 +26,9 @@ using namespace rrm;
 int
 main(int argc, char **argv)
 {
-    const bench::BenchOptions opts =
-        bench::BenchOptions::parse(argc, argv);
+    const bench::BenchOptions opts = bench::BenchOptions::parse(
+        argc, argv, "bench_fig7_8_9_10_main",
+        bench::PlanFlags | bench::JsonOutFlag);
     const auto workloads = opts.selectedWorkloads();
     const auto schemes = sys::allPaperSchemes(); // Static-7..3, RRM
 

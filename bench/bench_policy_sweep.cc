@@ -25,8 +25,9 @@ using namespace rrm;
 int
 main(int argc, char **argv)
 {
-    const bench::BenchOptions opts =
-        bench::BenchOptions::parse(argc, argv);
+    const bench::BenchOptions opts = bench::BenchOptions::parse(
+        argc, argv, "bench_policy_sweep",
+        bench::PlanFlags | bench::JsonOutFlag);
     const auto workloads = opts.selectedWorkloads();
 
     const std::vector<sys::Scheme> schemes = {

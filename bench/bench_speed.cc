@@ -26,8 +26,8 @@ using namespace rrm;
 int
 main(int argc, char **argv)
 {
-    const bench::BenchOptions opts =
-        bench::BenchOptions::parse(argc, argv);
+    const bench::BenchOptions opts = bench::BenchOptions::parse(
+        argc, argv, "bench_speed", bench::PlanFlags | bench::JsonOutFlag);
     const auto workloads = opts.selectedWorkloads();
     const std::vector<sys::Scheme> schemes = {
         sys::Scheme::staticScheme(pcm::WriteMode::Sets7),

@@ -17,7 +17,8 @@ using namespace rrm;
 int
 main(int argc, char **argv)
 {
-    (void)bench::BenchOptions::parse(argc, argv);
+    (void)bench::BenchOptions::parse(
+        argc, argv, "bench_table1_write_model", bench::NoFlags);
 
     bench::printTitle(
         "Table I: write latency vs. retention trade-off in MLC PCM");

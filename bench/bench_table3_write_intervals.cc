@@ -37,7 +37,8 @@ struct ProfileCapture
 int
 main(int argc, char **argv)
 {
-    bench::BenchOptions opts = bench::BenchOptions::parse(argc, argv);
+    bench::BenchOptions opts = bench::BenchOptions::parse(
+        argc, argv, "bench_table3_write_intervals", bench::PlanFlags);
     if (opts.workloads.empty())
         opts.workloads = {"GemsFDTD"};
     const auto workloads = opts.selectedWorkloads();

@@ -81,8 +81,9 @@ soloWorkload(trace::Benchmark b)
 int
 main(int argc, char **argv)
 {
-    const bench::BenchOptions opts =
-        bench::BenchOptions::parse(argc, argv);
+    const bench::BenchOptions opts = bench::BenchOptions::parse(
+        argc, argv, "bench_tenant_sweep",
+        bench::PlanFlags | bench::SchemesFlag | bench::JsonOutFlag);
 
     const std::vector<trace::Workload> mixes =
         (opts.mixes.empty() && opts.workloads.empty())

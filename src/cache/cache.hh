@@ -2,8 +2,8 @@
  * @file
  * A single set-associative write-back cache array.
  *
- * Cache is a building block: it owns tags, valid/dirty bits, and a
- * replacement policy, and exposes the primitive operations the
+ * Cache is a building block: it owns tags, valid/dirty bits, and LRU
+ * replacement stamps, and exposes the primitive operations the
  * three-level CacheHierarchy composes (lookup, allocate-with-victim,
  * dirty marking, invalidation). It deliberately stores no data bytes —
  * the simulator tracks state, not contents.
@@ -16,12 +16,17 @@
 #include <string>
 #include <vector>
 
-#include "cache/replacement.hh"
 #include "common/auditable.hh"
 #include "common/logging.hh"
 #include "common/math_util.hh"
 #include "common/units.hh"
 #include "stats/stats.hh"
+
+namespace rrm::ckpt
+{
+class ChunkWriter;
+class ChunkReader;
+} // namespace rrm::ckpt
 
 namespace rrm::cache
 {
@@ -35,7 +40,6 @@ struct CacheConfig
     unsigned lineBytes = 64;
     Tick hitLatency = 1_ns;
     unsigned mshrs = 8;
-    ReplacementKind replacement = ReplacementKind::LRU;
 };
 
 /** Outcome of allocating a line: the displaced victim, if any. */
@@ -68,14 +72,14 @@ class Cache : public Auditable
     bool contains(Addr addr) const;
 
     /**
-     * Look up and, on hit, promote the line in the replacement order.
+     * Look up and, on hit, make the line most recently used.
      * @return true on hit.
      */
     bool access(Addr addr);
 
     /**
      * Allocate a line for `addr` (must not be present), evicting the
-     * replacement victim if the set is full.
+     * least recently used line if the set is full.
      *
      * @param owner Owner core recorded on the line (used by the shared
      *              LLC for back-invalidation; -1 if untracked).
@@ -117,9 +121,8 @@ class Cache : public Auditable
 
     /**
      * @{ Checkpoint the full array state: every line's tag / stamp /
-     * owner / valid / dirty plus the replacement clock and the
-     * policy's private state. Counters registered via regStats are
-     * covered by the stats section, not here.
+     * owner / valid / dirty plus the LRU clock. Counters registered
+     * via regStats are covered by the stats section, not here.
      */
     void saveCkpt(ckpt::ChunkWriter &w) const;
     void restoreCkpt(ckpt::ChunkReader &r);
@@ -131,8 +134,8 @@ class Cache : public Auditable
     /**
      * Invariants: no duplicate valid tags within a set, every valid
      * tag indexes back to the set holding it, dirty state only on
-     * valid lines, and (under LRU/FIFO) distinct replacement stamps
-     * among the valid ways of a set.
+     * valid lines, and distinct LRU stamps among the valid ways of a
+     * set.
      */
     void audit() const override;
 
@@ -140,7 +143,7 @@ class Cache : public Auditable
     struct Line
     {
         Addr tag = 0;
-        std::uint64_t stamp = 0;
+        std::uint64_t stamp = 0; ///< LRU clock at the last use
         int owner = -1;
         bool valid = false;
         bool dirty = false;
@@ -151,19 +154,19 @@ class Cache : public Auditable
     Line *findLine(Addr addr);
     const Line *findLine(Addr addr) const;
 
+    /**
+     * Victim choice for a full set: the way with the smallest stamp
+     * (least recently used). The single replacement decision point —
+     * a different policy replaces this function.
+     */
+    unsigned victimWay(const Line *set) const;
+
     CacheConfig config_;
     std::uint64_t numSets_;
     unsigned lineShift_;
     std::vector<Line> lines_; ///< numSets_ * assoc, set-major
-    std::unique_ptr<ReplacementPolicy> policy_;
-    std::uint64_t accessCounter_ = 0;
 
-    /**
-     * LRU/FIFO stamp clock, kept inline so the per-access touch and
-     * the victim scan skip the virtual policy dispatch. Produces the
-     * same stamp sequence the policy objects would; policy_ is only
-     * consulted for Random victims (it owns the RNG state).
-     */
+    /** LRU clock: advanced and stamped on every allocate and hit. */
     std::uint64_t replClock_ = 0;
 
     stats::Scalar *statHits_ = nullptr;

@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the binary trace-pack format (trace/trace_pack.hh) and
- * the TraceSource replay modes (trace/source.hh): every mode must
- * yield a byte-identical record stream for the same (profile, seed),
- * including past the end of a replay prefix (fast-forward tail).
+ * TraceSource (trace/source.hh): a pack source must yield the same
+ * record stream as the generator for the same (profile, seed),
+ * including past the end of the pack (fast-forward tail) and after a
+ * checkpoint-resume seek().
  */
 
 #include <gtest/gtest.h>
@@ -152,49 +153,77 @@ TEST(TracePack, TruncatedFileIsFatal)
     std::remove(path.c_str());
 }
 
-TEST(TraceSource, MaterializedMatchesGenerate)
+/**
+ * After `src.seek(skip)`, the next `n` records must be records
+ * skip..skip+n-1 of a fresh generator's stream.
+ */
+void
+expectSeekedStream(TraceSource &src, const BenchmarkProfile &profile,
+                   std::uint64_t seed, std::uint64_t skip, std::uint64_t n)
+{
+    src.seek(skip);
+    EXPECT_EQ(src.consumed(), skip);
+    TraceGenerator ref(profile, seed);
+    for (std::uint64_t i = 0; i < skip; ++i)
+        ref.next();
+    for (std::uint64_t i = 0; i < n; ++i)
+        expectSameRecord(src.next(), ref.next(), skip + i);
+    EXPECT_EQ(src.consumed(), skip + n);
+}
+
+TEST(TraceSource, SeekInsidePackPrefix)
+{
+    const BenchmarkProfile &profile = benchmarkProfile(Benchmark::Milc);
+    const std::uint64_t seed = 9;
+    constexpr std::uint64_t packed = 2000;
+
+    const std::string path = packPath("seek-inside");
+    {
+        TraceGenerator gen(profile, seed);
+        writeTracePack(path, std::string(profile.name), seed, gen,
+                       packed);
+    }
+    // Resume mid-pack, then read across the pack end: the cursor
+    // moves without a generator, and the tail still splices on.
+    TraceSource src = TraceSource::pack(
+        std::make_shared<TracePackReader>(path), profile, seed);
+    expectSeekedStream(src, profile, seed, packed / 2, packed);
+    std::remove(path.c_str());
+}
+
+TEST(TraceSource, SeekPastPackPrefixFastForwards)
 {
     const BenchmarkProfile &profile = benchmarkProfile(Benchmark::Lbm);
-    const std::uint64_t seed = 11;
-    constexpr std::uint64_t n = 200000; // > one 64Ki chunk
+    const std::uint64_t seed = 13;
+    constexpr std::uint64_t packed = 1000;
 
-    TraceCache cache;
-    TraceSource mat = TraceSource::materialized(cache.get(profile, seed));
-    TraceSource ref = TraceSource::generate(profile, seed);
-    for (std::uint64_t i = 0; i < n; ++i)
-        expectSameRecord(mat.next(), ref.next(), i);
+    const std::string path = packPath("seek-past");
+    {
+        TraceGenerator gen(profile, seed);
+        writeTracePack(path, std::string(profile.name), seed, gen,
+                       packed);
+    }
+    TraceSource src = TraceSource::pack(
+        std::make_shared<TracePackReader>(path), profile, seed);
+    expectSeekedStream(src, profile, seed, 3 * packed, packed);
+    std::remove(path.c_str());
 }
 
-TEST(TraceSource, MaterializedFastForwardsPastCap)
+TEST(TraceSource, SeekGenerateSource)
 {
     const BenchmarkProfile &profile =
-        benchmarkProfile(Benchmark::Leslie3d);
-    const std::uint64_t seed = 5;
-    // Cap at exactly one chunk so the tail path triggers quickly.
-    const std::uint64_t cap = MaterializedTrace::chunkRecords;
-
-    TraceCache cache;
-    TraceSource mat =
-        TraceSource::materialized(cache.get(profile, seed, cap));
-    TraceSource ref = TraceSource::generate(profile, seed);
-    for (std::uint64_t i = 0; i < 3 * cap; ++i)
-        expectSameRecord(mat.next(), ref.next(), i);
+        benchmarkProfile(Benchmark::GemsFDTD);
+    const std::uint64_t seed = 21;
+    TraceSource src = TraceSource::generate(profile, seed);
+    expectSeekedStream(src, profile, seed, 5000, 1000);
 }
 
-TEST(TraceSource, CacheSharesStreamsByProfileAndSeed)
+TEST(TraceSource, SeekOnUsedStreamPanics)
 {
-    const BenchmarkProfile &lbm = benchmarkProfile(Benchmark::Lbm);
-    const BenchmarkProfile &milc = benchmarkProfile(Benchmark::Milc);
-
-    TraceCache cache;
-    const auto a = cache.get(lbm, 1);
-    const auto b = cache.get(lbm, 1);
-    const auto c = cache.get(lbm, 2);
-    const auto d = cache.get(milc, 1);
-    EXPECT_EQ(a.get(), b.get());
-    EXPECT_NE(a.get(), c.get());
-    EXPECT_NE(a.get(), d.get());
-    EXPECT_EQ(cache.size(), 3u);
+    TraceSource src =
+        TraceSource::generate(benchmarkProfile(Benchmark::Lbm), 1);
+    src.next();
+    EXPECT_THROW(src.seek(10), PanicError);
 }
 
 } // namespace
