@@ -5,18 +5,19 @@
 
 #include "bench_common.hh"
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <sstream>
 #include <type_traits>
 
 #include "common/atomic_file.hh"
+#include "common/check.hh"
 #include "common/interrupt.hh"
 #include "common/logging.hh"
 #include "common/math_util.hh"
+#include "common/parse_number.hh"
 #include "obs/run_record.hh"
 
 namespace rrm::bench
@@ -32,28 +33,20 @@ struct FlagValue
     std::string text; ///< empty for argument-less flags
 
     /**
-     * The whole text as a T, via std::from_chars: no leading space, no
-     * sign on unsigned types, no trailing junk, no overflow, and (for
-     * floating types) finite. fatal() naming the flag and the value
-     * otherwise — "--jobs abc" must not quietly become 0.
+     * The whole text as a T (see parseNumber()); fatal() naming the
+     * flag and the value otherwise — "--jobs abc" must not quietly
+     * become 0.
      */
     template <typename T>
     T
     number() const
     {
-        T out{};
-        const char *end = text.data() + text.size();
-        const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-        bool ok = ec == std::errc() && ptr == end;
-        if constexpr (std::is_floating_point_v<T>)
-            ok = ok && std::isfinite(out);
-        if (!ok) {
-            fatal("flag ", flag, " needs ",
-                  std::is_floating_point_v<T> ? "a finite number"
-                                              : "a non-negative integer",
-                  ", got '", text, "'");
-        }
-        return out;
+        if (const std::optional<T> v = parseNumber<T>(text))
+            return *v;
+        fatal("flag ", flag, " needs ",
+              std::is_floating_point_v<T> ? "a finite number"
+                                          : "a non-negative integer",
+              ", got '", text, "'");
     }
 
     /** The text split at commas (list-valued flags). */
@@ -339,7 +332,7 @@ PlanBuilder::run(const trace::Workload &workload,
 PlanBuilder &
 PlanBuilder::tag(std::string id)
 {
-    RRM_ASSERT(pendingActive_, "PlanBuilder::tag() without run()");
+    RRM_CHECK(pendingActive_, "PlanBuilder::tag() without run()");
     pendingId_ = std::move(id);
     return *this;
 }
@@ -347,7 +340,7 @@ PlanBuilder::tag(std::string id)
 PlanBuilder &
 PlanBuilder::with(ConfigHook hook)
 {
-    RRM_ASSERT(pendingActive_, "PlanBuilder::with() without run()");
+    RRM_CHECK(pendingActive_, "PlanBuilder::with() without run()");
     pendingHooks_.push_back(std::move(hook));
     return *this;
 }
@@ -355,7 +348,7 @@ PlanBuilder::with(ConfigHook hook)
 PlanBuilder &
 PlanBuilder::postRun(run::PostRunHook hook)
 {
-    RRM_ASSERT(pendingActive_, "PlanBuilder::postRun() without run()");
+    RRM_CHECK(pendingActive_, "PlanBuilder::postRun() without run()");
     pendingPostRun_ = std::move(hook);
     return *this;
 }

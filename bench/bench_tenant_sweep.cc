@@ -24,7 +24,7 @@
 
 #include "bench_common.hh"
 #include "bench_tenant_report.hh"
-#include "common/logging.hh"
+#include "common/check.hh"
 #include "trace/benchmark.hh"
 
 using namespace rrm;
@@ -127,7 +127,7 @@ main(int argc, char **argv)
         for (const sys::Scheme &scheme : schemes) {
             const run::RunResult *rr =
                 report.find(mix.name + "." + scheme.name());
-            RRM_ASSERT(rr, "mixed run missing from the report");
+            RRM_CHECK(rr, "mixed run missing from the report");
             results.back().push_back(rr->results);
             rows.push_back({mix.name, scheme.name(),
                             bench::fairnessOf(mix, rr->results,
@@ -139,7 +139,7 @@ main(int argc, char **argv)
         for (const sys::Scheme &scheme : schemes) {
             const run::RunResult *rr = report.find(
                 soloWorkload(b).name + "." + scheme.name());
-            RRM_ASSERT(rr, "solo run missing from the report");
+            RRM_CHECK(rr, "solo run missing from the report");
             solo_results.push_back(rr->results);
         }
 

@@ -13,17 +13,17 @@ namespace rrm::cache
 Cache::Cache(const CacheConfig &config)
     : config_(config)
 {
-    RRM_ASSERT(isPowerOfTwo(config_.lineBytes), "line size must be 2^n");
-    RRM_ASSERT(config_.assoc >= 1, "associativity must be >= 1");
-    RRM_ASSERT(config_.sizeBytes %
-                       (std::uint64_t(config_.lineBytes) * config_.assoc) ==
-                   0,
-               "cache '", config_.name,
-               "' size must be a whole number of sets");
+    RRM_CHECK(isPowerOfTwo(config_.lineBytes), "line size must be 2^n");
+    RRM_CHECK(config_.assoc >= 1, "associativity must be >= 1");
+    RRM_CHECK(config_.sizeBytes %
+                      (std::uint64_t(config_.lineBytes) * config_.assoc) ==
+                  0,
+              "cache '", config_.name,
+              "' size must be a whole number of sets");
     numSets_ =
         config_.sizeBytes / (std::uint64_t(config_.lineBytes) * config_.assoc);
-    RRM_ASSERT(isPowerOfTwo(numSets_), "cache '", config_.name,
-               "' set count must be a power of two");
+    RRM_CHECK(isPowerOfTwo(numSets_), "cache '", config_.name,
+              "' set count must be a power of two");
     lineShift_ = floorLog2(config_.lineBytes);
     lines_.assign(numSets_ * config_.assoc, Line{});
 }
@@ -90,7 +90,7 @@ Cache::victimWay(const Line *set) const
 }
 
 Victim
-Cache::allocate(Addr addr, int owner)
+Cache::allocate(Addr addr)
 {
     const std::uint64_t set = setIndex(addr);
     const Addr tag = tagOf(addr);
@@ -105,9 +105,9 @@ Cache::allocate(Addr addr, int owner)
                 slot = &base[w];
             continue;
         }
-        RRM_ASSERT(base[w].tag != tag,
-                   "allocate() of a present line in '", config_.name,
-                   "'");
+        RRM_CHECK(base[w].tag != tag,
+                  "allocate() of a present line in '", config_.name,
+                  "'");
     }
 
     Victim victim;
@@ -116,7 +116,6 @@ Cache::allocate(Addr addr, int owner)
         victim.valid = true;
         victim.addr = slot->tag << lineShift_;
         victim.dirty = slot->dirty;
-        victim.owner = slot->owner;
         if (statEvictions_)
             ++*statEvictions_;
         if (victim.dirty && statDirtyEvictions_)
@@ -126,7 +125,6 @@ Cache::allocate(Addr addr, int owner)
     slot->tag = tag;
     slot->valid = true;
     slot->dirty = false;
-    slot->owner = owner;
     slot->stamp = ++replClock_;
     return victim;
 }
@@ -135,7 +133,7 @@ void
 Cache::setDirty(Addr addr)
 {
     Line *line = findLine(addr);
-    RRM_ASSERT(line, "setDirty() on absent line in '", config_.name, "'");
+    RRM_CHECK(line, "setDirty() on absent line in '", config_.name, "'");
     line->dirty = true;
 }
 
@@ -143,16 +141,8 @@ bool
 Cache::isDirty(Addr addr) const
 {
     const Line *line = findLine(addr);
-    RRM_ASSERT(line, "isDirty() on absent line in '", config_.name, "'");
+    RRM_CHECK(line, "isDirty() on absent line in '", config_.name, "'");
     return line->dirty;
-}
-
-int
-Cache::owner(Addr addr) const
-{
-    const Line *line = findLine(addr);
-    RRM_ASSERT(line, "owner() on absent line in '", config_.name, "'");
-    return line->owner;
 }
 
 bool
@@ -227,7 +217,6 @@ Cache::saveCkpt(ckpt::ChunkWriter &w) const
     for (const Line &line : lines_) {
         w.u64(line.tag);
         w.u64(line.stamp);
-        w.u32(static_cast<std::uint32_t>(line.owner));
         w.b(line.valid);
         w.b(line.dirty);
     }
@@ -247,7 +236,6 @@ Cache::restoreCkpt(ckpt::ChunkReader &r)
     for (Line &line : lines_) {
         line.tag = r.u64();
         line.stamp = r.u64();
-        line.owner = static_cast<int>(r.u32());
         line.valid = r.b();
         line.dirty = r.b();
     }

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "common/auditable.hh"
-#include "common/logging.hh"
+#include "common/check.hh"
 #include "common/math_util.hh"
 #include "common/units.hh"
 #include "stats/stats.hh"
@@ -48,7 +48,6 @@ struct Victim
     bool valid = false;
     Addr addr = 0;
     bool dirty = false;
-    int owner = -1;
 };
 
 /** One set-associative cache level. */
@@ -81,21 +80,16 @@ class Cache : public Auditable
      * Allocate a line for `addr` (must not be present), evicting the
      * least recently used line if the set is full.
      *
-     * @param owner Owner core recorded on the line (used by the shared
-     *              LLC for back-invalidation; -1 if untracked).
      * @return The displaced victim (valid == false if a free way was
      *         used).
      */
-    Victim allocate(Addr addr, int owner = -1);
+    Victim allocate(Addr addr);
 
     /** Mark the (present) line dirty. */
     void setDirty(Addr addr);
 
     /** @return dirty flag of the (present) line. */
     bool isDirty(Addr addr) const;
-
-    /** Owner recorded on the (present) line. */
-    int owner(Addr addr) const;
 
     /**
      * Invalidate the line if present.
@@ -121,8 +115,8 @@ class Cache : public Auditable
 
     /**
      * @{ Checkpoint the full array state: every line's tag / stamp /
-     * owner / valid / dirty plus the LRU clock. Counters registered
-     * via regStats are covered by the stats section, not here.
+     * valid / dirty plus the LRU clock. Counters registered via
+     * regStats are covered by the stats section, not here.
      */
     void saveCkpt(ckpt::ChunkWriter &w) const;
     void restoreCkpt(ckpt::ChunkReader &r);
@@ -144,7 +138,6 @@ class Cache : public Auditable
     {
         Addr tag = 0;
         std::uint64_t stamp = 0; ///< LRU clock at the last use
-        int owner = -1;
         bool valid = false;
         bool dirty = false;
     };

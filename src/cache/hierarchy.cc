@@ -39,10 +39,10 @@ defaultHierarchyConfig()
 CacheHierarchy::CacheHierarchy(const HierarchyConfig &config)
     : config_(config)
 {
-    RRM_ASSERT(config_.numCores >= 1, "need at least one core");
-    RRM_ASSERT(config_.l1.lineBytes == config_.l2.lineBytes &&
-                   config_.l2.lineBytes == config_.llc.lineBytes,
-               "all levels must share one line size");
+    RRM_CHECK(config_.numCores >= 1, "need at least one core");
+    RRM_CHECK(config_.l1.lineBytes == config_.l2.lineBytes &&
+                  config_.l2.lineBytes == config_.llc.lineBytes,
+              "all levels must share one line size");
     for (unsigned c = 0; c < config_.numCores; ++c) {
         CacheConfig l1 = config_.l1;
         CacheConfig l2 = config_.l2;
@@ -57,7 +57,7 @@ CacheHierarchy::CacheHierarchy(const HierarchyConfig &config)
 HierarchyEvents
 CacheHierarchy::access(unsigned core, Addr addr, bool is_write)
 {
-    RRM_ASSERT(core < config_.numCores, "core index out of range");
+    RRM_CHECK(core < config_.numCores, "core index out of range");
     addr = llc_->lineAddr(addr);
 
     HierarchyEvents ev;
@@ -98,14 +98,12 @@ CacheHierarchy::access(unsigned core, Addr addr, bool is_write)
 HierarchyEvents
 CacheHierarchy::fill(unsigned core, Addr addr, bool is_write)
 {
-    RRM_ASSERT(core < config_.numCores, "core index out of range");
+    RRM_CHECK(core < config_.numCores, "core index out of range");
     addr = llc_->lineAddr(addr);
 
     HierarchyEvents ev;
-    RRM_ASSERT(!llc_->contains(addr),
-               "fill() for a line already in the LLC");
-
-    const Victim victim = llc_->allocate(addr, static_cast<int>(core));
+    // allocate() rejects a line already in the LLC in its own set walk.
+    const Victim victim = llc_->allocate(addr);
     if (victim.valid) {
         // Back-invalidate upper-level copies to preserve inclusion; a
         // dirtier upper copy upgrades the outgoing line. Any core may
@@ -146,13 +144,11 @@ CacheHierarchy::fillIntoL2(unsigned core, Addr addr, HierarchyEvents &ev)
     if (dirty) {
         // Write the victim back into its LLC line: this is the LLC
         // write the RRM registers, with the line's previous dirty bit.
-        RRM_ASSERT(llc_->contains(victim.addr),
-                   "inclusion broken: L2 victim absent from LLC");
+        const bool present = llc_->access(victim.addr); // promote on write
+        RRM_CHECK(present, "inclusion broken: L2 victim absent from LLC");
         const bool was_dirty = llc_->isDirty(victim.addr);
-        llc_->access(victim.addr); // promote on write
         llc_->setDirty(victim.addr);
-        RRM_ASSERT(!ev.registration,
-                   "one operation produced two LLC writes");
+        RRM_CHECK(!ev.registration, "one operation produced two LLC writes");
         ev.registration = true;
         ev.registrationAddr = victim.addr;
         ev.registrationWasDirty = was_dirty;
@@ -169,9 +165,8 @@ CacheHierarchy::fillIntoL1(unsigned core, Addr addr, HierarchyEvents &ev)
     const Victim victim = l1.allocate(addr);
     if (victim.valid && victim.dirty) {
         // L1 ⊆ L2: the victim's line is present in L2.
-        RRM_ASSERT(l2.contains(victim.addr),
-                   "inclusion broken: L1 victim absent from L2");
-        l2.access(victim.addr);
+        const bool present = l2.access(victim.addr);
+        RRM_CHECK(present, "inclusion broken: L1 victim absent from L2");
         l2.setDirty(victim.addr);
     }
 }
@@ -225,30 +220,6 @@ CacheHierarchy::audit() const
                       " absent from the LLC");
         });
     }
-    llc_->forEachValidLine([&](Addr a) {
-        const int owner = llc_->owner(a);
-        RRM_AUDIT(owner >= -1 &&
-                      owner < static_cast<int>(config_.numCores),
-                  "LLC line 0x", std::hex, a, std::dec,
-                  " has impossible owner ", owner);
-    });
-}
-
-bool
-CacheHierarchy::checkInclusion() const
-{
-    bool ok = true;
-    for (unsigned c = 0; c < config_.numCores; ++c) {
-        l1s_[c]->forEachValidLine([&](Addr a) {
-            if (!l2s_[c]->contains(a))
-                ok = false;
-        });
-        l2s_[c]->forEachValidLine([&](Addr a) {
-            if (!llc_->contains(a))
-                ok = false;
-        });
-    }
-    return ok;
 }
 
 } // namespace rrm::cache

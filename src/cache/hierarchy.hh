@@ -108,17 +108,13 @@ class CacheHierarchy : public Auditable
     void restoreCkpt(ckpt::ChunkReader &r);
     /** @} */
 
-    /** Verify the inclusion invariant (O(cache size); tests only). */
-    bool checkInclusion() const;
-
     // ---- Auditable ----
     std::string_view auditName() const override { return "hierarchy"; }
 
     /**
      * Invariants: each level's own array is consistent (see
-     * Cache::audit), inclusion holds (L1 ⊆ L2 ⊆ LLC), dirty upper
-     * copies have their backing line present below, and every LLC
-     * line's recorded owner is a real core (or untracked).
+     * Cache::audit) and inclusion holds (L1 ⊆ L2 ⊆ LLC), so dirty
+     * upper copies have their backing line present below.
      */
     void audit() const override;
 

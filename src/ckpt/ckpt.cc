@@ -6,7 +6,7 @@
 #include <fstream>
 
 #include "common/atomic_file.hh"
-#include "common/logging.hh"
+#include "common/check.hh"
 
 namespace rrm::ckpt
 {
@@ -236,8 +236,8 @@ CkptWriter::section(std::uint32_t id, const ChunkWriter &payload)
 {
     for (const auto &[existing, data] : sections_) {
         (void)data;
-        RRM_ASSERT(existing != id, "duplicate checkpoint section ",
-                   sectionName(id));
+        RRM_CHECK(existing != id, "duplicate checkpoint section ",
+                  sectionName(id));
     }
     sections_.emplace_back(id, payload.data());
 }
@@ -275,7 +275,7 @@ CkptWriter::serialize() const
 
     putU32(out, crc32(out.data(), out.size()));
     putU32(out, endMagic);
-    RRM_ASSERT(out.size() == total, "checkpoint size accounting drift");
+    RRM_CHECK(out.size() == total, "checkpoint size accounting drift");
     return out;
 }
 

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <unistd.h>
 
+#include "common/check.hh"
 #include "common/logging.hh"
 
 namespace rrm
@@ -34,7 +35,7 @@ AtomicFile::~AtomicFile()
 void
 AtomicFile::commit()
 {
-    RRM_ASSERT(!committed_, "AtomicFile committed twice");
+    RRM_CHECK(!committed_, "AtomicFile committed twice");
     out_.flush();
     if (!out_)
         fatal("write error on '", path_, "' (temporary '", tmpPath_,

@@ -17,7 +17,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "logging.hh"
+#include "check.hh"
 
 namespace rrm
 {
@@ -116,9 +116,9 @@ class BitVector
     void
     setWords(const std::vector<std::uint64_t> &words)
     {
-        RRM_ASSERT(words.size() == words_.size(),
-                   "bit-vector word count mismatch: have ",
-                   words_.size(), ", got ", words.size());
+        RRM_CHECK(words.size() == words_.size(),
+                  "bit-vector word count mismatch: have ",
+                  words_.size(), ", got ", words.size());
         words_ = words;
     }
     /** @} */
@@ -127,8 +127,8 @@ class BitVector
     void
     checkIndex(std::size_t i) const
     {
-        RRM_ASSERT(i < numBits_, "bit index ", i, " out of range (width ",
-                   numBits_, ")");
+        RRM_CHECK(i < numBits_, "bit index ", i, " out of range (width ",
+                  numBits_, ")");
     }
 
     std::size_t numBits_;

@@ -27,6 +27,16 @@ std::array<std::atomic<std::uint64_t>, numViolationKinds> counters{};
 std::mutex lastMessageMutex;
 std::string lastMessage; // guarded by lastMessageMutex
 
+/** Count a violation and remember its message. */
+void
+record(ViolationKind kind, const std::string &message)
+{
+    counters[static_cast<std::size_t>(kind)].fetch_add(
+        1, std::memory_order_relaxed);
+    const std::lock_guard<std::mutex> lock(lastMessageMutex);
+    lastMessage = message;
+}
+
 } // namespace
 
 std::string_view
@@ -95,32 +105,24 @@ namespace detail
 void
 reportViolation(ViolationKind kind, const std::string &message)
 {
-    counters[static_cast<std::size_t>(kind)].fetch_add(
-        1, std::memory_order_relaxed);
-    {
-        const std::lock_guard<std::mutex> lock(lastMessageMutex);
-        lastMessage = message;
-    }
-
-    switch (failurePolicy()) {
-      case FailurePolicy::Abort: {
+    record(kind, message);
+    if (failurePolicy() == FailurePolicy::Abort) {
         std::cerr << message << '\n';
         void *frames[64];
         const int n = backtrace(frames, 64);
         backtrace_symbols_fd(frames, n, 2);
         std::abort();
-      }
-      case FailurePolicy::Throw:
-        throw CheckError(kind, message);
-      case FailurePolicy::LogAndCount:
-        // Unreachable code cannot continue regardless of policy; the
-        // count above still lands before the throw.
-        if (kind == ViolationKind::Unreachable)
-            throw CheckError(kind, message);
-        warn(message);
-        return;
     }
-    RRM_ASSERT(false, "corrupt failure policy");
+    throw CheckError(kind, message);
+}
+
+void
+reportAuditViolation(const std::string &message)
+{
+    if (failurePolicy() != FailurePolicy::LogAndCount)
+        reportViolation(ViolationKind::Audit, message);
+    record(ViolationKind::Audit, message);
+    warn(message);
 }
 
 } // namespace detail

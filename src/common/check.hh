@@ -1,30 +1,28 @@
 /**
  * @file
- * Contract-checking framework for simulator invariants.
+ * Contract-checking framework: the simulator's one assertion system.
  *
- * Four macro families, all funnelled through one configurable failure
- * policy so the same contract can abort a debug run, throw a typed
- * error a test can assert on, or merely count against a violation
- * counter that the stats package exports (see stats/check_stats.hh):
+ * Four macro families, each counted per kind in violation counters
+ * that the stats package exports (see stats/check_stats.hh):
  *
  *  - RRM_CHECK(cond, ...):   always-on invariant; the workhorse.
  *  - RRM_DCHECK(cond, ...):  debug-only (compiled out under NDEBUG
  *                            unless RRM_FORCE_DCHECKS is defined);
- *                            for checks too hot for release builds.
- *  - RRM_UNREACHABLE(...):   marks impossible control flow. Counted,
- *                            then always throws/aborts regardless of
- *                            policy — execution cannot continue past
- *                            an unreachable point.
+ *                            for conditions that themselves walk a
+ *                            structure on a per-access path.
+ *  - RRM_UNREACHABLE(...):   marks impossible control flow; may end a
+ *                            non-void function.
  *  - RRM_AUDIT(cond, ...):   used inside Auditable::audit()
- *                            implementations; identical to RRM_CHECK
- *                            but counted in its own category so
- *                            periodic deep audits are separable from
- *                            inline contract failures.
+ *                            implementations; counted in its own
+ *                            category so periodic deep audits are
+ *                            separable from inline contract failures.
  *
- * This deliberately complements (rather than replaces) RRM_ASSERT /
- * panic() in common/logging.hh: those are unconditional
- * abort-the-simulation bugs; these are policy-routed contracts that
- * production-style runs may choose to survive and count.
+ * The three inline contracts (CHECK, DCHECK, UNREACHABLE) never return
+ * on failure: they record the violation, then throw CheckError, or
+ * abort under FailurePolicy::Abort. Only RRM_AUDIT may count and
+ * continue, under FailurePolicy::LogAndCount. A user error (bad
+ * configuration or input) is not a contract: it goes through fatal()
+ * in common/logging.hh.
  */
 
 #ifndef RRM_COMMON_CHECK_HH
@@ -39,7 +37,7 @@
 namespace rrm::check
 {
 
-/** What a failed RRM_CHECK / RRM_AUDIT does. */
+/** What a failed contract does. */
 enum class FailurePolicy : std::uint8_t
 {
     /** Print the violation and abort() (with a backtrace). */
@@ -49,9 +47,9 @@ enum class FailurePolicy : std::uint8_t
     Throw,
 
     /**
-     * Record the violation in its counter, warn once per call site
-     * burst, and continue. Production-style runs use this so one bad
-     * invariant produces a diagnosable stats line, not a dead run.
+     * RRM_AUDIT only: record the violation in its counter, warn, and
+     * continue, so one audit round reports every broken invariant.
+     * The inline contracts throw CheckError as under Throw.
      */
     LogAndCount,
 };
@@ -70,7 +68,7 @@ inline constexpr std::size_t numViolationKinds = 4;
 /** Stable name for a violation kind ("check", "audit", ...). */
 std::string_view violationKindName(ViolationKind kind);
 
-/** Error thrown by a failed contract under FailurePolicy::Throw. */
+/** Error thrown by a failed contract unless the policy is Abort. */
 class CheckError : public std::logic_error
 {
   public:
@@ -132,10 +130,17 @@ namespace detail
 {
 
 /**
- * Record a violation and apply the failure policy. Returns only under
- * FailurePolicy::LogAndCount (and never for Unreachable).
+ * Record a violation, then throw CheckError, or abort under
+ * FailurePolicy::Abort: the failure path of the inline contracts.
  */
-void reportViolation(ViolationKind kind, const std::string &message);
+[[noreturn]] void reportViolation(ViolationKind kind,
+                                  const std::string &message);
+
+/**
+ * Record an audit violation; warn and return under
+ * FailurePolicy::LogAndCount, otherwise fail as reportViolation().
+ */
+void reportAuditViolation(const std::string &message);
 
 /** Build "<kind> failed: '<expr>' at file:line[: detail]". */
 template <typename... Args>
@@ -154,7 +159,7 @@ formatViolation(ViolationKind kind, const char *expr, const char *file,
 }
 
 template <typename... Args>
-void
+[[noreturn]] void
 fail(ViolationKind kind, const char *expr, const char *file, int line,
      Args &&...args)
 {
@@ -165,7 +170,7 @@ fail(ViolationKind kind, const char *expr, const char *file, int line,
 } // namespace detail
 } // namespace rrm::check
 
-/** Always-on contract: routed through the global failure policy. */
+/** Always-on contract; never returns on failure. */
 #define RRM_CHECK(cond, ...)                                                \
     do {                                                                    \
         if (!(cond)) {                                                      \
@@ -194,19 +199,23 @@ fail(ViolationKind kind, const char *expr, const char *file, int line,
     } while (0)
 #endif
 
-/** Impossible control flow; always throws or aborts (never returns). */
+/** Impossible control flow; throws or aborts (never returns). */
 #define RRM_UNREACHABLE(...)                                                \
     ::rrm::check::detail::fail(::rrm::check::ViolationKind::Unreachable,    \
                                "unreachable", __FILE__, __LINE__,           \
                                ##__VA_ARGS__)
 
-/** Deep-audit contract; use inside Auditable::audit() bodies. */
+/**
+ * Deep-audit contract; use inside Auditable::audit() bodies. The only
+ * contract that returns on failure (under FailurePolicy::LogAndCount).
+ */
 #define RRM_AUDIT(cond, ...)                                                \
     do {                                                                    \
         if (!(cond)) {                                                      \
-            ::rrm::check::detail::fail(                                     \
-                ::rrm::check::ViolationKind::Audit, #cond, __FILE__,        \
-                __LINE__, ##__VA_ARGS__);                                   \
+            ::rrm::check::detail::reportAuditViolation(                     \
+                ::rrm::check::detail::formatViolation(                      \
+                    ::rrm::check::ViolationKind::Audit, #cond, __FILE__,    \
+                    __LINE__, ##__VA_ARGS__));                              \
         }                                                                   \
     } while (0)
 

@@ -9,7 +9,7 @@
 #include <cmath>
 #include <sstream>
 
-#include "logging.hh"
+#include "check.hh"
 
 namespace rrm
 {
@@ -17,13 +17,12 @@ namespace rrm
 BoundedHistogram::BoundedHistogram(std::vector<std::uint64_t> boundaries)
     : boundaries_(std::move(boundaries))
 {
-    RRM_ASSERT(!boundaries_.empty(),
-               "histogram needs at least one boundary");
-    RRM_ASSERT(std::is_sorted(boundaries_.begin(), boundaries_.end()) &&
-                   std::adjacent_find(boundaries_.begin(),
-                                      boundaries_.end()) ==
-                       boundaries_.end(),
-               "histogram boundaries must be strictly increasing");
+    RRM_CHECK(!boundaries_.empty(), "histogram needs at least one boundary");
+    RRM_CHECK(std::is_sorted(boundaries_.begin(), boundaries_.end()) &&
+                  std::adjacent_find(boundaries_.begin(),
+                                     boundaries_.end()) ==
+                      boundaries_.end(),
+              "histogram boundaries must be strictly increasing");
     counts_.assign(boundaries_.size() + 1, 0);
 }
 
@@ -49,7 +48,7 @@ BoundedHistogram::fraction(std::size_t i) const
 std::string
 BoundedHistogram::bucketLabel(std::size_t i) const
 {
-    RRM_ASSERT(i < counts_.size(), "bucket index out of range");
+    RRM_CHECK(i < counts_.size(), "bucket index out of range");
     std::ostringstream os;
     if (i == 0) {
         os << "< " << boundaries_.front();
@@ -72,8 +71,8 @@ void
 BoundedHistogram::restoreCounts(
     const std::vector<std::uint64_t> &counts, std::uint64_t total)
 {
-    RRM_ASSERT(counts.size() == counts_.size(),
-               "histogram restore with mismatched bucket count");
+    RRM_CHECK(counts.size() == counts_.size(),
+              "histogram restore with mismatched bucket count");
     counts_ = counts;
     total_ = total;
 }

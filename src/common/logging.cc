@@ -7,8 +7,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <execinfo.h>
 #include <iostream>
 #include <mutex>
 #include <unordered_set>
@@ -118,18 +116,6 @@ std::uint64_t
 warnCount()
 {
     return warnCounter.load(std::memory_order_relaxed);
-}
-
-void
-maybeAbort(const std::string &msg)
-{
-    if (std::getenv("RRM_ABORT_ON_PANIC")) {
-        std::cerr << msg << '\n';
-        void *frames[64];
-        const int n = backtrace(frames, 64);
-        backtrace_symbols_fd(frames, n, 2);
-        std::abort();
-    }
 }
 
 void

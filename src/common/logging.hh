@@ -2,13 +2,14 @@
  * @file
  * gem5-style status and error reporting.
  *
- * Severity model (mirrors gem5's base/logging.hh):
- *  - panic():  an internal invariant was violated; a simulator bug.
- *              Aborts (throws PanicError so tests can assert on it).
+ * Severity model (after gem5's base/logging.hh):
  *  - fatal():  the user asked for something impossible (bad config).
  *              Throws FatalError.
  *  - warn():   something questionable happened but simulation continues.
  *  - inform(): plain status output.
+ *
+ * A violated internal invariant is a simulator bug, not a log message:
+ * it goes through the RRM_CHECK family in common/check.hh.
  */
 
 #ifndef RRM_COMMON_LOGGING_HH
@@ -29,15 +30,6 @@ class FatalError : public std::runtime_error
   public:
     explicit FatalError(const std::string &msg)
         : std::runtime_error(msg)
-    {}
-};
-
-/** Error thrown by panic(): internal simulator bug. */
-class PanicError : public std::logic_error
-{
-  public:
-    explicit PanicError(const std::string &msg)
-        : std::logic_error(msg)
     {}
 };
 
@@ -78,9 +70,6 @@ bool shouldWarnOnce(const std::string &category);
 /** Forget every warn_once() category (tests). */
 void resetWarnOnce();
 
-/** abort() instead of throwing when RRM_ABORT_ON_PANIC is set. */
-void maybeAbort(const std::string &msg);
-
 /** Count of warnings emitted so far (inspectable from tests). */
 std::uint64_t warnCount();
 
@@ -102,17 +91,6 @@ void setLogSink(LogSink sink);
 void setMinSeverity(LogSeverity min);
 
 } // namespace log_detail
-
-/** Report an internal simulator bug and abort the simulation. */
-template <typename... Args>
-[[noreturn]] void
-panic(Args &&...args)
-{
-    const std::string msg =
-        "panic: " + log_detail::concat(std::forward<Args>(args)...);
-    log_detail::maybeAbort(msg);
-    throw PanicError(msg);
-}
 
 /** Report an unrecoverable user error (bad configuration, etc.). */
 template <typename... Args>
@@ -154,15 +132,6 @@ warn_once(const std::string &category, Args &&...args)
     warn(category, ": ",
          log_detail::concat(std::forward<Args>(args)...));
 }
-
-/** panic() unless the given condition holds. */
-#define RRM_ASSERT(cond, ...)                                               \
-    do {                                                                    \
-        if (!(cond)) {                                                      \
-            ::rrm::panic("assertion '", #cond, "' failed at ", __FILE__,    \
-                         ":", __LINE__, ": ", ##__VA_ARGS__);               \
-        }                                                                   \
-    } while (0)
 
 } // namespace rrm
 

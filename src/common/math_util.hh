@@ -11,7 +11,7 @@
 #include <cstdint>
 #include <span>
 
-#include "logging.hh"
+#include "check.hh"
 
 namespace rrm
 {
@@ -27,7 +27,7 @@ isPowerOfTwo(std::uint64_t v)
 inline unsigned
 floorLog2(std::uint64_t v)
 {
-    RRM_ASSERT(v != 0, "floorLog2(0) undefined");
+    RRM_CHECK(v != 0, "floorLog2(0) undefined");
     return 63u - static_cast<unsigned>(std::countl_zero(v));
 }
 
@@ -58,10 +58,10 @@ divCeil(std::uint64_t a, std::uint64_t b)
 inline double
 geomean(std::span<const double> values)
 {
-    RRM_ASSERT(!values.empty(), "geomean of empty set");
+    RRM_CHECK(!values.empty(), "geomean of empty set");
     double log_sum = 0.0;
     for (double v : values) {
-        RRM_ASSERT(v > 0.0, "geomean requires positive values, got ", v);
+        RRM_CHECK(v > 0.0, "geomean requires positive values, got ", v);
         log_sum += std::log(v);
     }
     return std::exp(log_sum / static_cast<double>(values.size()));

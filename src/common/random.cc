@@ -75,7 +75,7 @@ Random::chance(double p)
 std::uint64_t
 Random::geometric(double mean)
 {
-    RRM_ASSERT(mean >= 1.0, "geometric() mean must be >= 1");
+    RRM_CHECK(mean >= 1.0, "geometric() mean must be >= 1");
     if (mean == 1.0)
         return 1;
     const double p = 1.0 / mean;
@@ -102,8 +102,8 @@ Random::split()
 ZipfSampler::ZipfSampler(std::uint64_t n, double s)
     : n_(n), s_(s)
 {
-    RRM_ASSERT(n >= 1, "ZipfSampler needs at least one item");
-    RRM_ASSERT(s > 0.0, "ZipfSampler skew must be positive");
+    RRM_CHECK(n >= 1, "ZipfSampler needs at least one item");
+    RRM_CHECK(s > 0.0, "ZipfSampler skew must be positive");
     hX1_ = h(1.5) - 1.0;
     hXn_ = h(static_cast<double>(n_) + 0.5);
     scale_ = hX1_ - hXn_;

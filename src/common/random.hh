@@ -15,7 +15,7 @@
 #include <array>
 #include <cstdint>
 
-#include "logging.hh"
+#include "check.hh"
 
 namespace rrm
 {
@@ -34,7 +34,7 @@ class Random
     std::uint64_t
     uniform(std::uint64_t bound)
     {
-        RRM_ASSERT(bound > 0, "uniform() bound must be positive");
+        RRM_CHECK(bound > 0, "uniform() bound must be positive");
         // Lemire's multiply-shift rejection-free mapping; the tiny
         // modulo bias is irrelevant for workload synthesis.
         return static_cast<std::uint64_t>(
@@ -45,7 +45,7 @@ class Random
     std::uint64_t
     uniformRange(std::uint64_t lo, std::uint64_t hi)
     {
-        RRM_ASSERT(lo <= hi, "uniformRange() needs lo <= hi");
+        RRM_CHECK(lo <= hi, "uniformRange() needs lo <= hi");
         return lo + uniform(hi - lo + 1);
     }
 

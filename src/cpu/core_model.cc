@@ -24,10 +24,9 @@ CoreModel::CoreModel(unsigned id, const CoreParams &params,
       queue_(queue),
       addrBase_(addr_base)
 {
-    RRM_ASSERT(params_.width >= 1, "core width must be positive");
-    RRM_ASSERT(params_.robSize >= 1, "ROB must be non-empty");
-    RRM_ASSERT(params_.maxOutstandingMisses >= 1,
-               "need at least one MSHR");
+    RRM_CHECK(params_.width >= 1, "core width must be positive");
+    RRM_CHECK(params_.robSize >= 1, "ROB must be non-empty");
+    RRM_CHECK(params_.maxOutstandingMisses >= 1, "need at least one MSHR");
     outstanding_.resize(params_.maxOutstandingMisses);
 }
 
@@ -64,7 +63,7 @@ CoreModel::pause()
 void
 CoreModel::unpause()
 {
-    RRM_ASSERT(paused_, "unpause() on a running core");
+    RRM_CHECK(paused_, "unpause() on a running core");
     paused_ = false;
     if (wantsAdvance_) {
         wantsAdvance_ = false;
@@ -105,7 +104,7 @@ CoreModel::robFull() const
 bool
 CoreModel::processPendingMiss()
 {
-    RRM_ASSERT(hasPending_, "no pending miss to process");
+    RRM_CHECK(hasPending_, "no pending miss to process");
 
     if (OutstandingFill *hit = findOutstanding(pendingLine_)) {
         // MSHR merge: piggyback on the in-flight fill.
@@ -138,7 +137,7 @@ CoreModel::processPendingMiss()
             break;
         }
     }
-    RRM_ASSERT(fill, "MSHR count below limit but no free entry");
+    RRM_CHECK(fill, "MSHR count below limit but no free entry");
     fill->line = pendingLine_;
     fill->valid = true;
     fill->isWrite = pendingIsWrite_;
@@ -231,7 +230,7 @@ void
 CoreModel::onFillComplete(Addr line)
 {
     OutstandingFill *fill = findOutstanding(line);
-    RRM_ASSERT(fill, "fill completion for an unknown line");
+    RRM_CHECK(fill, "fill completion for an unknown line");
 
     // Fill the hierarchy now that the data arrived; route any dirty
     // LLC victim / registration to the system.
@@ -278,8 +277,8 @@ CoreModel::resume()
 void
 CoreModel::saveCkpt(ckpt::ChunkWriter &w) const
 {
-    RRM_ASSERT(paused_ && quiescent(),
-               "core checkpoint outside a paused quiescent point");
+    RRM_CHECK(paused_ && quiescent(),
+              "core checkpoint outside a paused quiescent point");
     w.u64(localTime_);
     w.u64(instrCount_);
     w.u8(static_cast<std::uint8_t>(stall_));
@@ -295,8 +294,8 @@ CoreModel::saveCkpt(ckpt::ChunkWriter &w) const
 void
 CoreModel::restoreCkpt(ckpt::ChunkReader &r)
 {
-    RRM_ASSERT(outstandingCount_ == 0 && !advanceScheduled_,
-               "restoreCkpt() on a started core");
+    RRM_CHECK(outstandingCount_ == 0 && !advanceScheduled_,
+              "restoreCkpt() on a started core");
     paused_ = true;
     localTime_ = r.u64();
     instrCount_ = r.u64();

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "ckpt/ckpt.hh"
+#include "common/check.hh"
 #include "common/logging.hh"
 
 namespace rrm::fault
@@ -405,8 +406,8 @@ FaultManager::regStats(stats::StatGroup &root)
 void
 FaultManager::saveCkpt(ckpt::ChunkWriter &w) const
 {
-    RRM_ASSERT(pendingRewriteEvents_ == 0,
-               "checkpoint with rewrite retries still scheduled");
+    RRM_CHECK(pendingRewriteEvents_ == 0,
+              "checkpoint with rewrite retries still scheduled");
     injector_.saveCkpt(w);
     retention_.saveCkpt(w);
     ecp_.saveCkpt(w);
@@ -440,8 +441,8 @@ FaultManager::saveCkpt(ckpt::ChunkWriter &w) const
 void
 FaultManager::restoreCkpt(ckpt::ChunkReader &r)
 {
-    RRM_ASSERT(!stallTask_ && !governorTask_ && !sweepArmed_,
-               "restoreCkpt() on a started FaultManager");
+    RRM_CHECK(!stallTask_ && !governorTask_ && !sweepArmed_,
+              "restoreCkpt() on a started FaultManager");
     injector_.restoreCkpt(r);
     retention_.restoreCkpt(r);
     ecp_.restoreCkpt(r);

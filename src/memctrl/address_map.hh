@@ -17,7 +17,7 @@
 #ifndef RRM_MEMCTRL_ADDRESS_MAP_HH
 #define RRM_MEMCTRL_ADDRESS_MAP_HH
 
-#include "common/logging.hh"
+#include "common/check.hh"
 #include "common/math_util.hh"
 #include "memctrl/timing.hh"
 
@@ -39,12 +39,12 @@ class AddressMap
     explicit AddressMap(const MemoryParams &params)
         : params_(params)
     {
-        RRM_ASSERT(isPowerOfTwo(params.numChannels),
-                   "channel count must be a power of two");
-        RRM_ASSERT(isPowerOfTwo(params.banksPerChannel),
-                   "bank count must be a power of two");
-        RRM_ASSERT(isPowerOfTwo(params.rowBufferBytes),
-                   "row buffer size must be a power of two");
+        RRM_CHECK(isPowerOfTwo(params.numChannels),
+                  "channel count must be a power of two");
+        RRM_CHECK(isPowerOfTwo(params.banksPerChannel),
+                  "bank count must be a power of two");
+        RRM_CHECK(isPowerOfTwo(params.rowBufferBytes),
+                  "row buffer size must be a power of two");
         colShift_ = floorLog2(params.rowBufferBytes);
         chanBits_ = floorLog2(params.numChannels);
         bankBits_ = floorLog2(params.banksPerChannel);
@@ -54,8 +54,8 @@ class AddressMap
     Location
     decode(Addr addr) const
     {
-        RRM_ASSERT(addr < params_.memoryBytes, "address ", addr,
-                   " beyond PCM capacity");
+        RRM_CHECK(addr < params_.memoryBytes, "address ", addr,
+                  " beyond PCM capacity");
         Location loc;
         std::uint64_t v = addr >> colShift_;
         loc.rowId = v; // unique per 1 KB segment (includes chan/bank)

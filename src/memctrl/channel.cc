@@ -540,13 +540,12 @@ Channel::audit() const
 void
 Channel::saveCkpt(ckpt::ChunkWriter &w) const
 {
-    RRM_ASSERT(readQ_.empty() && writeQ_.empty() && refreshQ_.empty(),
-               name_, ": checkpoint at a non-quiescent point (queued "
-                      "requests)");
-    RRM_ASSERT(!retryPending_, name_,
-               ": checkpoint with a scheduler retry pending");
-    RRM_ASSERT(inflightReads_ == 0, name_,
-               ": checkpoint with reads in flight");
+    RRM_CHECK(readQ_.empty() && writeQ_.empty() && refreshQ_.empty(),
+              name_, ": checkpoint at a non-quiescent point (queued "
+                     "requests)");
+    RRM_CHECK(!retryPending_, name_,
+              ": checkpoint with a scheduler retry pending");
+    RRM_CHECK(inflightReads_ == 0, name_, ": checkpoint with reads in flight");
     for (const std::size_t k : {std::size_t(0), std::size_t(1),
                                 std::size_t(2)}) {
         w.u64(enqueued_[k]);
@@ -565,8 +564,7 @@ Channel::saveCkpt(ckpt::ChunkWriter &w) const
     w.u64(scanMemoEarliest_);
     w.u32(static_cast<std::uint32_t>(banks_.size()));
     for (const Bank &bank : banks_) {
-        RRM_ASSERT(!bank.writing, name_,
-                   ": checkpoint with a bank mid-write");
+        RRM_CHECK(!bank.writing, name_, ": checkpoint with a bank mid-write");
         w.u64(bank.busyUntil);
         w.u64(bank.openRow);
         w.b(bank.hasOpenRow);

@@ -14,15 +14,15 @@ StartGapDomain::StartGapDomain(std::uint64_t num_lines,
                                std::uint64_t gap_write_period)
     : numLines_(num_lines), gapWritePeriod_(gap_write_period)
 {
-    RRM_ASSERT(numLines_ >= 2, "domain needs at least two lines");
-    RRM_ASSERT(gapWritePeriod_ >= 1, "gap period must be positive");
+    RRM_CHECK(numLines_ >= 2, "domain needs at least two lines");
+    RRM_CHECK(gapWritePeriod_ >= 1, "gap period must be positive");
     gap_ = numLines_; // spare slot initially at the top
 }
 
 std::uint64_t
 StartGapDomain::physicalSlot(std::uint64_t line) const
 {
-    RRM_ASSERT(line < numLines_, "line outside domain");
+    RRM_CHECK(line < numLines_, "line outside domain");
     // N+1 slots; `start` rotates the namespace over N, and lines at
     // or above the gap shift up one slot to skip the hole (the
     // original MICRO'09 formulation).
@@ -112,11 +112,11 @@ StartGapRemapper::StartGapRemapper(std::uint64_t memory_bytes,
                                    const StartGapParams &params)
     : params_(params), memoryBytes_(memory_bytes)
 {
-    RRM_ASSERT(isPowerOfTwo(params_.lineBytes),
-               "Start-Gap line size must be a power of two");
+    RRM_CHECK(isPowerOfTwo(params_.lineBytes),
+              "Start-Gap line size must be a power of two");
     const std::uint64_t total_lines = memory_bytes / params_.lineBytes;
-    RRM_ASSERT(total_lines % params_.linesPerDomain == 0,
-               "memory must be a whole number of Start-Gap domains");
+    RRM_CHECK(total_lines % params_.linesPerDomain == 0,
+              "memory must be a whole number of Start-Gap domains");
     const std::uint64_t n = total_lines / params_.linesPerDomain;
     domains_.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -128,7 +128,7 @@ StartGapRemapper::StartGapRemapper(std::uint64_t memory_bytes,
 std::uint64_t
 StartGapRemapper::domainOf(Addr addr) const
 {
-    RRM_ASSERT(addr < memoryBytes_, "address beyond memory");
+    RRM_CHECK(addr < memoryBytes_, "address beyond memory");
     return (addr / params_.lineBytes) / params_.linesPerDomain;
 }
 

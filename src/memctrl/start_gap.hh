@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "common/auditable.hh"
-#include "common/logging.hh"
+#include "common/check.hh"
 #include "common/math_util.hh"
 #include "common/units.hh"
 #include "obs/trace.hh"

@@ -8,7 +8,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "common/logging.hh"
+#include "common/check.hh"
 
 namespace rrm::obs
 {
@@ -82,11 +82,11 @@ void
 JsonWriter::prepareValue()
 {
     if (stack_.empty()) {
-        RRM_ASSERT(!keyPending_, "JSON key outside any object");
+        RRM_CHECK(!keyPending_, "JSON key outside any object");
         return;
     }
     if (stack_.back() == Frame::Object) {
-        RRM_ASSERT(keyPending_, "JSON value in object without a key");
+        RRM_CHECK(keyPending_, "JSON value in object without a key");
         keyPending_ = false;
         return;
     }
@@ -102,9 +102,9 @@ JsonWriter::prepareValue()
 void
 JsonWriter::key(std::string_view k)
 {
-    RRM_ASSERT(!stack_.empty() && stack_.back() == Frame::Object,
-               "JSON key outside an object");
-    RRM_ASSERT(!keyPending_, "JSON key after a dangling key");
+    RRM_CHECK(!stack_.empty() && stack_.back() == Frame::Object,
+              "JSON key outside an object");
+    RRM_CHECK(!keyPending_, "JSON key after a dangling key");
     if (!firstInFrame_.back())
         os_ << ',';
     else
@@ -127,9 +127,9 @@ JsonWriter::beginObject()
 void
 JsonWriter::endObject()
 {
-    RRM_ASSERT(!stack_.empty() && stack_.back() == Frame::Object,
-               "unbalanced endObject");
-    RRM_ASSERT(!keyPending_, "endObject after a dangling key");
+    RRM_CHECK(!stack_.empty() && stack_.back() == Frame::Object,
+              "unbalanced endObject");
+    RRM_CHECK(!keyPending_, "endObject after a dangling key");
     const bool empty = firstInFrame_.back();
     stack_.pop_back();
     firstInFrame_.pop_back();
@@ -150,8 +150,8 @@ JsonWriter::beginArray()
 void
 JsonWriter::endArray()
 {
-    RRM_ASSERT(!stack_.empty() && stack_.back() == Frame::Array,
-               "unbalanced endArray");
+    RRM_CHECK(!stack_.empty() && stack_.back() == Frame::Array,
+              "unbalanced endArray");
     const bool empty = firstInFrame_.back();
     stack_.pop_back();
     firstInFrame_.pop_back();

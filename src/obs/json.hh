@@ -37,7 +37,7 @@ std::string jsonNumber(double v);
 /**
  * A streaming JSON writer with automatic comma / indentation
  * management. Call sequence errors (value without a key inside an
- * object, unbalanced end*) are programming bugs and panic.
+ * object, unbalanced end*) are programming bugs and fail an RRM_CHECK.
  */
 class JsonWriter
 {

@@ -7,7 +7,7 @@
 
 #include <iomanip>
 
-#include "common/logging.hh"
+#include "common/check.hh"
 
 namespace rrm::obs
 {
@@ -24,7 +24,7 @@ Profiler::enter(const char *name)
 void
 Profiler::leave(std::uint64_t elapsed_ns)
 {
-    RRM_ASSERT(!stack_.empty(), "profiler leave() without enter()");
+    RRM_CHECK(!stack_.empty(), "profiler leave() without enter()");
     Node &node = nodes_[stack_.back()];
     ++node.calls;
     node.totalNs += elapsed_ns;

@@ -6,7 +6,7 @@
 #include "sampler.hh"
 
 #include "ckpt/ckpt.hh"
-#include "common/logging.hh"
+#include "common/check.hh"
 #include "obs/json.hh"
 
 namespace rrm::obs
@@ -32,15 +32,15 @@ statValue(const stats::StatBase *stat)
 Sampler::Sampler(EventQueue &queue, Tick interval)
     : queue_(queue), interval_(interval)
 {
-    RRM_ASSERT(interval_ > 0, "sampler interval must be positive");
+    RRM_CHECK(interval_ > 0, "sampler interval must be positive");
 }
 
 void
 Sampler::addColumn(std::string name, ColumnFn fn)
 {
-    RRM_ASSERT(rows_.empty(),
-               "sampler columns must be registered before sampling");
-    RRM_ASSERT(fn, "sampler column needs a function");
+    RRM_CHECK(rows_.empty(),
+              "sampler columns must be registered before sampling");
+    RRM_CHECK(fn, "sampler column needs a function");
     columnNames_.push_back(std::move(name));
     columns_.push_back(std::move(fn));
 }
@@ -55,7 +55,7 @@ Sampler::addStat(const stats::StatGroup &root, const std::string &path)
 void
 Sampler::start()
 {
-    RRM_ASSERT(!task_, "sampler already started");
+    RRM_CHECK(!task_, "sampler already started");
     task_ = std::make_unique<PeriodicTask>(
         queue_, interval_, queue_.now() + interval_,
         [this] { sampleNow(); }, EventPriority::Sampler);
@@ -102,8 +102,7 @@ Sampler::saveCkpt(ckpt::ChunkWriter &w) const
 void
 Sampler::restoreCkpt(ckpt::ChunkReader &r)
 {
-    RRM_ASSERT(!task_ && rows_.empty(),
-               "restoreCkpt() on a started sampler");
+    RRM_CHECK(!task_ && rows_.empty(), "restoreCkpt() on a started sampler");
     const std::uint64_t interval = r.u64();
     const std::uint64_t cols = r.u64();
     if (interval != interval_ || cols != columns_.size())

@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "common/atomic_file.hh"
+#include "common/check.hh"
 #include "common/logging.hh"
 #include "obs/json.hh"
 
@@ -98,7 +99,7 @@ TeeTraceWriter::TeeTraceWriter(std::unique_ptr<TraceWriter> a,
                                std::unique_ptr<TraceWriter> b)
     : a_(std::move(a)), b_(std::move(b))
 {
-    RRM_ASSERT(a_ && b_, "tee writer needs two live writers");
+    RRM_CHECK(a_ && b_, "tee writer needs two live writers");
 }
 
 void
@@ -118,7 +119,7 @@ TeeTraceWriter::finish()
 TraceSink::TraceSink(std::size_t capacity, std::uint32_t categories)
     : capacity_(capacity), categoryMask_(categories)
 {
-    RRM_ASSERT(capacity_ > 0, "trace ring needs a positive capacity");
+    RRM_CHECK(capacity_ > 0, "trace ring needs a positive capacity");
 }
 
 void

@@ -14,16 +14,16 @@ namespace rrm::pcm
 DriftModel::DriftModel(const DriftParams &params)
     : params_(params)
 {
-    RRM_ASSERT(params_.alpha > 0.0, "drift exponent must be positive");
-    RRM_ASSERT(params_.levelSeparation > 0.0,
-               "level separation must be positive");
-    RRM_ASSERT(params_.t0Seconds > 0.0, "t0 must be positive");
+    RRM_CHECK(params_.alpha > 0.0, "drift exponent must be positive");
+    RRM_CHECK(params_.levelSeparation > 0.0,
+              "level separation must be positive");
+    RRM_CHECK(params_.t0Seconds > 0.0, "t0 must be positive");
     // The most precise supported write (7 SETs) must still fit inside
     // the level band, otherwise no guardband exists at all.
-    RRM_ASSERT(bandWidth(7) > 0.0,
-               "band width must stay positive up to 7 SET iterations");
-    RRM_ASSERT(guardband(3) > 0.0,
-               "even a 3-SET write must leave a positive guardband");
+    RRM_CHECK(bandWidth(7) > 0.0,
+              "band width must stay positive up to 7 SET iterations");
+    RRM_CHECK(guardband(3) > 0.0,
+              "even a 3-SET write must leave a positive guardband");
 }
 
 double
@@ -72,7 +72,7 @@ DriftModel::sampleRetentionSeconds(unsigned set_iterations,
 double
 DriftModel::timeToDriftSeconds(double decades) const
 {
-    RRM_ASSERT(decades >= 0.0, "negative drift target");
+    RRM_CHECK(decades >= 0.0, "negative drift target");
     return params_.t0Seconds * std::pow(10.0, decades / params_.alpha);
 }
 

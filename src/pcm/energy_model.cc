@@ -11,9 +11,9 @@ namespace rrm::pcm
 EnergyModel::EnergyModel(const EnergyParams &params)
     : params_(params)
 {
-    RRM_ASSERT(params_.writeVoltage > 0.0, "voltage must be positive");
-    RRM_ASSERT(params_.bitsPerCell >= 1, "need at least one bit per cell");
-    RRM_ASSERT(params_.blockBytes >= 1, "block size must be positive");
+    RRM_CHECK(params_.writeVoltage > 0.0, "voltage must be positive");
+    RRM_CHECK(params_.bitsPerCell >= 1, "need at least one bit per cell");
+    RRM_CHECK(params_.blockBytes >= 1, "block size must be positive");
     sevenSetBlockEnergy_ =
         cellWriteEnergyCharge(WriteMode::Sets7) * cellsPerBlock();
 }

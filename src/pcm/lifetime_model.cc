@@ -12,25 +12,25 @@ LifetimeModel::LifetimeModel(std::uint64_t num_blocks,
                              const LifetimeParams &params)
     : numBlocks_(num_blocks), params_(params)
 {
-    RRM_ASSERT(numBlocks_ > 0, "lifetime model needs a non-empty array");
-    RRM_ASSERT(params_.endurance > 0.0, "endurance must be positive");
-    RRM_ASSERT(params_.levelingEfficiency > 0.0 &&
-                   params_.levelingEfficiency <= 1.0,
-               "leveling efficiency must be in (0, 1]");
+    RRM_CHECK(numBlocks_ > 0, "lifetime model needs a non-empty array");
+    RRM_CHECK(params_.endurance > 0.0, "endurance must be positive");
+    RRM_CHECK(params_.levelingEfficiency > 0.0 &&
+                  params_.levelingEfficiency <= 1.0,
+              "leveling efficiency must be in (0, 1]");
 }
 
 double
 LifetimeModel::demandWriteRate(const WearMeasurement &m) const
 {
-    RRM_ASSERT(m.windowSeconds > 0.0, "measurement window is empty");
+    RRM_CHECK(m.windowSeconds > 0.0, "measurement window is empty");
     return static_cast<double>(m.demandWrites) / m.windowSeconds;
 }
 
 double
 LifetimeModel::rrmRefreshRate(const WearMeasurement &m) const
 {
-    RRM_ASSERT(m.windowSeconds > 0.0, "measurement window is empty");
-    RRM_ASSERT(m.timeScale >= 1.0, "time scale must be >= 1");
+    RRM_CHECK(m.windowSeconds > 0.0, "measurement window is empty");
+    RRM_CHECK(m.timeScale >= 1.0, "time scale must be >= 1");
     // The scaled window compresses refresh intervals by timeScale, so
     // the same refresh activity is spread over timeScale x more real
     // time than the window suggests.
@@ -60,7 +60,7 @@ double
 LifetimeModel::lifetimeSeconds(const WearMeasurement &m) const
 {
     const double rate = perBlockWriteRate(m);
-    RRM_ASSERT(rate > 0.0, "zero write rate gives unbounded lifetime");
+    RRM_CHECK(rate > 0.0, "zero write rate gives unbounded lifetime");
     return params_.levelingEfficiency * params_.endurance / rate;
 }
 

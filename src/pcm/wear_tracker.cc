@@ -24,7 +24,7 @@ wearCauseName(WearCause cause)
       case WearCause::GlobalRefresh:
         return "global_refresh";
     }
-    panic("invalid wear cause");
+    RRM_UNREACHABLE("invalid wear cause");
 }
 
 WearTracker::WearTracker(std::uint64_t memory_bytes,
@@ -34,12 +34,12 @@ WearTracker::WearTracker(std::uint64_t memory_bytes,
       regionBytes_(region_bytes),
       blockBytes_(block_bytes)
 {
-    RRM_ASSERT(isPowerOfTwo(regionBytes_), "region size must be 2^n");
-    RRM_ASSERT(isPowerOfTwo(blockBytes_), "block size must be 2^n");
-    RRM_ASSERT(memoryBytes_ % regionBytes_ == 0,
-               "memory size must be a whole number of regions");
-    RRM_ASSERT(regionBytes_ >= blockBytes_,
-               "region must be at least one block");
+    RRM_CHECK(isPowerOfTwo(regionBytes_), "region size must be 2^n");
+    RRM_CHECK(isPowerOfTwo(blockBytes_), "block size must be 2^n");
+    RRM_CHECK(memoryBytes_ % regionBytes_ == 0,
+              "memory size must be a whole number of regions");
+    RRM_CHECK(regionBytes_ >= blockBytes_,
+              "region must be at least one block");
     numBlocks_ = memoryBytes_ / blockBytes_;
     regionShift_ = floorLog2(regionBytes_);
     regionWear_.assign(memoryBytes_ / regionBytes_, 0);
@@ -48,9 +48,9 @@ WearTracker::WearTracker(std::uint64_t memory_bytes,
 void
 WearTracker::recordBlockWrite(Addr addr, WearCause cause)
 {
-    RRM_ASSERT(cause != WearCause::GlobalRefresh,
-               "global refresh is aggregate-only; use "
-               "recordGlobalRefresh()");
+    RRM_CHECK(cause != WearCause::GlobalRefresh,
+              "global refresh is aggregate-only; use "
+              "recordGlobalRefresh()");
     totals_[static_cast<std::size_t>(cause)] += 1;
     std::uint32_t &w = regionWear_[regionIndex(addr)];
     if (w != ~std::uint32_t(0))
@@ -79,7 +79,7 @@ WearTracker::grandTotal() const
 std::uint64_t
 WearTracker::regionWear(std::uint64_t r) const
 {
-    RRM_ASSERT(r < regionWear_.size(), "region index out of range");
+    RRM_CHECK(r < regionWear_.size(), "region index out of range");
     return regionWear_[r];
 }
 

@@ -21,8 +21,8 @@
 #include <vector>
 
 #include "common/auditable.hh"
+#include "common/check.hh"
 #include "common/histogram.hh"
-#include "common/logging.hh"
 #include "common/math_util.hh"
 #include "common/units.hh"
 
@@ -100,8 +100,8 @@ class WearTracker : public Auditable
     regionIndex(Addr addr) const
     {
         const std::uint64_t r = addr >> regionShift_;
-        RRM_ASSERT(r < regionWear_.size(), "address ", addr,
-                   " outside PCM array");
+        RRM_CHECK(r < regionWear_.size(), "address ", addr,
+                  " outside PCM array");
         return r;
     }
 

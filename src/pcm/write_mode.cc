@@ -35,7 +35,7 @@ const WriteModeParams &
 writeModeParams(WriteMode mode)
 {
     const auto idx = static_cast<std::size_t>(mode);
-    RRM_ASSERT(idx < numWriteModes, "invalid write mode");
+    RRM_CHECK(idx < numWriteModes, "invalid write mode");
     return table1[idx];
 }
 
@@ -43,7 +43,7 @@ std::string_view
 writeModeName(WriteMode mode)
 {
     const auto idx = static_cast<std::size_t>(mode);
-    RRM_ASSERT(idx < numWriteModes, "invalid write mode");
+    RRM_CHECK(idx < numWriteModes, "invalid write mode");
     return names[idx];
 }
 

@@ -18,7 +18,7 @@
 #include <cstdint>
 #include <string_view>
 
-#include "common/logging.hh"
+#include "common/check.hh"
 #include "common/units.hh"
 
 namespace rrm::pcm
@@ -73,8 +73,7 @@ setIterations(WriteMode mode)
 inline WriteMode
 modeForSetIterations(unsigned n)
 {
-    RRM_ASSERT(n >= 3 && n <= 7, "no write mode with ", n,
-               " SET iterations");
+    RRM_CHECK(n >= 3 && n <= 7, "no write mode with ", n, " SET iterations");
     return static_cast<WriteMode>(n - 3);
 }
 

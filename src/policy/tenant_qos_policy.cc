@@ -6,7 +6,7 @@
 #include "tenant_qos_policy.hh"
 
 #include "ckpt/ckpt.hh"
-#include "common/logging.hh"
+#include "common/check.hh"
 
 namespace rrm::policy
 {
@@ -39,8 +39,7 @@ TenantQosPolicy::TenantQosPolicy(std::unique_ptr<WritePolicy> inner,
     : inner_(std::move(inner)), config_(config), layout_(layout),
       queue_(queue)
 {
-    RRM_ASSERT(inner_ != nullptr,
-               "TenantQosPolicy needs an inner policy");
+    RRM_CHECK(inner_ != nullptr, "TenantQosPolicy needs an inner policy");
     epochTicks_ = inner_->preferredSampleInterval();
 
     const unsigned num = layout_.numTenants();
@@ -214,11 +213,10 @@ TenantQosPolicy::saveCkpt(ckpt::ChunkWriter &w) const
 void
 TenantQosPolicy::restoreCkpt(ckpt::ChunkReader &r)
 {
-    RRM_ASSERT(epochTask_ == nullptr,
-               "TenantQosPolicy: restore after start");
+    RRM_CHECK(epochTask_ == nullptr, "TenantQosPolicy: restore after start");
     const unsigned num = r.u32();
-    RRM_ASSERT(num == layout_.numTenants(),
-               "TenantQosPolicy: checkpoint tenant count mismatch");
+    RRM_CHECK(num == layout_.numTenants(),
+              "TenantQosPolicy: checkpoint tenant count mismatch");
     for (unsigned t = 0; t < num; ++t) {
         attempted_[t] = r.u64();
         boosted_[t] = r.u64();

@@ -27,7 +27,7 @@ RegionMonitor::~RegionMonitor()
 void
 RegionMonitor::start()
 {
-    RRM_ASSERT(!refreshTask_ && !decayTask_, "RRM already started");
+    RRM_CHECK(!refreshTask_ && !decayTask_, "RRM already started");
     const Tick interval = config_.shortRetentionInterval();
     const Tick decay = config_.decayTickInterval();
     refreshTask_ = std::make_unique<PeriodicTask>(
@@ -293,7 +293,7 @@ RegionMonitor::onDecayTick()
 void
 RegionMonitor::setHotThreshold(unsigned threshold)
 {
-    RRM_ASSERT(threshold > 0, "hot_threshold must be positive");
+    RRM_CHECK(threshold > 0, "hot_threshold must be positive");
     if (threshold == config_.hotThreshold)
         return;
     RRM_TRACE(traceSink_, queue_.now(),
@@ -511,8 +511,8 @@ RegionMonitor::saveCkpt(ckpt::ChunkWriter &w) const
 void
 RegionMonitor::restoreCkpt(ckpt::ChunkReader &r)
 {
-    RRM_ASSERT(!refreshTask_ && !decayTask_,
-               "restoreCkpt() on a started RegionMonitor");
+    RRM_CHECK(!refreshTask_ && !decayTask_,
+              "restoreCkpt() on a started RegionMonitor");
     // Direct assignment: setHotThreshold() would emit reconciliation
     // refreshes, but the saved entry table is already consistent with
     // the saved threshold.
@@ -586,7 +586,7 @@ RegionMonitor::Entry &
 RegionMonitorTestAccess::entryFor(RegionMonitor &rrm, Addr addr)
 {
     RegionMonitor::Entry *e = rrm.find(rrm.regionIdOf(addr));
-    RRM_ASSERT(e, "no RRM entry tracks address ", addr);
+    RRM_CHECK(e, "no RRM entry tracks address ", addr);
     return *e;
 }
 

@@ -299,8 +299,8 @@ class RegionMonitor : public Auditable
 /**
  * Test-only backdoor used by the corruption-seeding audit tests to
  * damage RegionMonitor entry state and prove the audit catches it.
- * All mutators address the entry tracking `addr`'s region and panic
- * if none exists. Never use outside tests.
+ * All mutators address the entry tracking `addr`'s region and fail
+ * an RRM_CHECK if none exists. Never use outside tests.
  */
 struct RegionMonitorTestAccess
 {

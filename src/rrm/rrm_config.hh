@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hh"
 #include "common/logging.hh"
 #include "common/math_util.hh"
 #include "common/units.hh"
@@ -111,7 +112,7 @@ struct RrmConfig
     {
         const double seconds =
             (pcm::retentionSeconds(fastMode) - guardSeconds) / timeScale;
-        RRM_ASSERT(seconds > 0.0, "guard exceeds fast-mode retention");
+        RRM_CHECK(seconds > 0.0, "guard exceeds fast-mode retention");
         return secondsToTicks(seconds);
     }
 

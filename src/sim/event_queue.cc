@@ -28,7 +28,7 @@ EventQueue::heapPush(std::vector<QEntry> &heap, const QEntry &e)
 EventQueue::QEntry
 EventQueue::heapPop(std::vector<QEntry> &heap)
 {
-    RRM_ASSERT(!heap.empty(), "pop from an empty event heap");
+    RRM_CHECK(!heap.empty(), "pop from an empty event heap");
     const QEntry top = heap.front();
     heap.front() = heap.back();
     heap.pop_back();
@@ -60,8 +60,8 @@ EventQueue::allocSlot()
         pool_[slot].next = EventHandle::invalidSlot;
         return slot;
     }
-    RRM_ASSERT(pool_.size() < EventHandle::invalidSlot,
-               "event arena exhausted the 32-bit slot space");
+    RRM_CHECK(pool_.size() < EventHandle::invalidSlot,
+              "event arena exhausted the 32-bit slot space");
     pool_.emplace_back();
     return static_cast<std::uint32_t>(pool_.size() - 1);
 }
@@ -142,8 +142,8 @@ EventQueue::ensureNext()
         // Purge the cancelled entry: the arena slot is recycled the
         // moment its queue entry surfaces, keeping size() exact.
         heapPop(frontier_);
-        RRM_ASSERT(cancelledPending_ > 0,
-                   "cancelled-entry bookkeeping underflow");
+        RRM_CHECK(cancelledPending_ > 0,
+                  "cancelled-entry bookkeeping underflow");
         --cancelledPending_;
         freeSlot(slot);
     }
@@ -152,9 +152,9 @@ EventQueue::ensureNext()
 EventHandle
 EventQueue::schedule(Tick when, EventCallback cb, EventPriority prio)
 {
-    RRM_ASSERT(when >= now_, "scheduling into the past: when=", when,
-               " now=", now_);
-    RRM_ASSERT(static_cast<bool>(cb), "scheduling a null callback");
+    RRM_CHECK(when >= now_, "scheduling into the past: when=", when,
+              " now=", now_);
+    RRM_CHECK(static_cast<bool>(cb), "scheduling a null callback");
     const std::uint32_t slot = allocSlot();
     Event &ev = pool_[slot];
     ev.when = when;
@@ -182,7 +182,7 @@ EventQueue::cancel(EventHandle h)
     ev.cancelled = true;
     ev.cb.reset(); // release captured resources eagerly
     ++cancelledPending_;
-    RRM_ASSERT(live_ > 0, "cancel with no live events");
+    RRM_CHECK(live_ > 0, "cancel with no live events");
     --live_;
 }
 
@@ -199,7 +199,7 @@ EventQueue::run(Tick until, std::uint64_t max_events)
             break;
         }
         const QEntry e = heapPop(frontier_);
-        RRM_ASSERT(e.when >= now_, "event queue yielded a past event");
+        RRM_CHECK(e.when >= now_, "event queue yielded a past event");
         EventCallback cb = std::move(pool_[e.slot].cb);
         freeSlot(e.slot);
         --live_;
@@ -346,8 +346,8 @@ PeriodicTask::PeriodicTask(EventQueue &queue, Tick period, Tick first,
                            EventCallback cb, EventPriority prio)
     : queue_(queue), period_(period), cb_(std::move(cb)), prio_(prio)
 {
-    RRM_ASSERT(period_ > 0, "periodic task needs a positive period");
-    RRM_ASSERT(static_cast<bool>(cb_), "periodic task needs a callback");
+    RRM_CHECK(period_ > 0, "periodic task needs a positive period");
+    RRM_CHECK(static_cast<bool>(cb_), "periodic task needs a callback");
     running_ = true;
     arm(first);
 }

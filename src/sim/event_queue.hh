@@ -37,7 +37,7 @@
 #include <vector>
 
 #include "common/auditable.hh"
-#include "common/logging.hh"
+#include "common/check.hh"
 #include "common/units.hh"
 #include "sim/callback.hh"
 #include "stats/stats.hh"
@@ -208,11 +208,10 @@ class EventQueue : public Auditable
     restoreClock(Tick now, std::uint64_t next_seq,
                  std::uint64_t executed)
     {
-        RRM_ASSERT(empty(),
-                   "restoreClock() on a queue with pending events");
-        RRM_ASSERT(now >= now_ && next_seq >= nextSeq_,
-                   "restoreClock() would move time or sequences "
-                   "backwards");
+        RRM_CHECK(empty(), "restoreClock() on a queue with pending events");
+        RRM_CHECK(now >= now_ && next_seq >= nextSeq_,
+                  "restoreClock() would move time or sequences "
+                  "backwards");
         now_ = now;
         nextSeq_ = next_seq;
         executed_ = executed;

@@ -106,7 +106,7 @@ HistogramStat::bucketOf(std::uint64_t v)
 std::string
 HistogramStat::bucketLabel(std::size_t bucket)
 {
-    RRM_ASSERT(bucket < kNumBuckets, "histogram bucket out of range");
+    RRM_CHECK(bucket < kNumBuckets, "histogram bucket out of range");
     if (bucket == 0)
         return "0";
     const std::uint64_t lo = std::uint64_t(1) << (bucket - 1);

@@ -34,8 +34,8 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hh"
 #include "common/histogram.hh"
-#include "common/logging.hh"
 
 namespace rrm::ckpt
 {
@@ -169,14 +169,14 @@ class VectorStat : public StatBase
     void
     add(std::size_t bin, double v = 1.0)
     {
-        RRM_ASSERT(bin < values_.size(), "stat vector bin out of range");
+        RRM_CHECK(bin < values_.size(), "stat vector bin out of range");
         values_[bin] += v;
     }
 
     double
     value(std::size_t bin) const
     {
-        RRM_ASSERT(bin < values_.size(), "stat vector bin out of range");
+        RRM_CHECK(bin < values_.size(), "stat vector bin out of range");
         return values_[bin];
     }
 
@@ -315,7 +315,7 @@ class HistogramStat : public StatBase
     std::uint64_t
     count(std::size_t bucket) const
     {
-        RRM_ASSERT(bucket < kNumBuckets, "histogram bucket out of range");
+        RRM_CHECK(bucket < kNumBuckets, "histogram bucket out of range");
         return counts_[bucket];
     }
 

@@ -7,7 +7,7 @@
 
 #include <algorithm>
 
-#include "common/logging.hh"
+#include "common/check.hh"
 
 namespace rrm::sys
 {
@@ -17,12 +17,12 @@ computeFairness(const std::vector<double> &mixed_ipc,
                 const std::vector<unsigned> &tenant_of,
                 const std::vector<double> &solo_ipc)
 {
-    RRM_ASSERT(solo_ipc.size() == mixed_ipc.size(),
-               "fairness: solo IPC vector size ", solo_ipc.size(),
-               " != core count ", mixed_ipc.size());
-    RRM_ASSERT(tenant_of.empty() || tenant_of.size() == mixed_ipc.size(),
-               "fairness: tenant map size ", tenant_of.size(),
-               " != core count ", mixed_ipc.size());
+    RRM_CHECK(solo_ipc.size() == mixed_ipc.size(),
+              "fairness: solo IPC vector size ", solo_ipc.size(),
+              " != core count ", mixed_ipc.size());
+    RRM_CHECK(tenant_of.empty() || tenant_of.size() == mixed_ipc.size(),
+              "fairness: tenant map size ", tenant_of.size(),
+              " != core count ", mixed_ipc.size());
 
     unsigned num_tenants = 1;
     for (const unsigned t : tenant_of)

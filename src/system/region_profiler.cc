@@ -8,7 +8,7 @@
 #include <algorithm>
 
 #include "ckpt/ckpt.hh"
-#include "common/logging.hh"
+#include "common/check.hh"
 #include "common/math_util.hh"
 
 namespace rrm::sys
@@ -22,8 +22,8 @@ RegionWriteProfiler::RegionWriteProfiler(
       boundaries_(interval_boundaries),
       intervalHist_(std::move(interval_boundaries))
 {
-    RRM_ASSERT(isPowerOfTwo(regionBytes_),
-               "profiler region size must be a power of two");
+    RRM_CHECK(isPowerOfTwo(regionBytes_),
+              "profiler region size must be a power of two");
 }
 
 void
@@ -53,7 +53,7 @@ RegionWriteProfiler::writtenOnceRegions() const
 double
 RegionWriteProfiler::hotRegionFraction(double share) const
 {
-    RRM_ASSERT(share > 0.0 && share <= 1.0, "share out of (0, 1]");
+    RRM_CHECK(share > 0.0 && share <= 1.0, "share out of (0, 1]");
     if (totalWrites_ == 0 || totalRegions_ == 0)
         return 0.0;
     std::vector<std::uint64_t> counts;

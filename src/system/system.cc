@@ -10,6 +10,7 @@
 #include "common/atomic_file.hh"
 
 #include "common/auditable.hh"
+#include "common/check.hh"
 #include "common/interrupt.hh"
 #include "common/logging.hh"
 #include "obs/perfetto.hh"
@@ -445,7 +446,7 @@ System::requestFill(unsigned core, Addr line, bool is_write, Tick when)
 void
 System::tryEnqueueRead(unsigned core, Addr line)
 {
-    RRM_ASSERT(line < config_.memory.memoryBytes, "bad read line");
+    RRM_CHECK(line < config_.memory.memoryBytes, "bad read line");
     // The controller sees the translated (StartGap/retirement)
     // address; the fill callback keeps the logical line.
     const Addr phys = faultMgr_ ? faultMgr_->translate(line) : line;
@@ -483,7 +484,7 @@ System::onReadComplete(unsigned core, Addr line)
         ++tc->memReads;
     meas_.readEnergy += energy_.blockReadEnergy();
     cores_[core]->onFillComplete(line);
-    RRM_ASSERT(outstandingFills_ > 0, "fill accounting underflow");
+    RRM_CHECK(outstandingFills_ > 0, "fill accounting underflow");
     --outstandingFills_;
     wakeCores();
 }
@@ -504,7 +505,7 @@ System::handleAccessEvents(unsigned core,
 void
 System::issueMemoryWrite(Addr addr, Tick when)
 {
-    RRM_ASSERT(addr < config_.memory.memoryBytes, "bad write addr");
+    RRM_CHECK(addr < config_.memory.memoryBytes, "bad write addr");
     const pcm::WriteMode mode = policy_->writeModeFor(addr);
     when += policy_->accessLatency();
 
@@ -562,8 +563,7 @@ System::retryFaultedWrite(Addr addr, pcm::WriteMode mode)
 void
 System::onPolicyRefresh(const monitor::RefreshRequest &req)
 {
-    RRM_ASSERT(req.blockAddr < config_.memory.memoryBytes,
-               "bad refresh addr");
+    RRM_CHECK(req.blockAddr < config_.memory.memoryBytes, "bad refresh addr");
     const Addr phys =
         faultMgr_ ? faultMgr_->translate(req.blockAddr) : req.blockAddr;
     wear_.recordBlockWrite(phys, pcm::WearCause::RrmRefresh);

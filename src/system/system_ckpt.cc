@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "ckpt/ckpt.hh"
+#include "common/check.hh"
 #include "common/logging.hh"
 #include "obs/json.hh"
 
@@ -144,8 +145,7 @@ System::drainToQuiescence()
 void
 System::saveCkptSections(ckpt::CkptWriter &file) const
 {
-    RRM_ASSERT(ckptQuiescent(),
-               "checkpoint outside a quiescent point");
+    RRM_CHECK(ckptQuiescent(), "checkpoint outside a quiescent point");
 
     {
         ckpt::ChunkWriter w;

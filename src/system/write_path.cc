@@ -5,6 +5,7 @@
 
 #include "write_path.hh"
 
+#include "common/check.hh"
 #include "common/logging.hh"
 
 namespace rrm::sys

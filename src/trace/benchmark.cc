@@ -13,6 +13,7 @@
 
 #include "benchmark.hh"
 
+#include "common/check.hh"
 #include "common/logging.hh"
 #include "common/units.hh"
 
@@ -35,7 +36,7 @@ PatternSpec::build() const
         return std::make_unique<ChasePattern>(footprintBytes,
                                               writeFraction);
     }
-    panic("invalid pattern kind");
+    RRM_UNREACHABLE("invalid pattern kind");
 }
 
 std::uint64_t
@@ -184,7 +185,7 @@ const BenchmarkProfile &
 benchmarkProfile(Benchmark b)
 {
     const auto idx = static_cast<std::size_t>(b);
-    RRM_ASSERT(idx < numBenchmarks, "invalid benchmark");
+    RRM_CHECK(idx < numBenchmarks, "invalid benchmark");
     return profiles()[idx];
 }
 

@@ -5,7 +5,7 @@
 
 #include "generator.hh"
 
-#include "common/logging.hh"
+#include "common/check.hh"
 #include "common/math_util.hh"
 
 namespace rrm::trace
@@ -15,16 +15,16 @@ TraceGenerator::TraceGenerator(const BenchmarkProfile &profile,
                                std::uint64_t seed)
     : profile_(profile), rng_(seed)
 {
-    RRM_ASSERT(!profile.patterns.empty(),
-               "profile '", profile.name, "' has no patterns");
-    RRM_ASSERT(profile.memOpsPerKiloInstr > 0.0 &&
-                   profile.memOpsPerKiloInstr <= 1000.0,
-               "memory intensity out of range");
+    RRM_CHECK(!profile.patterns.empty(),
+              "profile '", profile.name, "' has no patterns");
+    RRM_CHECK(profile.memOpsPerKiloInstr > 0.0 &&
+                  profile.memOpsPerKiloInstr <= 1000.0,
+              "memory intensity out of range");
 
     double total_weight = 0.0;
     Addr base = 0;
     for (const auto &spec : profile.patterns) {
-        RRM_ASSERT(spec.weight > 0.0, "pattern weight must be positive");
+        RRM_CHECK(spec.weight > 0.0, "pattern weight must be positive");
         total_weight += spec.weight;
         Component c;
         c.pattern = spec.build();

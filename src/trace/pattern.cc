@@ -5,7 +5,7 @@
 
 #include "pattern.hh"
 
-#include "common/logging.hh"
+#include "common/check.hh"
 #include "common/math_util.hh"
 
 namespace rrm::trace
@@ -25,10 +25,10 @@ StridePattern::StridePattern(std::uint64_t footprint_bytes,
       stride_(stride_bytes),
       writeFraction_(write_fraction)
 {
-    RRM_ASSERT(stride_ > 0, "stride must be positive");
-    RRM_ASSERT(footprint_ >= 2 * stride_, "footprint too small");
-    RRM_ASSERT(write_fraction >= 0.0 && write_fraction <= 1.0,
-               "write fraction out of [0,1]");
+    RRM_CHECK(stride_ > 0, "stride must be positive");
+    RRM_CHECK(footprint_ >= 2 * stride_, "footprint too small");
+    RRM_CHECK(write_fraction >= 0.0 && write_fraction <= 1.0,
+              "write fraction out of [0,1]");
     half_ = footprint_ / 2;
 }
 
@@ -61,12 +61,12 @@ ZipfRegionPattern::ZipfRegionPattern(std::uint64_t num_regions,
       maxBurstBlocks_(max_burst_blocks),
       zipf_(num_regions, zipf_skew)
 {
-    RRM_ASSERT(numRegions_ > 0, "need at least one region");
-    RRM_ASSERT(isPowerOfTwo(regionBytes_) && regionBytes_ >= blockBytes,
-               "region size must be a power of two >= one block");
-    RRM_ASSERT(maxBurstBlocks_ >= 1, "burst must cover >= 1 block");
-    RRM_ASSERT(write_fraction >= 0.0 && write_fraction <= 1.0,
-               "write fraction out of [0,1]");
+    RRM_CHECK(numRegions_ > 0, "need at least one region");
+    RRM_CHECK(isPowerOfTwo(regionBytes_) && regionBytes_ >= blockBytes,
+              "region size must be a power of two >= one block");
+    RRM_CHECK(maxBurstBlocks_ >= 1, "burst must cover >= 1 block");
+    RRM_CHECK(write_fraction >= 0.0 && write_fraction <= 1.0,
+              "write fraction out of [0,1]");
 }
 
 void
@@ -105,9 +105,9 @@ ChasePattern::ChasePattern(std::uint64_t footprint_bytes,
                            double write_fraction)
     : footprint_(footprint_bytes), writeFraction_(write_fraction)
 {
-    RRM_ASSERT(footprint_ >= blockBytes, "footprint below one block");
-    RRM_ASSERT(write_fraction >= 0.0 && write_fraction <= 1.0,
-               "write fraction out of [0,1]");
+    RRM_CHECK(footprint_ >= blockBytes, "footprint below one block");
+    RRM_CHECK(write_fraction >= 0.0 && write_fraction <= 1.0,
+              "write fraction out of [0,1]");
 }
 
 void

@@ -5,6 +5,7 @@
 
 #include "trace/source.hh"
 
+#include "common/check.hh"
 #include "common/logging.hh"
 
 namespace rrm::trace
@@ -88,8 +89,8 @@ TraceSource::next()
 void
 TraceSource::seek(std::uint64_t consumed)
 {
-    RRM_ASSERT(consumed_ == 0,
-               "TraceSource::seek() on a stream already in use");
+    RRM_CHECK(consumed_ == 0,
+              "TraceSource::seek() on a stream already in use");
     if (gen_) {
         for (std::uint64_t i = 0; i < consumed; ++i)
             gen_->next();

@@ -56,9 +56,9 @@ encodeHeader(unsigned char (&buf)[TracePackHeader::sizeBytes],
     put(buf, 16, h.seed);
     put(buf, 24, h.footprintBytes);
     put(buf, 32, h.meanGapInstructions);
-    RRM_ASSERT(h.profileName.size() < TracePackHeader::nameBytes,
-               "profile name '", h.profileName,
-               "' too long for a trace pack header");
+    RRM_CHECK(h.profileName.size() < TracePackHeader::nameBytes,
+              "profile name '", h.profileName,
+              "' too long for a trace pack header");
     std::memcpy(buf + 40, h.profileName.data(), h.profileName.size());
 }
 

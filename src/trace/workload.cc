@@ -7,10 +7,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
+#include <limits>
+#include <optional>
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 
 namespace rrm::trace
 {
@@ -60,18 +62,12 @@ splitCommas(const std::string &s)
     return out;
 }
 
-/** Parse a strictly-decimal non-negative integer; false on junk. */
-bool
-parseUint(const std::string &s, unsigned long &out)
+/** The rule a malformed count or tenant id breaks, for messages. */
+std::string
+unsignedRule()
 {
-    if (s.empty())
-        return false;
-    for (const char ch : s) {
-        if (!std::isdigit(static_cast<unsigned char>(ch)))
-            return false;
-    }
-    out = std::strtoul(s.c_str(), nullptr, 10);
-    return true;
+    return " (want a decimal integer up to " +
+           std::to_string(std::numeric_limits<unsigned>::max()) + ")";
 }
 
 } // namespace
@@ -150,17 +146,20 @@ parseWorkloadSpec(const std::string &mix, const std::string &tenants,
             continue;
         }
         std::string bench_name = entry;
-        unsigned long count = 1;
+        unsigned count = 1;
         const std::size_t colon = entry.find(':');
         if (colon != std::string::npos) {
             bench_name = entry.substr(0, colon);
             const std::string count_str = entry.substr(colon + 1);
-            if (!parseUint(count_str, count)) {
+            const std::optional<unsigned> parsed =
+                parseNumber<unsigned>(count_str);
+            if (!parsed) {
                 errors.push_back("mix entry '" + entry +
                                  "' has a malformed count '" +
-                                 count_str + "'");
+                                 count_str + "'" + unsignedRule());
                 continue;
             }
+            count = *parsed;
             if (count == 0) {
                 errors.push_back("mix entry '" + entry +
                                  "' asks for zero cores");
@@ -174,7 +173,7 @@ parseWorkloadSpec(const std::string &mix, const std::string &tenants,
                              bench_name + "'");
             continue;
         }
-        for (unsigned long i = 0; i < count; ++i)
+        for (unsigned i = 0; i < count; ++i)
             out.perCore.push_back(b);
     }
     if (errors.empty() && out.perCore.empty())
@@ -182,13 +181,13 @@ parseWorkloadSpec(const std::string &mix, const std::string &tenants,
 
     if (!tenants.empty()) {
         for (const std::string &field : splitCommas(tenants)) {
-            unsigned long id = 0;
-            if (!parseUint(field, id)) {
+            const std::optional<unsigned> id = parseNumber<unsigned>(field);
+            if (!id) {
                 errors.push_back("tenant spec has malformed id '" +
-                                 field + "' (want a decimal integer)");
+                                 field + "'" + unsignedRule());
                 continue;
             }
-            out.tenantOf.push_back(static_cast<unsigned>(id));
+            out.tenantOf.push_back(*id);
         }
     }
 

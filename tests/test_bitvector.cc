@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/bitvector.hh"
+#include "common/check.hh"
 
 namespace rrm
 {
@@ -89,9 +90,9 @@ INSTANTIATE_TEST_SUITE_P(Widths, BitVectorWidths,
 TEST(BitVector, OutOfRangePanics)
 {
     BitVector v(64);
-    EXPECT_THROW(v.test(64), PanicError);
-    EXPECT_THROW(v.set(64), PanicError);
-    EXPECT_THROW(v.clear(1000), PanicError);
+    EXPECT_THROW(v.test(64), check::CheckError);
+    EXPECT_THROW(v.set(64), check::CheckError);
+    EXPECT_THROW(v.clear(1000), check::CheckError);
 }
 
 TEST(BitVector, EqualityComparesContentAndWidth)

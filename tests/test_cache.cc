@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/cache.hh"
+#include "common/check.hh"
 
 namespace rrm::cache
 {
@@ -51,7 +52,7 @@ TEST(Cache, AllocatePresentLinePanics)
 {
     Cache c(tinyConfig());
     c.allocate(0x1000);
-    EXPECT_THROW(c.allocate(0x1000), PanicError);
+    EXPECT_THROW(c.allocate(0x1000), check::CheckError);
 }
 
 TEST(Cache, FreeWayMeansNoVictim)
@@ -95,18 +96,6 @@ TEST(Cache, DirtyBitTravelsWithVictim)
     EXPECT_TRUE(v.dirty);
 }
 
-TEST(Cache, OwnerIsRecordedAndReturned)
-{
-    Cache c(tinyConfig());
-    c.allocate(0x2000, 3);
-    EXPECT_EQ(c.owner(0x2000), 3);
-    const Addr stride = 16 * 64;
-    for (int i = 1; i < 5; ++i)
-        c.allocate(0x2000 + i * stride, i);
-    // 0x2000 became the victim of the last allocate.
-    EXPECT_FALSE(c.contains(0x2000));
-}
-
 TEST(Cache, InvalidateReportsDirtiness)
 {
     Cache c(tinyConfig());
@@ -123,9 +112,8 @@ TEST(Cache, InvalidateReportsDirtiness)
 TEST(Cache, DirtyOpsOnAbsentLinePanic)
 {
     Cache c(tinyConfig());
-    EXPECT_THROW(c.setDirty(0x40), PanicError);
-    EXPECT_THROW(c.isDirty(0x40), PanicError);
-    EXPECT_THROW(c.owner(0x40), PanicError);
+    EXPECT_THROW(c.setDirty(0x40), check::CheckError);
+    EXPECT_THROW(c.isDirty(0x40), check::CheckError);
 }
 
 TEST(Cache, AllocationResetsDirtyBit)
@@ -178,11 +166,11 @@ TEST(Cache, BadGeometryPanics)
 {
     CacheConfig cfg = tinyConfig();
     cfg.lineBytes = 48;
-    EXPECT_THROW(Cache{cfg}, PanicError);
+    EXPECT_THROW(Cache{cfg}, check::CheckError);
 
     cfg = tinyConfig();
     cfg.sizeBytes = 4096 + 64; // not whole sets
-    EXPECT_THROW(Cache{cfg}, PanicError);
+    EXPECT_THROW(Cache{cfg}, check::CheckError);
 }
 
 class CacheGeometry

@@ -2,7 +2,8 @@
  * @file
  * Tests for the contract-checking framework (common/check.hh): macro
  * semantics, the three failure policies, per-kind violation counters,
- * and the build-type gating of RRM_DCHECK.
+ * and the build-type gating of RRM_DCHECK. Inline contracts never
+ * return on failure; only RRM_AUDIT counts and continues.
  */
 
 #include <gtest/gtest.h>
@@ -59,7 +60,7 @@ TEST_F(CheckTest, DetailArgumentsAreStreamed)
 {
     ScopedFailurePolicy policy(FailurePolicy::LogAndCount);
     const int got = 7;
-    RRM_CHECK(got == 3, "got ", got, " expected ", 3);
+    RRM_AUDIT(got == 3, "got ", got, " expected ", 3);
     const std::string msg = lastViolationMessage();
     EXPECT_NE(msg.find("got 7 expected 3"), std::string::npos) << msg;
 }
@@ -68,18 +69,32 @@ TEST_F(CheckTest, LogAndCountContinuesExecution)
 {
     ScopedFailurePolicy policy(FailurePolicy::LogAndCount);
     bool reached = false;
-    RRM_CHECK(false, "first");
-    RRM_CHECK(false, "second");
+    RRM_AUDIT(false, "first");
+    RRM_AUDIT(false, "second");
     reached = true;
     EXPECT_TRUE(reached);
-    EXPECT_EQ(violationCount(ViolationKind::Check), 2u);
+    EXPECT_EQ(violationCount(ViolationKind::Audit), 2u);
     EXPECT_EQ(totalViolations(), 2u);
+}
+
+TEST_F(CheckTest, InlineContractsThrowEvenUnderLogAndCount)
+{
+    ScopedFailurePolicy policy(FailurePolicy::LogAndCount);
+    EXPECT_THROW(RRM_CHECK(false, "inline"), CheckError);
+    if (dchecksEnabled()) {
+        EXPECT_THROW(RRM_DCHECK(false, "inline"), CheckError);
+    }
+    RRM_AUDIT(false, "deep");
+    EXPECT_EQ(violationCount(ViolationKind::Check), 1u);
+    EXPECT_EQ(violationCount(ViolationKind::DCheck),
+              dchecksEnabled() ? 1u : 0u);
+    EXPECT_EQ(violationCount(ViolationKind::Audit), 1u);
 }
 
 TEST_F(CheckTest, CountersArePerKind)
 {
     ScopedFailurePolicy policy(FailurePolicy::LogAndCount);
-    RRM_CHECK(false);
+    EXPECT_THROW(RRM_CHECK(false), CheckError);
     RRM_AUDIT(false);
     RRM_AUDIT(false);
     EXPECT_EQ(violationCount(ViolationKind::Check), 1u);
@@ -92,7 +107,7 @@ TEST_F(CheckTest, CountersArePerKind)
 TEST_F(CheckTest, ResetViolationsClearsEverything)
 {
     ScopedFailurePolicy policy(FailurePolicy::LogAndCount);
-    RRM_CHECK(false, "stale");
+    RRM_AUDIT(false, "stale");
     ASSERT_GT(totalViolations(), 0u);
     resetViolations();
     EXPECT_EQ(totalViolations(), 0u);
@@ -120,17 +135,18 @@ TEST_F(CheckTest, UnreachableThrowsEvenUnderLogAndCount)
 
 TEST_F(CheckTest, DcheckFollowsBuildConfiguration)
 {
-    ScopedFailurePolicy policy(FailurePolicy::LogAndCount);
     int evaluations = 0;
     auto probe = [&evaluations]() {
         ++evaluations;
         return false;
     };
-    RRM_DCHECK(probe(), "debug-only contract");
     if (dchecksEnabled()) {
+        EXPECT_THROW(RRM_DCHECK(probe(), "debug-only contract"),
+                     CheckError);
         EXPECT_EQ(evaluations, 1);
         EXPECT_EQ(violationCount(ViolationKind::DCheck), 1u);
     } else {
+        RRM_DCHECK(probe(), "debug-only contract");
         // Compiled out: the condition must not even be evaluated.
         EXPECT_EQ(evaluations, 0);
         EXPECT_EQ(violationCount(ViolationKind::DCheck), 0u);

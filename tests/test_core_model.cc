@@ -9,6 +9,7 @@
 
 #include <deque>
 
+#include "common/check.hh"
 #include "cpu/core_model.hh"
 
 namespace rrm::cpu
@@ -215,7 +216,7 @@ TEST(CoreModel, UnknownFillCompletionPanics)
     Fixture f;
     const auto profile = hitHeavyProfile();
     CoreModel core = f.makeCore(profile);
-    EXPECT_THROW(core.onFillComplete(0x123440), PanicError);
+    EXPECT_THROW(core.onFillComplete(0x123440), check::CheckError);
 }
 
 TEST(CoreModel, IpcReflectsRetiredInstructions)

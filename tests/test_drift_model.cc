@@ -7,6 +7,7 @@
 
 #include <cmath>
 
+#include "common/check.hh"
 #include "pcm/drift_model.hh"
 
 namespace rrm::pcm
@@ -149,21 +150,21 @@ TEST(DriftModel, InvalidParamsPanic)
 {
     DriftParams p;
     p.alpha = 0.0;
-    EXPECT_THROW(DriftModel{p}, PanicError);
+    EXPECT_THROW(DriftModel{p}, check::CheckError);
 
     DriftParams q;
     q.levelSeparation = -1.0;
-    EXPECT_THROW(DriftModel{q}, PanicError);
+    EXPECT_THROW(DriftModel{q}, check::CheckError);
 
     DriftParams r;
     r.bandWidth0 = 0.1; // 7-SET band width would go negative
-    EXPECT_THROW(DriftModel{r}, PanicError);
+    EXPECT_THROW(DriftModel{r}, check::CheckError);
 
     DriftParams s;
     s.bandWidthStep = 0.0; // no precision gain -> 3-SET guardband <= 0
     s.bandWidth0 = 0.6;
     s.levelSeparation = 0.5;
-    EXPECT_THROW(DriftModel{s}, PanicError);
+    EXPECT_THROW(DriftModel{s}, check::CheckError);
 }
 
 } // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.hh"
 #include "pcm/energy_model.hh"
 
 namespace rrm::pcm
@@ -79,11 +80,11 @@ TEST(EnergyModel, InvalidParamsPanic)
 {
     EnergyParams p;
     p.writeVoltage = 0.0;
-    EXPECT_THROW(EnergyModel{p}, PanicError);
+    EXPECT_THROW(EnergyModel{p}, check::CheckError);
 
     EnergyParams q;
     q.bitsPerCell = 0;
-    EXPECT_THROW(EnergyModel{q}, PanicError);
+    EXPECT_THROW(EnergyModel{q}, check::CheckError);
 }
 
 } // namespace

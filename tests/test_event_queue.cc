@@ -8,6 +8,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/check.hh"
 #include "sim/event_queue.hh"
 
 namespace rrm
@@ -96,13 +97,13 @@ TEST(EventQueue, SchedulingIntoThePastPanics)
     EventQueue q;
     q.schedule(100, [] {});
     q.run();
-    EXPECT_THROW(q.schedule(50, [] {}), PanicError);
+    EXPECT_THROW(q.schedule(50, [] {}), check::CheckError);
 }
 
 TEST(EventQueue, NullCallbackPanics)
 {
     EventQueue q;
-    EXPECT_THROW(q.schedule(10, EventQueue::Callback{}), PanicError);
+    EXPECT_THROW(q.schedule(10, EventQueue::Callback{}), check::CheckError);
 }
 
 TEST(EventQueue, CancelPreventsExecution)
@@ -355,7 +356,7 @@ TEST(PeriodicTask, DestructorStops)
 TEST(PeriodicTask, ZeroPeriodPanics)
 {
     EventQueue q;
-    EXPECT_THROW(PeriodicTask(q, 0, 10, [] {}), PanicError);
+    EXPECT_THROW(PeriodicTask(q, 0, 10, [] {}), check::CheckError);
 }
 
 } // namespace

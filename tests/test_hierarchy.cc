@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/hierarchy.hh"
+#include "common/check.hh"
 #include "common/random.hh"
 
 namespace rrm::cache
@@ -73,7 +74,7 @@ TEST(Hierarchy, DoubleFillPanics)
 {
     CacheHierarchy h(tinyHierarchy());
     h.fill(0, 0x40, false);
-    EXPECT_THROW(h.fill(0, 0x40, false), PanicError);
+    EXPECT_THROW(h.fill(0, 0x40, false), check::CheckError);
 }
 
 /**
@@ -254,10 +255,10 @@ TEST(Hierarchy, InclusionHoldsUnderRandomTraffic)
         if (h.access(core, addr, is_write).llcMiss)
             h.fill(core, addr, is_write);
         if (i % 1000 == 0) {
-            ASSERT_TRUE(h.checkInclusion()) << "iteration " << i;
+            ASSERT_NO_THROW(h.audit()) << "iteration " << i;
         }
     }
-    EXPECT_TRUE(h.checkInclusion());
+    EXPECT_NO_THROW(h.audit());
 }
 
 TEST(Hierarchy, AtMostOneRegistrationAndWritePerFill)

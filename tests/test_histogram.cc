@@ -7,8 +7,8 @@
 
 #include <cmath>
 
+#include "common/check.hh"
 #include "common/histogram.hh"
-#include "common/logging.hh"
 
 namespace rrm
 {
@@ -84,9 +84,9 @@ TEST(BoundedHistogram, ResetClearsCounts)
 
 TEST(BoundedHistogram, RequiresStrictlyIncreasingBoundaries)
 {
-    EXPECT_THROW(BoundedHistogram({}), PanicError);
-    EXPECT_THROW(BoundedHistogram({10, 10}), PanicError);
-    EXPECT_THROW(BoundedHistogram({20, 10}), PanicError);
+    EXPECT_THROW(BoundedHistogram({}), check::CheckError);
+    EXPECT_THROW(BoundedHistogram({10, 10}), check::CheckError);
+    EXPECT_THROW(BoundedHistogram({20, 10}), check::CheckError);
 }
 
 TEST(SampleStats, EmptyIsZero)

@@ -53,11 +53,6 @@ TEST(Logging, FatalThrowsFatalError)
     EXPECT_THROW(fatal("bad config"), FatalError);
 }
 
-TEST(Logging, PanicThrowsPanicError)
-{
-    EXPECT_THROW(panic("bug"), PanicError);
-}
-
 TEST(Logging, FatalMessageIsPrefixedAndConcatenated)
 {
     try {
@@ -65,16 +60,6 @@ TEST(Logging, FatalMessageIsPrefixedAndConcatenated)
         FAIL() << "fatal() returned";
     } catch (const FatalError &e) {
         EXPECT_STREQ(e.what(), "fatal: value 42 is bad");
-    }
-}
-
-TEST(Logging, PanicMessageIsPrefixed)
-{
-    try {
-        panic("x=", 1.5);
-        FAIL() << "panic() returned";
-    } catch (const PanicError &e) {
-        EXPECT_STREQ(e.what(), "panic: x=1.5");
     }
 }
 
@@ -86,28 +71,6 @@ TEST(Logging, WarnIncrementsCounter)
     warn("again");
     EXPECT_EQ(log_detail::warnCount(), before + 2);
     log_detail::setQuiet(false);
-}
-
-TEST(Logging, AssertPassesOnTrue)
-{
-    EXPECT_NO_THROW(RRM_ASSERT(1 + 1 == 2, "math works"));
-}
-
-TEST(Logging, AssertPanicsOnFalse)
-{
-    EXPECT_THROW(RRM_ASSERT(false, "expected failure"), PanicError);
-}
-
-TEST(Logging, AssertMessageNamesCondition)
-{
-    try {
-        RRM_ASSERT(2 < 1, "two below one");
-        FAIL() << "assert passed";
-    } catch (const PanicError &e) {
-        const std::string msg = e.what();
-        EXPECT_NE(msg.find("2 < 1"), std::string::npos);
-        EXPECT_NE(msg.find("two below one"), std::string::npos);
-    }
 }
 
 TEST(Logging, SinkReceivesWarnAndInform)

@@ -8,6 +8,7 @@
 #include <array>
 #include <cmath>
 
+#include "common/check.hh"
 #include "common/math_util.hh"
 
 namespace rrm
@@ -39,7 +40,7 @@ TEST(MathUtil, FloorLog2RoundsDown)
 
 TEST(MathUtil, FloorLog2ZeroPanics)
 {
-    EXPECT_THROW(floorLog2(0), PanicError);
+    EXPECT_THROW(floorLog2(0), check::CheckError);
 }
 
 TEST(MathUtil, BitsFor)
@@ -82,11 +83,11 @@ TEST(MathUtil, GeomeanBelowArithmeticMean)
 
 TEST(MathUtil, GeomeanRejectsEmptyAndNonPositive)
 {
-    EXPECT_THROW(geomean({}), PanicError);
+    EXPECT_THROW(geomean({}), check::CheckError);
     const std::array<double, 2> with_zero = {1.0, 0.0};
-    EXPECT_THROW(geomean(with_zero), PanicError);
+    EXPECT_THROW(geomean(with_zero), check::CheckError);
     const std::array<double, 2> negative = {1.0, -2.0};
-    EXPECT_THROW(geomean(negative), PanicError);
+    EXPECT_THROW(geomean(negative), check::CheckError);
 }
 
 } // namespace

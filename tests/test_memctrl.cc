@@ -9,6 +9,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/check.hh"
 #include "common/random.hh"
 #include "memctrl/controller.hh"
 
@@ -57,7 +58,7 @@ TEST(AddressMap, ConsecutiveSegmentsInterleaveChannels)
 TEST(AddressMap, OutOfRangePanics)
 {
     AddressMap map(defaultParams());
-    EXPECT_THROW(map.decode(8_GiB), PanicError);
+    EXPECT_THROW(map.decode(8_GiB), check::CheckError);
 }
 
 // ---- Channel / controller timing ----

@@ -7,6 +7,7 @@
 
 #include <set>
 
+#include "common/check.hh"
 #include "trace/pattern.hh"
 
 namespace rrm::trace
@@ -76,9 +77,9 @@ TEST(StridePattern, WriteFractionIsRespected)
 
 TEST(StridePattern, RejectsDegenerateConfig)
 {
-    EXPECT_THROW(StridePattern(64, 0, 0.5), PanicError);
-    EXPECT_THROW(StridePattern(64, 64, 0.5), PanicError);
-    EXPECT_THROW(StridePattern(1_MiB, 64, 1.5), PanicError);
+    EXPECT_THROW(StridePattern(64, 0, 0.5), check::CheckError);
+    EXPECT_THROW(StridePattern(64, 64, 0.5), check::CheckError);
+    EXPECT_THROW(StridePattern(1_MiB, 64, 1.5), check::CheckError);
 }
 
 TEST(ZipfRegionPattern, AddressesStayInFootprint)
@@ -165,10 +166,10 @@ TEST(ZipfRegionPattern, PopularRegionsDominante)
 
 TEST(ZipfRegionPattern, RejectsBadConfig)
 {
-    EXPECT_THROW(ZipfRegionPattern(0, 4096, 0.8, 0.5), PanicError);
-    EXPECT_THROW(ZipfRegionPattern(4, 100, 0.8, 0.5), PanicError);
-    EXPECT_THROW(ZipfRegionPattern(4, 4096, 0.8, 0.5, 0), PanicError);
-    EXPECT_THROW(ZipfRegionPattern(4, 4096, 0.8, 2.0), PanicError);
+    EXPECT_THROW(ZipfRegionPattern(0, 4096, 0.8, 0.5), check::CheckError);
+    EXPECT_THROW(ZipfRegionPattern(4, 100, 0.8, 0.5), check::CheckError);
+    EXPECT_THROW(ZipfRegionPattern(4, 4096, 0.8, 0.5, 0), check::CheckError);
+    EXPECT_THROW(ZipfRegionPattern(4, 4096, 0.8, 2.0), check::CheckError);
 }
 
 TEST(ChasePattern, UniformBlockAlignedAddresses)
@@ -205,8 +206,8 @@ TEST(ChasePattern, WriteFraction)
 
 TEST(ChasePattern, RejectsBadConfig)
 {
-    EXPECT_THROW(ChasePattern(32, 0.1), PanicError);
-    EXPECT_THROW(ChasePattern(1_MiB, -0.1), PanicError);
+    EXPECT_THROW(ChasePattern(32, 0.1), check::CheckError);
+    EXPECT_THROW(ChasePattern(1_MiB, -0.1), check::CheckError);
 }
 
 } // namespace

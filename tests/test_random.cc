@@ -8,6 +8,7 @@
 #include <cmath>
 #include <vector>
 
+#include "common/check.hh"
 #include "common/random.hh"
 
 namespace rrm
@@ -44,7 +45,7 @@ TEST(Random, UniformStaysBelowBound)
 TEST(Random, UniformZeroBoundPanics)
 {
     Random rng(7);
-    EXPECT_THROW(rng.uniform(0), PanicError);
+    EXPECT_THROW(rng.uniform(0), check::CheckError);
 }
 
 TEST(Random, UniformCoversSmallRange)
@@ -135,7 +136,7 @@ TEST(Random, GeometricAtLeastOne)
 TEST(Random, GeometricBelowOneMeanPanics)
 {
     Random rng(2);
-    EXPECT_THROW(rng.geometric(0.5), PanicError);
+    EXPECT_THROW(rng.geometric(0.5), check::CheckError);
 }
 
 TEST(Random, SplitStreamsAreDecorrelated)
@@ -210,9 +211,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Zipf, InvalidParamsPanic)
 {
-    EXPECT_THROW(ZipfSampler(0, 1.0), PanicError);
-    EXPECT_THROW(ZipfSampler(10, 0.0), PanicError);
-    EXPECT_THROW(ZipfSampler(10, -1.0), PanicError);
+    EXPECT_THROW(ZipfSampler(0, 1.0), check::CheckError);
+    EXPECT_THROW(ZipfSampler(10, 0.0), check::CheckError);
+    EXPECT_THROW(ZipfSampler(10, -1.0), check::CheckError);
 }
 
 TEST(Zipf, SingleItemAlwaysZero)

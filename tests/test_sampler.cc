@@ -11,7 +11,7 @@
 
 #include <sstream>
 
-#include "common/logging.hh"
+#include "common/check.hh"
 #include "obs/sampler.hh"
 #include "rrm/region_monitor.hh"
 #include "sim/event_queue.hh"
@@ -45,7 +45,7 @@ TEST(StatValue, ResolvesEveryStatKind)
 TEST(Sampler, RejectsZeroInterval)
 {
     EventQueue queue;
-    EXPECT_THROW(Sampler(queue, 0), PanicError);
+    EXPECT_THROW(Sampler(queue, 0), check::CheckError);
 }
 
 TEST(Sampler, SamplesColumnsAtEveryInterval)
@@ -90,7 +90,7 @@ TEST(Sampler, ColumnsMustBeRegisteredBeforeSampling)
     sampler.addColumn("a", [] { return 0.0; });
     sampler.sampleNow();
     EXPECT_THROW(sampler.addColumn("b", [] { return 0.0; }),
-                 PanicError);
+                 check::CheckError);
 }
 
 TEST(Sampler, StatColumnsResolveLazilyEachSample)

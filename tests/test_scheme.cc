@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.hh"
 #include "system/scheme.hh"
 
 namespace rrm::sys

@@ -8,6 +8,7 @@
 #include <set>
 #include <vector>
 
+#include "common/check.hh"
 #include "common/random.hh"
 #include "memctrl/start_gap.hh"
 
@@ -80,8 +81,8 @@ TEST(StartGapDomain, EveryLineVisitsEverySlotOverTime)
 
 TEST(StartGapDomain, DegenerateConfigsPanic)
 {
-    EXPECT_THROW(StartGapDomain(1, 10), PanicError);
-    EXPECT_THROW(StartGapDomain(8, 0), PanicError);
+    EXPECT_THROW(StartGapDomain(1, 10), check::CheckError);
+    EXPECT_THROW(StartGapDomain(8, 0), check::CheckError);
 }
 
 TEST(StartGapRemapper, PreservesOffsetsAndDomains)
@@ -116,7 +117,7 @@ TEST(StartGapRemapper, IdentityBeforeAnyRotation)
 TEST(StartGapRemapper, PartialDomainPanics)
 {
     // 1 MiB at default 4 MB domains is not a whole domain.
-    EXPECT_THROW(StartGapRemapper(1_MiB), PanicError);
+    EXPECT_THROW(StartGapRemapper(1_MiB), check::CheckError);
 }
 
 TEST(StartGapRemapper, RotationChangesTheMapping)

@@ -11,7 +11,7 @@
 
 #include <sstream>
 
-#include "common/logging.hh"
+#include "common/check.hh"
 #include "obs/json.hh"
 #include "obs/stat_writers.hh"
 #include "system/system.hh"
@@ -84,8 +84,8 @@ TEST(JsonWriter, MisuseIsAProgrammingError)
     std::ostringstream os;
     JsonWriter json(os);
     json.beginObject();
-    EXPECT_THROW(json.value(1.0), PanicError); // value without key
-    EXPECT_THROW(json.endArray(), PanicError); // wrong frame type
+    EXPECT_THROW(json.value(1.0), check::CheckError); // value without key
+    EXPECT_THROW(json.endArray(), check::CheckError); // wrong frame type
 }
 
 namespace

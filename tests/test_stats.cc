@@ -7,6 +7,7 @@
 
 #include <sstream>
 
+#include "common/check.hh"
 #include "stats/stats.hh"
 
 namespace rrm::stats
@@ -45,8 +46,8 @@ TEST(VectorStat, OutOfRangeBinPanics)
 {
     StatGroup g("g");
     VectorStat &v = g.addVector("v", "d", {"only"});
-    EXPECT_THROW(v.add(1), PanicError);
-    EXPECT_THROW(v.value(5), PanicError);
+    EXPECT_THROW(v.add(1), check::CheckError);
+    EXPECT_THROW(v.value(5), check::CheckError);
 }
 
 TEST(Formula, EvaluatesLazily)
@@ -214,7 +215,7 @@ TEST(HistogramStat, BucketLabelsAreDeterministic)
     EXPECT_EQ(HistogramStat::bucketLabel(3), "[4,8)");
     EXPECT_EQ(HistogramStat::bucketLabel(64),
               "[9223372036854775808,inf)");
-    EXPECT_THROW(HistogramStat::bucketLabel(65), PanicError);
+    EXPECT_THROW(HistogramStat::bucketLabel(65), check::CheckError);
 }
 
 TEST(HistogramStat, AccumulatesMomentsAndCounts)

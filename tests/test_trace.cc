@@ -7,6 +7,7 @@
 
 #include <set>
 
+#include "common/logging.hh"
 #include "common/units.hh"
 #include "trace/generator.hh"
 #include "trace/workload.hh"

@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 
+#include "common/check.hh"
 #include "trace/generator.hh"
 #include "trace/source.hh"
 #include "trace/trace_pack.hh"
@@ -223,7 +224,7 @@ TEST(TraceSource, SeekOnUsedStreamPanics)
     TraceSource src =
         TraceSource::generate(benchmarkProfile(Benchmark::Lbm), 1);
     src.next();
-    EXPECT_THROW(src.seek(10), PanicError);
+    EXPECT_THROW(src.seek(10), check::CheckError);
 }
 
 } // namespace

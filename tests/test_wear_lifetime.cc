@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.hh"
 #include "pcm/lifetime_model.hh"
 #include "pcm/wear_tracker.hh"
 
@@ -70,14 +71,14 @@ TEST(WearTracker, GlobalRefreshViaBlockWritePanics)
 {
     WearTracker t = smallTracker();
     EXPECT_THROW(t.recordBlockWrite(0, WearCause::GlobalRefresh),
-                 PanicError);
+                 check::CheckError);
 }
 
 TEST(WearTracker, OutOfRangeAddressPanics)
 {
     WearTracker t = smallTracker();
     EXPECT_THROW(t.recordBlockWrite(1_MiB, WearCause::DemandWrite),
-                 PanicError);
+                 check::CheckError);
 }
 
 TEST(WearTracker, ResetClearsEverything)
@@ -184,17 +185,17 @@ TEST(LifetimeModel, EmptyWindowPanics)
 {
     LifetimeModel m(blocks8GiB);
     WearMeasurement wm;
-    EXPECT_THROW(m.lifetimeYears(wm), PanicError);
+    EXPECT_THROW(m.lifetimeYears(wm), check::CheckError);
 }
 
 TEST(LifetimeModel, InvalidParamsPanic)
 {
-    EXPECT_THROW(LifetimeModel(0), PanicError);
+    EXPECT_THROW(LifetimeModel(0), check::CheckError);
     LifetimeParams p;
     p.levelingEfficiency = 0.0;
-    EXPECT_THROW(LifetimeModel(10, p), PanicError);
+    EXPECT_THROW(LifetimeModel(10, p), check::CheckError);
     p.levelingEfficiency = 1.5;
-    EXPECT_THROW(LifetimeModel(10, p), PanicError);
+    EXPECT_THROW(LifetimeModel(10, p), check::CheckError);
 }
 
 } // namespace

@@ -97,6 +97,20 @@ TEST(WorkloadSpec, OmittedTenantsMeanSingleTenant)
 
 // ---- Error contract ----
 
+/** The fatal() message workloadFromSpec() raises for a bad spec. */
+std::string
+specError(const std::string &mix, const std::string &tenants)
+{
+    try {
+        workloadFromSpec(mix, tenants);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    ADD_FAILURE() << "accepted mix '" << mix << "' tenants '" << tenants
+                  << "'";
+    return "";
+}
+
 TEST(WorkloadSpec, UnknownBenchmarkIsOneNamedError)
 {
     Workload out;
@@ -121,6 +135,22 @@ TEST(WorkloadSpec, MalformedCountAndEmptyEntriesAreErrors)
     EXPECT_EQ(parseWorkloadSpec("lbm:x", "", out).size(), 1u);
     EXPECT_EQ(parseWorkloadSpec("lbm,,milc", "", out).size(), 1u);
     EXPECT_EQ(parseWorkloadSpec("", "", out).size(), 1u);
+}
+
+TEST(WorkloadSpec, OverflowingCountIsOneNamedError)
+{
+    // 2^32 + 1 does not fit a core count: no 4 G-core expansion.
+    const std::string msg = specError("lbm:4294967297", "");
+    EXPECT_NE(msg.find("1 problem(s)"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'lbm:4294967297'"), std::string::npos) << msg;
+}
+
+TEST(WorkloadSpec, OverflowingTenantIdIsOneNamedError)
+{
+    // 2^32 + 1 does not fit a tenant id: no truncation to tenant 1.
+    const std::string msg = specError("lbm,GemsFDTD", "0,4294967297");
+    EXPECT_NE(msg.find("1 problem(s)"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'4294967297'"), std::string::npos) << msg;
 }
 
 TEST(WorkloadSpec, BadTenantSyntaxIsAnError)

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.hh"
 #include "pcm/write_mode.hh"
 
 namespace rrm::pcm
@@ -29,8 +30,8 @@ TEST(WriteMode, ModeForSetIterationsRoundTrips)
 
 TEST(WriteMode, ModeForInvalidIterationsPanics)
 {
-    EXPECT_THROW(modeForSetIterations(2), PanicError);
-    EXPECT_THROW(modeForSetIterations(8), PanicError);
+    EXPECT_THROW(modeForSetIterations(2), check::CheckError);
+    EXPECT_THROW(modeForSetIterations(8), check::CheckError);
 }
 
 TEST(WriteMode, LatencyMatchesPulseTrain)

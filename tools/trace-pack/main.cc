@@ -16,6 +16,9 @@
  * `verify` re-runs the generator with the pack's recorded (profile,
  * seed) and byte-compares every record, proving a pack still matches
  * the current generator code.
+ *
+ * A usage error (bad option, unknown workload, unreadable pack) prints
+ * one "trace-pack: ..." line to stderr and exits with status 2.
  */
 
 #include <cstdio>
@@ -24,6 +27,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 #include "common/random.hh"
 #include "trace/generator.hh"
 #include "trace/trace_pack.hh"
@@ -47,6 +51,19 @@ usage()
     return 2;
 }
 
+/**
+ * The value `text` of integer option `option`; fatal() unless it is
+ * wholly a non-negative integer ("--seed 12abc" must not pack seed 12).
+ */
+std::uint64_t
+integerOption(const std::string &option, const std::string &text)
+{
+    if (const auto v = parseNumber<std::uint64_t>(text))
+        return *v;
+    fatal("option ", option, " needs a non-negative integer, got '", text,
+          "'");
+}
+
 int
 cmdPack(const std::vector<std::string> &args)
 {
@@ -67,9 +84,9 @@ cmdPack(const std::vector<std::string> &args)
         else if (a == "--workload")
             workloads.push_back(value());
         else if (a == "--seed")
-            seed = std::stoull(value());
+            seed = integerOption(a, value());
         else if (a == "--records")
-            records = std::stoull(value());
+            records = integerOption(a, value());
         else
             fatal("unknown option '", a, "'");
     }
@@ -173,11 +190,16 @@ main(int argc, char **argv)
         return usage();
     const std::string cmd = argv[1];
     std::vector<std::string> args(argv + 2, argv + argc);
-    if (cmd == "pack")
-        return cmdPack(args);
-    if (cmd == "info")
-        return cmdInfo(args);
-    if (cmd == "verify")
-        return cmdVerify(args);
+    try {
+        if (cmd == "pack")
+            return cmdPack(args);
+        if (cmd == "info")
+            return cmdInfo(args);
+        if (cmd == "verify")
+            return cmdVerify(args);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "trace-pack: %s\n", e.what());
+        return 2;
+    }
     return usage();
 }
