@@ -253,6 +253,10 @@ BenchOptions::parse(int argc, char **argv, const char *bench,
     BenchOptions opts;
     try {
         applyFlags(opts, argc, argv, bench, groups);
+        // Resolve the workload, mix, tenant and scheme names now, so a
+        // bad one is a usage error too, not a fatal() out of main().
+        (void)opts.selectedWorkloads();
+        (void)opts.selectedSchemes({});
     } catch (const FatalError &e) {
         // A usage error: report it and exit like --help does, rather
         // than unwinding out of main() into an abort.

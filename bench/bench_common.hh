@@ -144,9 +144,10 @@ struct BenchOptions
      * Parse argv against the declarative flag table (see
      * benchFlagTable() in bench_common.cc), accepting only the flags
      * of `groups` (a union of BenchFlagGroup values). An unknown or
-     * undeclared flag, a missing value, or a numeric value that is
-     * not wholly a number is a usage error: its fatal() message names
-     * the flag (and `bench`) and the process exits with status 2.
+     * undeclared flag, a missing value, a numeric value that is not
+     * wholly a number, or a name that --workloads, --mix, --tenants or
+     * --schemes cannot resolve is a usage error: its fatal() message
+     * is printed and the process exits with status 2.
      * --help prints the flags `bench` accepts and exits.
      */
     static BenchOptions parse(int argc, char **argv, const char *bench,

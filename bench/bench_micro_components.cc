@@ -1,10 +1,10 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator's hot paths:
- * PRNG/Zipf sampling, trace generation, cache accesses, RRM
- * operations, the event queue, and controller scheduling. These bound
- * the simulator's own throughput (simulated events per host second),
- * not any paper metric.
+ * PRNG/Zipf sampling, trace generation, cache accesses, the core
+ * model, RRM operations, the event queue, and controller scheduling.
+ * These bound the simulator's own throughput (simulated events per
+ * host second), not any paper metric.
  */
 
 #include <benchmark/benchmark.h>
@@ -14,6 +14,7 @@
 
 #include "cache/hierarchy.hh"
 #include "common/random.hh"
+#include "cpu/core_model.hh"
 #include "memctrl/controller.hh"
 #include "rrm/region_monitor.hh"
 #include "sim/event_queue.hh"
@@ -73,6 +74,58 @@ BM_CacheHierarchyAccess(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CacheHierarchyAccess);
+
+/** Memory stand-in: every fill completes a fixed 200 ns later. */
+struct FixedLatencyPort : cpu::CorePort
+{
+    EventQueue &queue;
+    cpu::CoreModel *core = nullptr;
+
+    explicit FixedLatencyPort(EventQueue &q) : queue(q) {}
+
+    bool
+    requestFill(unsigned, Addr line, bool, Tick when) override
+    {
+        queue.schedule(when + 200_ns, [this, line] {
+            core->onFillComplete(line);
+        });
+        return true;
+    }
+
+    void
+    handleAccessEvents(unsigned, const cache::HierarchyEvents &,
+                       Tick) override
+    {}
+};
+
+/**
+ * One hmmer core over the paper's hierarchy, one event per iteration
+ * (a run-ahead quantum of trace records or a fill completion). Items
+ * are trace records, so items/s is the core model's record rate with
+ * its cache accesses included.
+ */
+void
+BM_CoreModelAdvance(benchmark::State &state)
+{
+    EventQueue queue;
+    cache::CacheHierarchy hierarchy(cache::defaultHierarchyConfig());
+    FixedLatencyPort port(queue);
+    cpu::CoreModel core(
+        0, cpu::CoreParams{},
+        trace::TraceSource::generate(
+            trace::benchmarkProfile(trace::Benchmark::Hmmer), 1),
+        hierarchy, port, queue, 0);
+    port.core = &core;
+    stats::StatGroup group("bench");
+    core.regStats(group);
+    core.start();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(queue.step());
+    const auto *records =
+        dynamic_cast<const stats::Scalar *>(group.find("core0.memOps"));
+    state.SetItemsProcessed(static_cast<std::int64_t>(records->value()));
+}
+BENCHMARK(BM_CoreModelAdvance);
 
 void
 BM_RrmRegistration(benchmark::State &state)

@@ -13,7 +13,8 @@ namespace rrm::cache
 Cache::Cache(const CacheConfig &config)
     : config_(config)
 {
-    RRM_CHECK(isPowerOfTwo(config_.lineBytes), "line size must be 2^n");
+    RRM_CHECK(config_.lineBytes >= 2 && isPowerOfTwo(config_.lineBytes),
+              "line size must be 2^n bytes, n >= 1");
     RRM_CHECK(config_.assoc >= 1, "associativity must be >= 1");
     RRM_CHECK(config_.sizeBytes %
                       (std::uint64_t(config_.lineBytes) * config_.assoc) ==
@@ -24,136 +25,59 @@ Cache::Cache(const CacheConfig &config)
         config_.sizeBytes / (std::uint64_t(config_.lineBytes) * config_.assoc);
     RRM_CHECK(isPowerOfTwo(numSets_), "cache '", config_.name,
               "' set count must be a power of two");
+    RRM_CHECK(numSets_ * config_.assoc < noWay, "cache '", config_.name,
+              "' has too many lines for a way handle");
     lineShift_ = floorLog2(config_.lineBytes);
-    lines_.assign(numSets_ * config_.assoc, Line{});
-}
-
-std::uint64_t
-Cache::setIndex(Addr addr) const
-{
-    return (addr >> lineShift_) & (numSets_ - 1);
-}
-
-Addr
-Cache::tagOf(Addr addr) const
-{
-    return addr >> lineShift_;
-}
-
-Cache::Line *
-Cache::findLine(Addr addr)
-{
-    const std::uint64_t set = setIndex(addr);
-    const Addr tag = tagOf(addr);
-    Line *base = &lines_[set * config_.assoc];
-    for (unsigned w = 0; w < config_.assoc; ++w)
-        if (base[w].valid && base[w].tag == tag)
-            return &base[w];
-    return nullptr;
-}
-
-const Cache::Line *
-Cache::findLine(Addr addr) const
-{
-    return const_cast<Cache *>(this)->findLine(addr);
-}
-
-bool
-Cache::contains(Addr addr) const
-{
-    return findLine(addr) != nullptr;
-}
-
-bool
-Cache::access(Addr addr)
-{
-    Line *line = findLine(addr);
-    if (line) {
-        line->stamp = ++replClock_;
-        if (statHits_)
-            ++*statHits_;
-        return true;
-    }
-    if (statMisses_)
-        ++*statMisses_;
-    return false;
+    const std::uint64_t lines = numSets_ * config_.assoc;
+    tags_.assign(lines, freeTag);
+    stamps_.assign(lines, 0);
+    dirty_.assign(lines, 0);
 }
 
 unsigned
-Cache::victimWay(const Line *set) const
+Cache::victimWay(Way base) const
 {
+    const std::uint64_t *stamps = stamps_.data() + base;
     unsigned w = 0;
     for (unsigned v = 1; v < config_.assoc; ++v)
-        if (set[v].stamp < set[w].stamp)
+        if (stamps[v] < stamps[w])
             w = v;
     return w;
 }
 
-Victim
+Allocation
 Cache::allocate(Addr addr)
 {
-    const std::uint64_t set = setIndex(addr);
-    const Addr tag = tagOf(addr);
-    Line *base = &lines_[set * config_.assoc];
-
-    // One pass both picks the first free way and enforces the
-    // not-already-present contract (no separate contains() walk).
-    Line *slot = nullptr;
-    for (unsigned w = 0; w < config_.assoc; ++w) {
-        if (!base[w].valid) {
-            if (!slot)
-                slot = &base[w];
-            continue;
-        }
-        RRM_CHECK(base[w].tag != tag,
-                  "allocate() of a present line in '", config_.name,
-                  "'");
-    }
-
-    Victim victim;
-    if (!slot) {
-        slot = &base[victimWay(base)];
-        victim.valid = true;
-        victim.addr = slot->tag << lineShift_;
-        victim.dirty = slot->dirty;
+    RRM_CHECK(find(addr) == noWay, "allocate() of a present line in '",
+              config_.name, "'");
+    const Way base = setBase(addr);
+    Allocation out;
+    out.way = base + victimWay(base);
+    if (tags_[out.way] != freeTag) {
+        out.victim.valid = true;
+        out.victim.addr = tags_[out.way] << lineShift_;
+        out.victim.dirty = dirty_[out.way] != 0;
         if (statEvictions_)
             ++*statEvictions_;
-        if (victim.dirty && statDirtyEvictions_)
+        if (out.victim.dirty && statDirtyEvictions_)
             ++*statDirtyEvictions_;
     }
-
-    slot->tag = tag;
-    slot->valid = true;
-    slot->dirty = false;
-    slot->stamp = ++replClock_;
-    return victim;
-}
-
-void
-Cache::setDirty(Addr addr)
-{
-    Line *line = findLine(addr);
-    RRM_CHECK(line, "setDirty() on absent line in '", config_.name, "'");
-    line->dirty = true;
-}
-
-bool
-Cache::isDirty(Addr addr) const
-{
-    const Line *line = findLine(addr);
-    RRM_CHECK(line, "isDirty() on absent line in '", config_.name, "'");
-    return line->dirty;
+    tags_[out.way] = tagOf(addr);
+    stamps_[out.way] = ++replClock_;
+    dirty_[out.way] = 0;
+    return out;
 }
 
 bool
 Cache::invalidate(Addr addr)
 {
-    Line *line = findLine(addr);
-    if (!line)
+    const Way way = find(addr);
+    if (way == noWay)
         return false;
-    const bool was_dirty = line->dirty;
-    line->valid = false;
-    line->dirty = false;
+    const bool was_dirty = dirty_[way] != 0;
+    tags_[way] = freeTag;
+    stamps_[way] = 0;
+    dirty_[way] = 0;
     return was_dirty;
 }
 
@@ -161,8 +85,8 @@ std::uint64_t
 Cache::numValidLines() const
 {
     std::uint64_t n = 0;
-    for (const auto &line : lines_)
-        if (line.valid)
+    for (const Addr tag : tags_)
+        if (tag != freeTag)
             ++n;
     return n;
 }
@@ -171,26 +95,30 @@ void
 Cache::audit() const
 {
     for (std::uint64_t set = 0; set < numSets_; ++set) {
-        const Line *base = &lines_[set * config_.assoc];
+        const Way base = static_cast<Way>(set * config_.assoc);
         for (unsigned w = 0; w < config_.assoc; ++w) {
-            const Line &line = base[w];
-            if (!line.valid) {
-                RRM_AUDIT(!line.dirty, "cache '", config_.name,
-                          "': invalid line is dirty (set ", set,
+            const Way way = base + w;
+            if (tags_[way] == freeTag) {
+                RRM_AUDIT(!dirty_[way] && stamps_[way] == 0, "cache '",
+                          config_.name,
+                          "': free way is dirty or stamped (set ", set,
                           " way ", w, ")");
                 continue;
             }
-            const Addr addr = line.tag << lineShift_;
+            const Addr addr = tags_[way] << lineShift_;
             RRM_AUDIT(setIndex(addr) == set, "cache '", config_.name,
                       "': tag in set ", set, " indexes to set ",
                       setIndex(addr));
+            RRM_AUDIT(stamps_[way] != 0, "cache '", config_.name,
+                      "': valid line with stamp 0 (set ", set, " way ", w,
+                      ")");
             for (unsigned v = w + 1; v < config_.assoc; ++v) {
-                if (!base[v].valid)
+                if (tags_[base + v] == freeTag)
                     continue;
-                RRM_AUDIT(base[v].tag != line.tag, "cache '",
+                RRM_AUDIT(tags_[base + v] != tags_[way], "cache '",
                           config_.name, "': duplicate tag in set ", set,
                           " (ways ", w, " and ", v, ")");
-                RRM_AUDIT(base[v].stamp != line.stamp, "cache '",
+                RRM_AUDIT(stamps_[base + v] != stamps_[way], "cache '",
                           config_.name, "': duplicate LRU stamp in set ",
                           set, " (ways ", w, " and ", v, ")");
             }
@@ -213,12 +141,11 @@ void
 Cache::saveCkpt(ckpt::ChunkWriter &w) const
 {
     w.u64(replClock_);
-    w.u32(static_cast<std::uint32_t>(lines_.size()));
-    for (const Line &line : lines_) {
-        w.u64(line.tag);
-        w.u64(line.stamp);
-        w.b(line.valid);
-        w.b(line.dirty);
+    w.u32(static_cast<std::uint32_t>(tags_.size()));
+    for (std::size_t i = 0; i < tags_.size(); ++i) {
+        w.u64(tags_[i]);
+        w.u64(stamps_[i]);
+        w.b(dirty_[i] != 0);
     }
 }
 
@@ -227,17 +154,16 @@ Cache::restoreCkpt(ckpt::ChunkReader &r)
 {
     replClock_ = r.u64();
     const std::uint32_t n = r.u32();
-    if (n != lines_.size())
+    if (n != tags_.size())
         throw ckpt::CkptError(
             "cache '" + config_.name + "' has " +
-            std::to_string(lines_.size()) +
+            std::to_string(tags_.size()) +
             " lines but the checkpoint holds " + std::to_string(n) +
             " (geometry mismatch)");
-    for (Line &line : lines_) {
-        line.tag = r.u64();
-        line.stamp = r.u64();
-        line.valid = r.b();
-        line.dirty = r.b();
+    for (std::size_t i = 0; i < tags_.size(); ++i) {
+        tags_[i] = r.u64();
+        stamps_[i] = r.u64();
+        dirty_[i] = r.b() ? 1 : 0;
     }
 }
 

@@ -2,11 +2,18 @@
  * @file
  * A single set-associative write-back cache array.
  *
- * Cache is a building block: it owns tags, valid/dirty bits, and LRU
+ * Cache is a building block: it owns tags, dirty bits, and LRU
  * replacement stamps, and exposes the primitive operations the
  * three-level CacheHierarchy composes (lookup, allocate-with-victim,
  * dirty marking, invalidation). It deliberately stores no data bytes —
  * the simulator tracks state, not contents.
+ *
+ * Storage is packed structure-of-arrays, set-major: one tag word per
+ * line, with a free way marked by the all-ones tag (a line address
+ * shifted right by at least one bit never is), plus parallel LRU-stamp
+ * and dirty arrays. Lookups return a way handle, an index into those
+ * arrays, and the dirty operations act on the handle, so a caller
+ * walks a set once per operation.
  */
 
 #ifndef RRM_CACHE_CACHE_HH
@@ -42,12 +49,28 @@ struct CacheConfig
     unsigned mshrs = 8;
 };
 
-/** Outcome of allocating a line: the displaced victim, if any. */
+/**
+ * Handle of one line: its index into the cache's arrays. It stays
+ * valid until that line is evicted or invalidated.
+ */
+using Way = std::uint32_t;
+
+/** The handle of no line (a lookup miss). */
+inline constexpr Way noWay = ~Way(0);
+
+/** A line displaced by an allocation. */
 struct Victim
 {
     bool valid = false;
     Addr addr = 0;
     bool dirty = false;
+};
+
+/** Outcome of allocating a line. */
+struct Allocation
+{
+    Way way = noWay; ///< the new (clean, most recently used) line
+    Victim victim;   ///< valid == false if a free way was used
 };
 
 /** One set-associative cache level. */
@@ -67,29 +90,60 @@ class Cache : public Auditable
         return addr & ~static_cast<Addr>(config_.lineBytes - 1);
     }
 
-    /** True if the line holding `addr` is present. */
-    bool contains(Addr addr) const;
+    /** Handle of the line holding `addr`, or noWay. No side effects. */
+    Way
+    find(Addr addr) const
+    {
+        const Addr tag = tagOf(addr);
+        const Way base = setBase(addr);
+        const Addr *tags = tags_.data() + base;
+        for (unsigned w = 0; w < config_.assoc; ++w)
+            if (tags[w] == tag)
+                return base + w;
+        return noWay;
+    }
 
     /**
-     * Look up and, on hit, make the line most recently used.
-     * @return true on hit.
+     * find() that counts a hit or a miss and, on a hit, makes the line
+     * most recently used.
      */
-    bool access(Addr addr);
+    Way
+    lookup(Addr addr)
+    {
+        const Way way = find(addr);
+        if (way != noWay) {
+            stamps_[way] = ++replClock_;
+            if (statHits_)
+                ++*statHits_;
+        } else if (statMisses_) {
+            ++*statMisses_;
+        }
+        return way;
+    }
 
     /**
-     * Allocate a line for `addr` (must not be present), evicting the
-     * least recently used line if the set is full.
-     *
-     * @return The displaced victim (valid == false if a free way was
-     *         used).
+     * Allocate a clean line for `addr` (must not be present) in the
+     * way victimWay() picks, as the most recently used line.
      */
-    Victim allocate(Addr addr);
+    Allocation allocate(Addr addr);
 
-    /** Mark the (present) line dirty. */
-    void setDirty(Addr addr);
+    /** Mark the line dirty. */
+    void
+    markDirty(Way way)
+    {
+        RRM_CHECK(way < tags_.size(), "markDirty() without a line in '",
+                  config_.name, "'");
+        dirty_[way] = 1;
+    }
 
-    /** @return dirty flag of the (present) line. */
-    bool isDirty(Addr addr) const;
+    /** @return the line's dirty bit. */
+    bool
+    isDirty(Way way) const
+    {
+        RRM_CHECK(way < tags_.size(), "isDirty() without a line in '",
+                  config_.name, "'");
+        return dirty_[way] != 0;
+    }
 
     /**
      * Invalidate the line if present.
@@ -105,9 +159,9 @@ class Cache : public Auditable
     void
     forEachValidLine(Fn &&fn) const
     {
-        for (const auto &line : lines_)
-            if (line.valid)
-                fn(line.tag << lineShift_);
+        for (const Addr tag : tags_)
+            if (tag != freeTag)
+                fn(tag << lineShift_);
     }
 
     /** Register hit/miss/writeback statistics into a group. */
@@ -115,8 +169,8 @@ class Cache : public Auditable
 
     /**
      * @{ Checkpoint the full array state: every line's tag / stamp /
-     * valid / dirty plus the LRU clock. Counters registered via
-     * regStats are covered by the stats section, not here.
+     * dirty bit plus the LRU clock. Counters registered via regStats
+     * are covered by the stats section, not here.
      */
     void saveCkpt(ckpt::ChunkWriter &w) const;
     void restoreCkpt(ckpt::ChunkReader &r);
@@ -126,38 +180,49 @@ class Cache : public Auditable
     std::string_view auditName() const override { return config_.name; }
 
     /**
-     * Invariants: no duplicate valid tags within a set, every valid
-     * tag indexes back to the set holding it, dirty state only on
-     * valid lines, and distinct LRU stamps among the valid ways of a
-     * set.
+     * Invariants: no duplicate tags within a set, every tag indexes
+     * back to the set holding it, free ways are clean with stamp 0,
+     * and the valid ways of a set carry distinct non-zero stamps.
      */
     void audit() const override;
 
   private:
-    struct Line
-    {
-        Addr tag = 0;
-        std::uint64_t stamp = 0; ///< LRU clock at the last use
-        bool valid = false;
-        bool dirty = false;
-    };
+    /** Tag of a free way; no line's tag (addr >> lineShift_) is. */
+    static constexpr Addr freeTag = ~Addr(0);
 
-    std::uint64_t setIndex(Addr addr) const;
-    Addr tagOf(Addr addr) const;
-    Line *findLine(Addr addr);
-    const Line *findLine(Addr addr) const;
+    std::uint64_t
+    setIndex(Addr addr) const
+    {
+        return (addr >> lineShift_) & (numSets_ - 1);
+    }
+
+    /** Handle of way 0 of the set `addr` maps to. */
+    Way
+    setBase(Addr addr) const
+    {
+        return static_cast<Way>(setIndex(addr) * config_.assoc);
+    }
+
+    Addr tagOf(Addr addr) const { return addr >> lineShift_; }
 
     /**
-     * Victim choice for a full set: the way with the smallest stamp
-     * (least recently used). The single replacement decision point —
-     * a different policy replaces this function.
+     * Replacement: the way of the set at `base` with the smallest
+     * stamp, ties to the lowest way. Free ways carry stamp 0, so the
+     * first free way wins; a full set gives up its least recently
+     * used line. The single replacement decision point — a different
+     * policy replaces this function.
      */
-    unsigned victimWay(const Line *set) const;
+    unsigned victimWay(Way base) const;
 
     CacheConfig config_;
     std::uint64_t numSets_;
     unsigned lineShift_;
-    std::vector<Line> lines_; ///< numSets_ * assoc, set-major
+
+    /** @{ numSets_ * assoc entries each, set-major. */
+    std::vector<Addr> tags_;             ///< freeTag marks a free way
+    std::vector<std::uint64_t> stamps_;  ///< LRU clock at last use; 0 = free
+    std::vector<std::uint8_t> dirty_;
+    /** @} */
 
     /** LRU clock: advanced and stamped on every allocate and hit. */
     std::uint64_t replClock_ = 0;

@@ -62,36 +62,28 @@ CacheHierarchy::access(unsigned core, Addr addr, bool is_write)
 
     HierarchyEvents ev;
     Cache &l1 = *l1s_[core];
-    Cache &l2 = *l2s_[core];
 
     ev.latency += config_.l1.hitLatency;
-    if (l1.access(addr)) {
+    Way way = l1.lookup(addr);
+    if (way != noWay) {
         ev.hitLevel = 1;
-        if (is_write)
-            l1.setDirty(addr);
-        return ev;
+    } else {
+        ev.latency += config_.l2.hitLatency;
+        if (l2s_[core]->lookup(addr) != noWay) {
+            ev.hitLevel = 2;
+        } else {
+            ev.latency += config_.llc.hitLatency;
+            if (llc_->lookup(addr) == noWay) {
+                ev.llcMiss = true;
+                return ev;
+            }
+            ev.hitLevel = 3;
+            fillIntoL2(core, addr, ev);
+        }
+        way = fillIntoL1(core, addr);
     }
-
-    ev.latency += config_.l2.hitLatency;
-    if (l2.access(addr)) {
-        ev.hitLevel = 2;
-        fillIntoL1(core, addr, ev);
-        if (is_write)
-            l1.setDirty(addr);
-        return ev;
-    }
-
-    ev.latency += config_.llc.hitLatency;
-    if (llc_->access(addr)) {
-        ev.hitLevel = 3;
-        fillIntoL2(core, addr, ev);
-        fillIntoL1(core, addr, ev);
-        if (is_write)
-            l1.setDirty(addr);
-        return ev;
-    }
-
-    ev.llcMiss = true;
+    if (is_write)
+        l1.markDirty(way);
     return ev;
 }
 
@@ -102,8 +94,8 @@ CacheHierarchy::fill(unsigned core, Addr addr, bool is_write)
     addr = llc_->lineAddr(addr);
 
     HierarchyEvents ev;
-    // allocate() rejects a line already in the LLC in its own set walk.
-    const Victim victim = llc_->allocate(addr);
+    // allocate() rejects a line already in the LLC.
+    const Victim victim = llc_->allocate(addr).victim;
     if (victim.valid) {
         // Back-invalidate upper-level copies to preserve inclusion; a
         // dirtier upper copy upgrades the outgoing line. Any core may
@@ -121,54 +113,47 @@ CacheHierarchy::fill(unsigned core, Addr addr, bool is_write)
     }
 
     fillIntoL2(core, addr, ev);
-    fillIntoL1(core, addr, ev);
+    const Way way = fillIntoL1(core, addr);
     if (is_write)
-        l1s_[core]->setDirty(addr);
+        l1s_[core]->markDirty(way);
     return ev;
 }
 
 void
 CacheHierarchy::fillIntoL2(unsigned core, Addr addr, HierarchyEvents &ev)
 {
-    Cache &l1 = *l1s_[core];
-    Cache &l2 = *l2s_[core];
-
-    const Victim victim = l2.allocate(addr);
+    const Victim victim = l2s_[core]->allocate(addr).victim;
     if (!victim.valid)
         return;
 
     // The L1 copy (if any) must leave too; it may be dirtier.
-    bool dirty = victim.dirty;
-    dirty |= l1.invalidate(victim.addr);
+    const bool l1_dirty = l1s_[core]->invalidate(victim.addr);
+    if (!victim.dirty && !l1_dirty)
+        return;
 
-    if (dirty) {
-        // Write the victim back into its LLC line: this is the LLC
-        // write the RRM registers, with the line's previous dirty bit.
-        const bool present = llc_->access(victim.addr); // promote on write
-        RRM_CHECK(present, "inclusion broken: L2 victim absent from LLC");
-        const bool was_dirty = llc_->isDirty(victim.addr);
-        llc_->setDirty(victim.addr);
-        RRM_CHECK(!ev.registration, "one operation produced two LLC writes");
-        ev.registration = true;
-        ev.registrationAddr = victim.addr;
-        ev.registrationWasDirty = was_dirty;
-    }
+    // Write the victim back into its LLC line: this is the LLC write
+    // the RRM registers, with the line's previous dirty bit.
+    const Way way = llc_->lookup(victim.addr); // an LLC hit: promotes
+    RRM_CHECK(way != noWay, "inclusion broken: L2 victim absent from LLC");
+    RRM_CHECK(!ev.registration, "one operation produced two LLC writes");
+    ev.registration = true;
+    ev.registrationAddr = victim.addr;
+    ev.registrationWasDirty = llc_->isDirty(way);
+    llc_->markDirty(way);
 }
 
-void
-CacheHierarchy::fillIntoL1(unsigned core, Addr addr, HierarchyEvents &ev)
+Way
+CacheHierarchy::fillIntoL1(unsigned core, Addr addr)
 {
-    (void)ev;
-    Cache &l1 = *l1s_[core];
-    Cache &l2 = *l2s_[core];
-
-    const Victim victim = l1.allocate(addr);
-    if (victim.valid && victim.dirty) {
-        // L1 ⊆ L2: the victim's line is present in L2.
-        const bool present = l2.access(victim.addr);
-        RRM_CHECK(present, "inclusion broken: L1 victim absent from L2");
-        l2.setDirty(victim.addr);
+    const Allocation alloc = l1s_[core]->allocate(addr);
+    if (alloc.victim.valid && alloc.victim.dirty) {
+        // L1 ⊆ L2: the victim's line is present in L2 (an L2 hit).
+        Cache &l2 = *l2s_[core];
+        const Way way = l2.lookup(alloc.victim.addr);
+        RRM_CHECK(way != noWay, "inclusion broken: L1 victim absent from L2");
+        l2.markDirty(way);
     }
+    return alloc.way;
 }
 
 void
@@ -210,12 +195,12 @@ CacheHierarchy::audit() const
         l2s_[c]->audit();
 
         l1s_[c]->forEachValidLine([&](Addr a) {
-            RRM_AUDIT(l2s_[c]->contains(a), "inclusion: L1 line 0x",
+            RRM_AUDIT(l2s_[c]->find(a) != noWay, "inclusion: L1 line 0x",
                       std::hex, a, std::dec, " of core ", c,
                       " absent from L2");
         });
         l2s_[c]->forEachValidLine([&](Addr a) {
-            RRM_AUDIT(llc_->contains(a), "inclusion: L2 line 0x",
+            RRM_AUDIT(llc_->find(a) != noWay, "inclusion: L2 line 0x",
                       std::hex, a, std::dec, " of core ", c,
                       " absent from the LLC");
         });

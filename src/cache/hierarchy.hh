@@ -120,7 +120,8 @@ class CacheHierarchy : public Auditable
 
   private:
     void fillIntoL2(unsigned core, Addr addr, HierarchyEvents &ev);
-    void fillIntoL1(unsigned core, Addr addr, HierarchyEvents &ev);
+    /** @return the new L1 line. */
+    Way fillIntoL1(unsigned core, Addr addr);
 
     HierarchyConfig config_;
     std::vector<std::unique_ptr<Cache>> l1s_;

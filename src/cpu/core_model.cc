@@ -83,7 +83,7 @@ CoreModel::findOutstanding(Addr line)
 std::uint64_t
 CoreModel::oldestOutstandingLoad() const
 {
-    std::uint64_t oldest = ~std::uint64_t(0);
+    std::uint64_t oldest = noLoad;
     for (const auto &fill : outstanding_) {
         if (fill.valid && !fill.loadInstrs.empty() &&
             fill.loadInstrs.front() < oldest)
@@ -95,10 +95,10 @@ CoreModel::oldestOutstandingLoad() const
 bool
 CoreModel::robFull() const
 {
-    const std::uint64_t oldest = oldestOutstandingLoad();
-    if (oldest == ~std::uint64_t(0))
-        return false;
-    return instrCount_ - oldest >= params_.robSize;
+    // resetInstructionCount() with loads still outstanding makes the
+    // difference wrap, so the ROB reads as full until they return.
+    return oldestLoad_ != noLoad &&
+           instrCount_ - oldestLoad_ >= params_.robSize;
 }
 
 bool
@@ -106,44 +106,41 @@ CoreModel::processPendingMiss()
 {
     RRM_CHECK(hasPending_, "no pending miss to process");
 
-    if (OutstandingFill *hit = findOutstanding(pendingLine_)) {
-        // MSHR merge: piggyback on the in-flight fill.
-        hit->isWrite |= pendingIsWrite_;
-        if (!pendingIsWrite_)
-            hit->loadInstrs.push_back(pendingInstr_);
-        hasPending_ = false;
-        return true;
-    }
-
-    if (outstandingCount_ >= params_.maxOutstandingMisses) {
-        stall_ = Stall::Mshr;
-        if (statMshrStalls_)
-            ++*statMshrStalls_;
-        return false;
-    }
-
-    if (!port_.requestFill(id_, pendingLine_, pendingIsWrite_,
-                           localTime_)) {
-        stall_ = Stall::Resource;
-        if (statResourceStalls_)
-            ++*statResourceStalls_;
-        return false;
-    }
-
-    OutstandingFill *fill = nullptr;
-    for (auto &slot : outstanding_) {
-        if (!slot.valid) {
-            fill = &slot;
-            break;
+    // An in-flight fill of the line takes the access (MSHR merge);
+    // otherwise the miss needs a free MSHR and an accepted fill.
+    OutstandingFill *fill = findOutstanding(pendingLine_);
+    if (!fill) {
+        if (outstandingCount_ >= params_.maxOutstandingMisses) {
+            stall_ = Stall::Mshr;
+            if (statMshrStalls_)
+                ++*statMshrStalls_;
+            return false;
         }
+        if (!port_.requestFill(id_, pendingLine_, pendingIsWrite_,
+                               localTime_)) {
+            stall_ = Stall::Resource;
+            if (statResourceStalls_)
+                ++*statResourceStalls_;
+            return false;
+        }
+        for (auto &slot : outstanding_) {
+            if (!slot.valid) {
+                fill = &slot;
+                break;
+            }
+        }
+        RRM_CHECK(fill, "MSHR count below limit but no free entry");
+        fill->line = pendingLine_;
+        fill->valid = true;
+        fill->isWrite = false;
+        ++outstandingCount_;
     }
-    RRM_CHECK(fill, "MSHR count below limit but no free entry");
-    fill->line = pendingLine_;
-    fill->valid = true;
-    fill->isWrite = pendingIsWrite_;
-    if (!pendingIsWrite_)
+    fill->isWrite |= pendingIsWrite_;
+    if (!pendingIsWrite_) {
+        if (fill->loadInstrs.empty())
+            oldestLoad_ = std::min(oldestLoad_, pendingInstr_);
         fill->loadInstrs.push_back(pendingInstr_);
-    ++outstandingCount_;
+    }
     hasPending_ = false;
     return true;
 }
@@ -238,9 +235,13 @@ CoreModel::onFillComplete(Addr line)
         hierarchy_.fill(id_, line, fill->isWrite);
     port_.handleAccessEvents(id_, ev, queue_.now());
 
+    const bool held_oldest =
+        !fill->loadInstrs.empty() && fill->loadInstrs.front() == oldestLoad_;
     fill->valid = false;
     fill->loadInstrs.clear(); // keeps capacity for reuse
     --outstandingCount_;
+    if (held_oldest)
+        oldestLoad_ = oldestOutstandingLoad();
 
     switch (stall_) {
       case Stall::Rob:

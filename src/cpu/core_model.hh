@@ -204,10 +204,12 @@ class CoreModel
     /** MSHR holding `line`, or nullptr. */
     OutstandingFill *findOutstanding(Addr line);
 
-    /** Oldest outstanding load's dispatch index (or max if none). */
+    /** Oldest outstanding load's dispatch index (noLoad if none). */
     std::uint64_t oldestOutstandingLoad() const;
 
     bool robFull() const;
+
+    static constexpr std::uint64_t noLoad = ~std::uint64_t(0);
 
     unsigned id_;
     CoreParams params_;
@@ -235,6 +237,13 @@ class CoreModel
 
     std::vector<OutstandingFill> outstanding_; ///< fixed MSHR array
     unsigned outstandingCount_ = 0;
+
+    /**
+     * oldestOutstandingLoad(), kept current so robFull() need not
+     * scan: lowered when a load enters an MSHR whose list was empty,
+     * rescanned only when the MSHR holding it retires.
+     */
+    std::uint64_t oldestLoad_ = noLoad;
 
     stats::Scalar *statInstructions_ = nullptr;
     stats::Scalar *statMemOps_ = nullptr;

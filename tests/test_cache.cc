@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the set-associative LRU cache array.
+ * Tests for the set-associative LRU cache array and its way handles.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +24,17 @@ tinyConfig()
     return cfg;
 }
 
+/** Address stride that keeps lines in one set of tinyConfig(). */
+constexpr Addr kSetStride = 16 * 64;
+
+double
+scalar(const stats::StatGroup &g, const char *name)
+{
+    return dynamic_cast<const stats::Scalar *>(
+               g.find(std::string("tiny.") + name))
+        ->value();
+}
+
 TEST(Cache, GeometryFromConfig)
 {
     Cache c(tinyConfig());
@@ -33,19 +44,20 @@ TEST(Cache, GeometryFromConfig)
 TEST(Cache, MissThenHitAfterAllocate)
 {
     Cache c(tinyConfig());
-    EXPECT_FALSE(c.access(0x1000));
-    c.allocate(0x1000);
-    EXPECT_TRUE(c.access(0x1000));
-    EXPECT_TRUE(c.contains(0x1000));
+    EXPECT_EQ(c.lookup(0x1000), noWay);
+    const Allocation a = c.allocate(0x1000);
+    EXPECT_NE(a.way, noWay);
+    EXPECT_EQ(c.lookup(0x1000), a.way);
+    EXPECT_EQ(c.find(0x1000), a.way);
 }
 
 TEST(Cache, LineGranularity)
 {
     Cache c(tinyConfig());
-    c.allocate(0x1000);
-    EXPECT_TRUE(c.access(0x1004));
-    EXPECT_TRUE(c.access(0x103F));
-    EXPECT_FALSE(c.access(0x1040));
+    const Way way = c.allocate(0x1000).way;
+    EXPECT_EQ(c.lookup(0x1004), way);
+    EXPECT_EQ(c.lookup(0x103F), way);
+    EXPECT_EQ(c.lookup(0x1040), noWay);
 }
 
 TEST(Cache, AllocatePresentLinePanics)
@@ -59,41 +71,51 @@ TEST(Cache, FreeWayMeansNoVictim)
 {
     Cache c(tinyConfig());
     for (int i = 0; i < 4; ++i) {
-        // Same set (stride = 16 sets * 64 B).
-        const Victim v = c.allocate(0x1000 + i * 16 * 64);
-        EXPECT_FALSE(v.valid) << i;
+        const Allocation a = c.allocate(0x1000 + i * kSetStride);
+        EXPECT_FALSE(a.victim.valid) << i;
     }
 }
 
 TEST(Cache, LruEvictsLeastRecentlyUsed)
 {
     Cache c(tinyConfig());
-    const Addr base = 0;
-    const Addr stride = 16 * 64;
     for (int i = 0; i < 4; ++i)
-        c.allocate(base + i * stride);
+        c.allocate(i * kSetStride);
     // Touch lines 0..2, leaving line 3 as LRU.
-    c.access(base + 0 * stride);
-    c.access(base + 1 * stride);
-    c.access(base + 2 * stride);
-    const Victim v = c.allocate(base + 4 * stride);
-    ASSERT_TRUE(v.valid);
-    EXPECT_EQ(v.addr, base + 3 * stride);
+    c.lookup(0 * kSetStride);
+    c.lookup(1 * kSetStride);
+    c.lookup(2 * kSetStride);
+    const Allocation a = c.allocate(4 * kSetStride);
+    ASSERT_TRUE(a.victim.valid);
+    EXPECT_EQ(a.victim.addr, 3 * kSetStride);
+}
+
+TEST(Cache, FindNeitherCountsNorPromotes)
+{
+    Cache c(tinyConfig());
+    stats::StatGroup g("g");
+    c.regStats(g);
+    for (int i = 0; i < 4; ++i)
+        c.allocate(i * kSetStride);
+    EXPECT_NE(c.find(0), noWay);
+    EXPECT_EQ(c.find(4 * kSetStride), noWay);
+    // Line 0 is still the LRU line despite the find().
+    EXPECT_EQ(c.allocate(4 * kSetStride).victim.addr, 0u);
+    EXPECT_DOUBLE_EQ(scalar(g, "hits"), 0.0);
+    EXPECT_DOUBLE_EQ(scalar(g, "misses"), 0.0);
 }
 
 TEST(Cache, DirtyBitTravelsWithVictim)
 {
     Cache c(tinyConfig());
-    const Addr stride = 16 * 64;
-    c.allocate(0);
-    c.setDirty(0);
+    c.markDirty(c.allocate(0).way);
     for (int i = 1; i < 4; ++i)
-        c.allocate(i * stride);
+        c.allocate(i * kSetStride);
     // Line 0 is LRU and dirty.
-    const Victim v = c.allocate(4 * stride);
-    ASSERT_TRUE(v.valid);
-    EXPECT_EQ(v.addr, 0u);
-    EXPECT_TRUE(v.dirty);
+    const Allocation a = c.allocate(4 * kSetStride);
+    ASSERT_TRUE(a.victim.valid);
+    EXPECT_EQ(a.victim.addr, 0u);
+    EXPECT_TRUE(a.victim.dirty);
 }
 
 TEST(Cache, InvalidateReportsDirtiness)
@@ -101,33 +123,43 @@ TEST(Cache, InvalidateReportsDirtiness)
     Cache c(tinyConfig());
     c.allocate(0x40);
     EXPECT_FALSE(c.invalidate(0x40));
-    EXPECT_FALSE(c.contains(0x40));
+    EXPECT_EQ(c.find(0x40), noWay);
 
-    c.allocate(0x40);
-    c.setDirty(0x40);
+    c.markDirty(c.allocate(0x40).way);
     EXPECT_TRUE(c.invalidate(0x40));
     EXPECT_FALSE(c.invalidate(0x40)); // already gone
+}
+
+TEST(Cache, InvalidatedWayIsRefilledBeforeAnyEviction)
+{
+    Cache c(tinyConfig());
+    for (int i = 0; i < 4; ++i)
+        c.allocate(i * kSetStride);
+    const Way hole = c.find(2 * kSetStride);
+    c.invalidate(2 * kSetStride);
+    const Allocation a = c.allocate(4 * kSetStride);
+    EXPECT_FALSE(a.victim.valid);
+    EXPECT_EQ(a.way, hole);
 }
 
 TEST(Cache, DirtyOpsOnAbsentLinePanic)
 {
     Cache c(tinyConfig());
-    EXPECT_THROW(c.setDirty(0x40), check::CheckError);
-    EXPECT_THROW(c.isDirty(0x40), check::CheckError);
+    EXPECT_THROW(c.markDirty(c.find(0x40)), check::CheckError);
+    EXPECT_THROW(c.isDirty(c.find(0x40)), check::CheckError);
 }
 
 TEST(Cache, AllocationResetsDirtyBit)
 {
     Cache c(tinyConfig());
-    const Addr stride = 16 * 64;
-    c.allocate(0);
-    c.setDirty(0);
-    for (int i = 1; i < 5; ++i)
-        c.allocate(i * stride);
-    // Way reused by a new line: must start clean.
-    const Addr newest = 4 * stride;
-    EXPECT_TRUE(c.contains(newest));
-    EXPECT_FALSE(c.isDirty(newest));
+    const Way dirty_way = c.allocate(0).way;
+    c.markDirty(dirty_way);
+    for (int i = 1; i < 4; ++i)
+        c.allocate(i * kSetStride);
+    // The dirty line's way is reused by a new line: it must start clean.
+    const Allocation a = c.allocate(4 * kSetStride);
+    EXPECT_EQ(a.way, dirty_way);
+    EXPECT_FALSE(c.isDirty(a.way));
 }
 
 TEST(Cache, NumValidLinesTracksAllocations)
@@ -146,20 +178,14 @@ TEST(Cache, StatsCountHitsMissesEvictions)
     Cache c(tinyConfig());
     stats::StatGroup g("g");
     c.regStats(g);
-    c.access(0); // miss
+    c.lookup(0); // miss
     c.allocate(0);
-    c.access(0); // hit
-    const Addr stride = 16 * 64;
+    c.lookup(0); // hit
     for (int i = 1; i < 5; ++i)
-        c.allocate(i * stride); // last one evicts
-    auto value = [&](const char *name) {
-        return dynamic_cast<const stats::Scalar *>(
-                   g.find(std::string("tiny.") + name))
-            ->value();
-    };
-    EXPECT_DOUBLE_EQ(value("misses"), 1.0);
-    EXPECT_DOUBLE_EQ(value("hits"), 1.0);
-    EXPECT_DOUBLE_EQ(value("evictions"), 1.0);
+        c.allocate(i * kSetStride); // last one evicts
+    EXPECT_DOUBLE_EQ(scalar(g, "misses"), 1.0);
+    EXPECT_DOUBLE_EQ(scalar(g, "hits"), 1.0);
+    EXPECT_DOUBLE_EQ(scalar(g, "evictions"), 1.0);
 }
 
 TEST(Cache, BadGeometryPanics)
@@ -170,6 +196,11 @@ TEST(Cache, BadGeometryPanics)
 
     cfg = tinyConfig();
     cfg.sizeBytes = 4096 + 64; // not whole sets
+    EXPECT_THROW(Cache{cfg}, check::CheckError);
+
+    cfg = tinyConfig();
+    cfg.lineBytes = 1; // a 1-byte line's tag could be all-ones
+    cfg.sizeBytes = 64;
     EXPECT_THROW(Cache{cfg}, check::CheckError);
 }
 
@@ -186,13 +217,12 @@ TEST_P(CacheGeometry, FillsToCapacityWithoutEviction)
     Cache c(cfg);
     const std::uint64_t lines = size / 64;
     for (std::uint64_t i = 0; i < lines; ++i) {
-        const Victim v = c.allocate(i * 64);
-        ASSERT_FALSE(v.valid) << "line " << i;
+        const Allocation a = c.allocate(i * 64);
+        ASSERT_FALSE(a.victim.valid) << "line " << i;
     }
     EXPECT_EQ(c.numValidLines(), lines);
     // One more in any set must evict.
-    const Victim v = c.allocate(lines * 64);
-    EXPECT_TRUE(v.valid);
+    EXPECT_TRUE(c.allocate(lines * 64).victim.valid);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -163,6 +163,40 @@ TEST(CoreModel, RobLimitsRunaheadPastBlockedLoad)
     EXPECT_GT(f.port.fills.size() + 1, issued_before);
 }
 
+TEST(CoreModel, RobStallWaitsForTheOldestLoad)
+{
+    Fixture f;
+    f.params.robSize = 64;
+    // Loads over two lines: each misses once and every later load
+    // merges into its fill, so the ROB fills up behind exactly two
+    // outstanding load fills.
+    trace::PatternSpec spec{};
+    spec.kind = trace::PatternSpec::Kind::Chase;
+    spec.weight = 1.0;
+    spec.footprintBytes = 128;
+    spec.writeFraction = 0.0;
+    const trace::BenchmarkProfile profile{"two_lines", 500.0, 0.0, {spec}};
+    CoreModel core = f.makeCore(profile);
+    core.start();
+    f.queue.run(10_us);
+    ASSERT_TRUE(core.stalled());
+    ASSERT_EQ(f.port.fills.size(), 2u);
+    const auto stalled_at = core.instructionsRetired();
+
+    // The younger fill returns first: the older load still blocks
+    // retirement, so the core stays stalled.
+    core.onFillComplete(f.port.fills[1].line);
+    f.queue.run(20_us);
+    EXPECT_TRUE(core.stalled());
+    EXPECT_EQ(core.instructionsRetired(), stalled_at);
+
+    // The older fill returns: no load is outstanding, dispatch resumes.
+    core.onFillComplete(f.port.fills[0].line);
+    f.queue.run(30_us);
+    EXPECT_FALSE(core.stalled());
+    EXPECT_GT(core.instructionsRetired(), stalled_at);
+}
+
 TEST(CoreModel, HitHeavyTraceRunsWithoutMemory)
 {
     Fixture f;

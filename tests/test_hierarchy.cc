@@ -16,6 +16,18 @@ namespace rrm::cache
 namespace
 {
 
+bool
+holds(const Cache &c, Addr addr)
+{
+    return c.find(addr) != noWay;
+}
+
+bool
+dirtyIn(const Cache &c, Addr addr)
+{
+    return c.isDirty(c.find(addr));
+}
+
 /** A small hierarchy so evictions are easy to provoke. */
 HierarchyConfig
 tinyHierarchy()
@@ -53,9 +65,9 @@ TEST(Hierarchy, FillMakesLinePresentAtAllLevels)
     CacheHierarchy h(tinyHierarchy());
     ASSERT_TRUE(h.access(0, 0x1000, false).llcMiss);
     h.fill(0, 0x1000, false);
-    EXPECT_TRUE(h.l1(0).contains(0x1000));
-    EXPECT_TRUE(h.l2(0).contains(0x1000));
-    EXPECT_TRUE(h.llc().contains(0x1000));
+    EXPECT_TRUE(holds(h.l1(0), 0x1000));
+    EXPECT_TRUE(holds(h.l2(0), 0x1000));
+    EXPECT_TRUE(holds(h.llc(), 0x1000));
     const HierarchyEvents ev = h.access(0, 0x1000, false);
     EXPECT_EQ(ev.hitLevel, 1u);
     EXPECT_EQ(ev.latency, 1_ns);
@@ -66,8 +78,8 @@ TEST(Hierarchy, StoreDirtiesL1OnFill)
     CacheHierarchy h(tinyHierarchy());
     h.access(0, 0x40, true);
     h.fill(0, 0x40, true);
-    EXPECT_TRUE(h.l1(0).isDirty(0x40));
-    EXPECT_FALSE(h.llc().isDirty(0x40));
+    EXPECT_TRUE(dirtyIn(h.l1(0), 0x40));
+    EXPECT_FALSE(dirtyIn(h.llc(), 0x40));
 }
 
 TEST(Hierarchy, DoubleFillPanics)
@@ -94,9 +106,9 @@ TEST(Hierarchy, DirtyL1VictimMergesIntoL2)
         EXPECT_FALSE(ev.registration);
     }
     // Line 0 left L1 but must be dirty in L2 now.
-    EXPECT_FALSE(h.l1(0).contains(0));
-    ASSERT_TRUE(h.l2(0).contains(0));
-    EXPECT_TRUE(h.l2(0).isDirty(0));
+    EXPECT_FALSE(holds(h.l1(0), 0));
+    ASSERT_TRUE(holds(h.l2(0), 0));
+    EXPECT_TRUE(dirtyIn(h.l2(0), 0));
 }
 
 /**
@@ -125,7 +137,47 @@ TEST(Hierarchy, L2DirtyEvictionRegistersLlcWrite)
     ASSERT_TRUE(registered);
     EXPECT_EQ(reg_addr, 0u);
     EXPECT_FALSE(was_dirty); // first writeback: LLC line was clean
-    EXPECT_TRUE(h.llc().isDirty(0));
+    EXPECT_TRUE(dirtyIn(h.llc(), 0));
+}
+
+/**
+ * The write-backs a fill pushes into a lower level are lookups there
+ * and count as hits: a dirty L1 victim's merge in l2<N>.hits, a dirty
+ * L2 victim's LLC write in llc.hits. fill() itself looks nothing up.
+ */
+TEST(Hierarchy, WritebacksCountAsHitsInTheLevelBelow)
+{
+    auto hits = [](const stats::StatGroup &g, const char *level) {
+        return dynamic_cast<const stats::Scalar *>(
+                   g.find(std::string(level) + ".hits"))
+            ->value();
+    };
+    {
+        // Stride 128: one L1 set, two L2 sets, so only L1 evicts.
+        CacheHierarchy h(tinyHierarchy());
+        stats::StatGroup g("g");
+        h.regStats(g);
+        h.fill(0, 0, true);
+        for (int i = 1; i <= 4; ++i)
+            h.fill(0, static_cast<Addr>(i) * 128, false);
+        EXPECT_DOUBLE_EQ(hits(g, "l20"), 1.0);
+        EXPECT_DOUBLE_EQ(hits(g, "llc"), 0.0);
+    }
+    {
+        // Stride 256: one L1 and one L2 set; the fifth fill evicts the
+        // L2 copy of line 0, whose dirty L1 copy goes to the LLC.
+        CacheHierarchy h(tinyHierarchy());
+        stats::StatGroup g("g");
+        h.regStats(g);
+        h.fill(0, 0, true);
+        int registrations = 0;
+        for (int i = 1; i <= 4; ++i)
+            registrations +=
+                h.fill(0, static_cast<Addr>(i) * 256, false).registration;
+        EXPECT_EQ(registrations, 1);
+        EXPECT_DOUBLE_EQ(hits(g, "l20"), 0.0);
+        EXPECT_DOUBLE_EQ(hits(g, "llc"), 1.0);
+    }
 }
 
 /**
@@ -182,8 +234,8 @@ TEST(Hierarchy, DirtyLlcVictimBecomesMemoryWrite)
     // multiple of 16), pushing the dirty data into the LLC line.
     for (int i : {1, 2, 3, 5, 6, 7, 9, 10})
         h.fill(0, static_cast<Addr>(4 * i) * 64, false);
-    ASSERT_TRUE(h.llc().contains(0));
-    ASSERT_TRUE(h.llc().isDirty(0));
+    ASSERT_TRUE(holds(h.llc(), 0));
+    ASSERT_TRUE(dirtyIn(h.llc(), 0));
 
     bool wrote = false;
     Addr write_addr = 1;
@@ -197,7 +249,7 @@ TEST(Hierarchy, DirtyLlcVictimBecomesMemoryWrite)
     }
     ASSERT_TRUE(wrote);
     EXPECT_EQ(write_addr, 0u);
-    EXPECT_FALSE(h.llc().contains(0));
+    EXPECT_FALSE(holds(h.llc(), 0));
 }
 
 TEST(Hierarchy, CleanLlcVictimVanishesSilently)
@@ -228,16 +280,16 @@ TEST(Hierarchy, BackInvalidationMergesUpperDirtyCopy)
         wrote |= ev.memWrite && ev.memWriteAddr == 0;
     }
     EXPECT_TRUE(wrote);
-    EXPECT_FALSE(h.l1(0).contains(0));
-    EXPECT_FALSE(h.l2(0).contains(0));
+    EXPECT_FALSE(holds(h.l1(0), 0));
+    EXPECT_FALSE(holds(h.l2(0), 0));
 }
 
 TEST(Hierarchy, CoresHavePrivateUpperLevels)
 {
     CacheHierarchy h(tinyHierarchy());
     h.fill(0, 0x40, false);
-    EXPECT_TRUE(h.l1(0).contains(0x40));
-    EXPECT_FALSE(h.l1(1).contains(0x40));
+    EXPECT_TRUE(holds(h.l1(0), 0x40));
+    EXPECT_FALSE(holds(h.l1(1), 0x40));
     // Core 1 hits the shared LLC, not its own upper levels.
     const HierarchyEvents ev = h.access(1, 0x40, false);
     EXPECT_FALSE(ev.llcMiss);
