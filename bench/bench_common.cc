@@ -133,9 +133,6 @@ benchFlagTable()
         {"--telemetry", "STEM", RunFlags,
          "per-run telemetry stats STEM.<run>.telemetry.json",
          [](O &o, const V &v) { o.telemetryStem = v.text; }},
-        {"--profile", nullptr, RunFlags,
-         "wall-clock self-profiling in run records",
-         [](O &o, const V &) { o.profile = true; }},
         {"--progress", nullptr, RunFlags,
          "throughput/ETA heartbeat lines on stderr",
          [](O &o, const V &) { o.progress = true; }},
@@ -452,7 +449,6 @@ makeConfig(const trace::Workload &workload, const sys::Scheme &scheme,
         cfg.obs.telemetryJsonFile =
             opts.telemetryStem + "." + run_tag + ".telemetry.json";
     }
-    cfg.obs.profiling = opts.profile;
 
     if (hook)
         hook(cfg);

@@ -98,9 +98,6 @@ struct BenchOptions
     std::string telemetryStem;  ///< telemetry JSON (--telemetry)
     /** @} */
 
-    /** Wall-clock self-profiling into the run records (--profile). */
-    bool profile = false;
-
     /** Throughput/ETA heartbeat lines on stderr (--progress). */
     bool progress = false;
 

@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's hot paths:
  * PRNG/Zipf sampling, trace generation, cache accesses, the core
- * model, RRM operations, the event queue, and controller scheduling.
+ * model, RRM operations, the event queue, controller scheduling, and
+ * the write path's staging queues.
  * These bound the simulator's own throughput (simulated events per
  * host second), not any paper metric.
  */
@@ -18,6 +19,7 @@
 #include "memctrl/controller.hh"
 #include "rrm/region_monitor.hh"
 #include "sim/event_queue.hh"
+#include "system/write_path.hh"
 #include "trace/generator.hh"
 
 using namespace rrm;
@@ -221,6 +223,59 @@ BM_ControllerRandomReads(benchmark::State &state)
     benchmark::DoNotOptimize(completed);
 }
 BENCHMARK(BM_ControllerRandomReads);
+
+/**
+ * The write path under backpressure, hooked to the controller as the
+ * System hooks it. Each iteration sends twice a controller queue's
+ * worth of writebacks (alternating 3- and 7-SET writes) and of
+ * refreshes to random channel 0 lines, so the surplus backs up in the
+ * 16-entry writeback buffer and in the refresh overflow queue; then
+ * it runs the event queue dry. Spread over all four channels, the
+ * writebacks would never fill a controller write queue and the buffer
+ * would stay empty. Items are writes plus refreshes.
+ */
+void
+BM_WritePathDrain(benchmark::State &state)
+{
+    EventQueue queue;
+    memctrl::MemoryParams params;
+    memctrl::Controller ctrl(params, queue);
+    sys::WritePath path(ctrl, queue, 16, params.busCycle);
+    ctrl.setWriteIssuedHook([&path] { path.drainWritebacks(); });
+    ctrl.setCompletionHook([&path](const memctrl::Request &req, Tick) {
+        if (req.kind == memctrl::ReqKind::RrmRefresh)
+            path.drainRefreshOverflow();
+    });
+    stats::StatGroup group("bench");
+    path.regStats(group);
+
+    const unsigned writebacks = 2 * params.writeQueueCap;
+    const unsigned refreshes = 2 * params.refreshQueueCap;
+    // Multiples of this stride are channel 0 lines (any bank and row).
+    const Addr channel0 = params.numChannels * params.rowBufferBytes;
+    Random rng(1);
+    const auto line = [&] {
+        return rng.uniform(params.memoryBytes / channel0) * channel0;
+    };
+    for (auto _ : state) {
+        for (unsigned i = 0; i < writebacks; ++i) {
+            path.queueWriteback(line(), i % 2 ? pcm::WriteMode::Sets7
+                                              : pcm::WriteMode::Sets3);
+        }
+        for (unsigned i = 0; i < refreshes; ++i)
+            path.submitRefresh(line(), pcm::WriteMode::Sets3);
+        benchmark::DoNotOptimize(queue.run());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            (writebacks + refreshes));
+    for (const char *name : {"writebackBlocked", "refreshOverflows"}) {
+        const auto *stat =
+            dynamic_cast<const stats::Scalar *>(group.find(name));
+        state.counters[name] = benchmark::Counter(
+            stat->value(), benchmark::Counter::kAvgIterations);
+    }
+}
+BENCHMARK(BM_WritePathDrain);
 
 } // namespace
 

@@ -12,7 +12,7 @@
  *  - hot-path telemetry (event-latency/queue-depth histograms) as a
  *    separate JSON stats tree,
  *  - the full run record (metadata + config + results + stats +
- *    wall-clock profile) as pretty-printed JSON,
+ *    trace counts) as pretty-printed JSON,
  *
  * then print a short digest of each file so the demo is useful even
  * without opening them.
@@ -23,7 +23,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <iostream>
 #include <string>
 
 #include "system/system.hh"
@@ -64,10 +63,9 @@ main(int argc, char **argv)
     cfg.obs.sampleCsvFile = stem + ".samples.csv";
     cfg.obs.runRecordFile = stem + ".run.json";
     cfg.obs.telemetryJsonFile = stem + ".telemetry.json";
-    cfg.obs.profiling = true;
 
     std::printf("running %s under RRM for %.1f ms with tracing, "
-                "sampling, and profiling on...\n\n",
+                "sampling, and telemetry on...\n\n",
                 cfg.workload.name.c_str(), window_ms);
 
     sys::System system(std::move(cfg));
@@ -103,13 +101,8 @@ main(int argc, char **argv)
                 sampler ? ticksToSeconds(sampler->interval()) * 1e3
                         : 0.0);
 
-    std::printf("%s: %llu lines of run record\n\n",
+    std::printf("%s: %llu lines of run record\n",
                 (stem + ".run.json").c_str(),
                 (unsigned long long)countLines(stem + ".run.json"));
-
-    if (const obs::Profiler *prof = system.selfProfiler()) {
-        std::printf("wall-clock profile:\n");
-        prof->report(std::cout);
-    }
     return 0;
 }

@@ -1,17 +1,14 @@
 /**
  * @file
- * User-facing observability knobs, embedded in SystemConfig. All
- * outputs are off by default so untouched configurations behave (and
- * cost) exactly as before.
+ * User-facing observability knobs, embedded in SystemConfig. Each
+ * facility is on exactly when its output file is named, so untouched
+ * configurations behave (and cost) exactly as before.
  */
 
 #ifndef RRM_OBS_OBS_CONFIG_HH
 #define RRM_OBS_OBS_CONFIG_HH
 
-#include <cstdint>
 #include <string>
-
-#include "obs/trace.hh"
 
 namespace rrm::obs
 {
@@ -20,13 +17,10 @@ namespace rrm::obs
 struct ObsOptions
 {
     /**
-     * Trace output file; empty disables tracing entirely (the trace
-     * macros then cost one pointer test). JSONL by default.
+     * JSONL trace file; with perfettoFile also empty, tracing is off
+     * entirely (the trace macros then cost one pointer test).
      */
     std::string traceFile;
-
-    /** Human-readable text instead of JSONL. */
-    bool traceText = false;
 
     /**
      * Chrome-trace / Perfetto JSON timeline (loadable in
@@ -35,66 +29,25 @@ struct ObsOptions
      */
     std::string perfettoFile;
 
-    /** Enabled trace categories (bits of obs::TraceCategory). */
-    std::uint32_t traceCategories = traceAllCategories;
-
     /**
-     * Ring capacity used while no writer is attached (pre-attach
-     * buffering and sinks created without a file).
+     * Sampled time series as CSV, one row per policy epoch (the RRM
+     * decay tick, or 0.125 s / timeScale for static schemes).
      */
-    std::size_t traceRingCapacity = 4096;
-
-    /**
-     * Sampling interval in *scaled* seconds. 0 disables sampling;
-     * negative selects the RRM decay-tick interval (0.125 s at native
-     * scale — one row per decay epoch), or 0.125 s / timeScale for
-     * static schemes.
-     */
-    double sampleIntervalSeconds = 0.0;
-
-    /** Sampled time series outputs; empty = keep in memory only. */
     std::string sampleCsvFile;
-    std::string sampleJsonlFile;
 
     /**
-     * Full run record (metadata + config + results + stats tree +
-     * profile) written at the end of System::run().
+     * Full run record (metadata + config + results + stats tree)
+     * written at the end of System::run().
      */
     std::string runRecordFile;
 
-    /** Collect wall-clock self-profiling data. */
-    bool profiling = false;
-
     /**
-     * Collect hot-path telemetry (event histograms, queue occupancy;
-     * see obs/telemetry.hh). Implied by either telemetry output file.
-     * The telemetry stats tree is separate from the run record, so
-     * seeded run records stay byte-identical either way.
+     * Hot-path telemetry (event histograms, queue occupancy; see
+     * obs/telemetry.hh) as JSON. The telemetry stats tree is separate
+     * from the run record, so seeded run records stay byte-identical
+     * either way.
      */
-    bool telemetry = false;
-
-    /** Telemetry stats exports (JSON / CSV); empty = not written. */
     std::string telemetryJsonFile;
-    std::string telemetryCsvFile;
-
-    /** True if telemetry collection is requested. */
-    bool
-    telemetryEnabled() const
-    {
-        return telemetry || !telemetryJsonFile.empty() ||
-               !telemetryCsvFile.empty();
-    }
-
-    /** True if any observability feature is requested. */
-    bool
-    anyEnabled() const
-    {
-        return !traceFile.empty() || !perfettoFile.empty() ||
-               sampleIntervalSeconds != 0.0 ||
-               !sampleCsvFile.empty() || !sampleJsonlFile.empty() ||
-               !runRecordFile.empty() || profiling ||
-               telemetryEnabled();
-    }
 };
 
 } // namespace rrm::obs

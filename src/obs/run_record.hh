@@ -38,9 +38,9 @@ std::int64_t wallClockSeconds();
  * machines and --jobs settings (wall timeouts are then inert, which
  * pinned runs never rely on).
  *
- * This is the simulator's only sanctioned monotonic-clock read
- * outside the self-profiler — rrm-lint's det-monotonic-clock rule
- * flags every other steady_clock/high_resolution_clock call site.
+ * This is the simulator's only monotonic-clock read — rrm-lint's
+ * det-monotonic-clock rule flags every other
+ * steady_clock/high_resolution_clock call site.
  */
 double monotonicSeconds();
 

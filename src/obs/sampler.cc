@@ -144,18 +144,4 @@ Sampler::writeCsv(std::ostream &os) const
     }
 }
 
-void
-Sampler::writeJsonl(std::ostream &os) const
-{
-    for (const Row &row : rows_) {
-        JsonWriter json(os);
-        json.beginObject();
-        json.field("time_s", ticksToSeconds(row.tick));
-        for (std::size_t c = 0; c < columns_.size(); ++c)
-            json.field(columnNames_[c], row.values[c]);
-        json.endObject();
-        os << '\n';
-    }
-}
-
 } // namespace rrm::obs

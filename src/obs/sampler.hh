@@ -10,9 +10,8 @@
  * memory completions, core activity), so a sample aligned with the
  * RRM's decay epoch observes the post-decay state of that epoch.
  *
- * The collected time series stays in memory and can be rendered as
- * CSV or JSONL; both formats use the deterministic number formatting
- * of obs/json.hh.
+ * The collected time series stays in memory and renders as CSV with
+ * the deterministic number formatting of obs/json.hh.
  */
 
 #ifndef RRM_OBS_SAMPLER_HH
@@ -114,9 +113,6 @@ class Sampler
 
     /** CSV: header "time_s,<col>,..." then one row per sample. */
     void writeCsv(std::ostream &os) const;
-
-    /** JSONL: one {"time_s": ..., "<col>": ...} object per sample. */
-    void writeJsonl(std::ostream &os) const;
 
   private:
     EventQueue &queue_;

@@ -1,6 +1,6 @@
 /**
  * @file
- * JSON / CSV stat writer implementations.
+ * JSON stat writer implementation.
  */
 
 #include "stat_writers.hh"
@@ -102,93 +102,6 @@ JsonStatWriter::visitHistogram(const std::string &path,
     json_.endObject();
 }
 
-std::string
-csvQuote(const std::string &field)
-{
-    const bool needs =
-        field.find_first_of(",\"\n\r") != std::string::npos;
-    if (!needs)
-        return field;
-    std::string out = "\"";
-    for (const char c : field) {
-        if (c == '"')
-            out += "\"\"";
-        else
-            out += c;
-    }
-    out += '"';
-    return out;
-}
-
-CsvStatWriter::CsvStatWriter(std::ostream &os) : os_(os)
-{
-    os_ << "stat,value,description\n";
-}
-
-void
-CsvStatWriter::row(const std::string &name, double value,
-                   const std::string &desc)
-{
-    os_ << csvQuote(name) << ',' << jsonNumber(value) << ','
-        << csvQuote(desc) << '\n';
-}
-
-void
-CsvStatWriter::visitScalar(const std::string &path,
-                           const stats::Scalar &stat)
-{
-    row(path, stat.value(), stat.desc());
-}
-
-void
-CsvStatWriter::visitFormula(const std::string &path,
-                            const stats::Formula &stat)
-{
-    row(path, stat.value(), stat.desc());
-}
-
-void
-CsvStatWriter::visitVector(const std::string &path,
-                           const stats::VectorStat &stat)
-{
-    for (std::size_t i = 0; i < stat.size(); ++i)
-        row(path + "::" + stat.binName(i), stat.value(i), stat.desc());
-    row(path + "::total", stat.total(), stat.desc());
-}
-
-void
-CsvStatWriter::visitDistribution(const std::string &path,
-                                 const stats::DistributionStat &stat)
-{
-    row(path + "::samples",
-        static_cast<double>(stat.samples().count()), stat.desc());
-    row(path + "::mean", stat.samples().mean(), stat.desc());
-    const BoundedHistogram &hist = stat.histogram();
-    for (std::size_t i = 0; i < hist.numBuckets(); ++i) {
-        row(path + "::" + hist.bucketLabel(i),
-            static_cast<double>(hist.count(i)), stat.desc());
-    }
-}
-
-void
-CsvStatWriter::visitHistogram(const std::string &path,
-                              const stats::HistogramStat &stat)
-{
-    row(path + "::samples", static_cast<double>(stat.samples()),
-        stat.desc());
-    row(path + "::mean", stat.mean(), stat.desc());
-    row(path + "::min", static_cast<double>(stat.minSample()),
-        stat.desc());
-    row(path + "::max", static_cast<double>(stat.maxSample()),
-        stat.desc());
-    for (std::size_t i = 0; i < stats::HistogramStat::kNumBuckets; ++i) {
-        if (stat.count(i) == 0)
-            continue;
-        row(path + "::" + stats::HistogramStat::bucketLabel(i),
-            static_cast<double>(stat.count(i)), stat.desc());
-    }
-}
-
 void
 writeStatsJson(std::ostream &os, const stats::StatGroup &root,
                bool pretty)
@@ -197,13 +110,6 @@ writeStatsJson(std::ostream &os, const stats::StatGroup &root,
     JsonStatWriter writer(json);
     root.visit(writer);
     os << '\n';
-}
-
-void
-writeStatsCsv(std::ostream &os, const stats::StatGroup &root)
-{
-    CsvStatWriter writer(os);
-    root.visit(writer);
 }
 
 } // namespace rrm::obs

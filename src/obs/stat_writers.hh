@@ -1,11 +1,11 @@
 /**
  * @file
- * Machine-readable StatVisitor backends.
+ * Machine-readable StatVisitor backend.
  *
- * Both writers walk a statistics tree via StatGroup::visit and emit
- * deterministic output (see obs/json.hh for the number-formatting
- * contract), so two identical seeded runs export byte-identical
- * files.
+ * The JSON writer walks a statistics tree via StatGroup::visit and
+ * emits deterministic output (see obs/json.hh for the
+ * number-formatting contract), so two identical seeded runs export
+ * byte-identical files.
  *
  * JSON schema (one nested object per StatGroup):
  *   Scalar / Formula   -> number
@@ -15,10 +15,6 @@
  *   HistogramStat      -> {"samples": n, "mean": x, "min": n, "max": n,
  *                          "buckets": {label: count, ...}} where only
  *                         non-empty log2 buckets are emitted
- *
- * CSV schema: header "stat,value,description", one row per scalar
- * value using the flattened text-report names (vector bins and
- * distribution buckets become path::bin rows).
  */
 
 #ifndef RRM_OBS_STAT_WRITERS_HH
@@ -65,40 +61,9 @@ class JsonStatWriter : public stats::StatVisitor
     bool root_ = true;
 };
 
-/** Render a stats tree as flat CSV rows. */
-class CsvStatWriter : public stats::StatVisitor
-{
-  public:
-    /** Writes the header row immediately. */
-    explicit CsvStatWriter(std::ostream &os);
-
-    void visitScalar(const std::string &path,
-                     const stats::Scalar &stat) override;
-    void visitVector(const std::string &path,
-                     const stats::VectorStat &stat) override;
-    void visitFormula(const std::string &path,
-                      const stats::Formula &stat) override;
-    void visitDistribution(const std::string &path,
-                           const stats::DistributionStat &stat) override;
-    void visitHistogram(const std::string &path,
-                        const stats::HistogramStat &stat) override;
-
-  private:
-    void row(const std::string &name, double value,
-             const std::string &desc);
-
-    std::ostream &os_;
-};
-
-/** Quote a CSV field (RFC 4180: quote when needed, double quotes). */
-std::string csvQuote(const std::string &field);
-
 /** Export a whole stats tree as a standalone JSON document. */
 void writeStatsJson(std::ostream &os, const stats::StatGroup &root,
                     bool pretty = true);
-
-/** Export a whole stats tree as CSV. */
-void writeStatsCsv(std::ostream &os, const stats::StatGroup &root);
 
 } // namespace rrm::obs
 

@@ -39,10 +39,4 @@ Telemetry::writeJson(std::ostream &os) const
     writeStatsJson(os, group_);
 }
 
-void
-Telemetry::writeCsv(std::ostream &os) const
-{
-    writeStatsCsv(os, group_);
-}
-
 } // namespace rrm::obs

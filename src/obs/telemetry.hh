@@ -7,8 +7,8 @@
  * "telemetry") that is deliberately NOT attached to the System's stat
  * root: run records and stats exports of a seeded run stay
  * byte-identical whether telemetry is on or off (the PR 5 golden
- * contract). Telemetry output goes to its own files through the
- * existing JSON/CSV stat writers.
+ * contract). Telemetry output goes to its own file through the
+ * existing JSON stat writer.
  *
  * Wiring: components below the obs layer cannot name this class, so
  * they accept small structs of non-owning stats pointers instead —
@@ -42,7 +42,7 @@ struct WritePathTelemetry
 
 /**
  * Owner of the telemetry stats tree. Construct once per System when
- * any telemetry output is requested; hand queueHooks() to the
+ * the telemetry output file is named; hand queueHooks() to the
  * EventQueue and writePathHooks() to the WritePath.
  */
 class Telemetry
@@ -91,9 +91,8 @@ class Telemetry
     void restoreCkpt(ckpt::ChunkReader &r) { group_.restoreCkpt(r); }
     /** @} */
 
-    /** Export the telemetry tree via the standard stat writers. */
+    /** Export the telemetry tree via the standard JSON stat writer. */
     void writeJson(std::ostream &os) const;
-    void writeCsv(std::ostream &os) const;
 
   private:
     stats::StatGroup group_{"telemetry"};

@@ -5,12 +5,8 @@
 
 #include "trace.hh"
 
-#include <fstream>
-#include <sstream>
-
 #include "common/atomic_file.hh"
 #include "common/check.hh"
-#include "common/logging.hh"
 #include "obs/json.hh"
 
 namespace rrm::obs
@@ -36,49 +32,6 @@ traceCategoryName(TraceCategory c)
         break;
     }
     return "?";
-}
-
-std::uint32_t
-parseTraceCategories(const std::string &list)
-{
-    std::uint32_t mask = 0;
-    std::stringstream ss(list);
-    std::string name;
-    while (std::getline(ss, name, ',')) {
-        if (name.empty())
-            continue;
-        if (name == "all") {
-            mask |= traceAllCategories;
-            continue;
-        }
-        bool found = false;
-        for (std::uint32_t i = 0;
-             i < static_cast<std::uint32_t>(
-                     TraceCategory::NumCategories);
-             ++i) {
-            const auto c = static_cast<TraceCategory>(i);
-            if (name == traceCategoryName(c)) {
-                mask |= traceBit(c);
-                found = true;
-                break;
-            }
-        }
-        if (!found)
-            fatal("unknown trace category '", name, "'");
-    }
-    return mask;
-}
-
-void
-TextTraceWriter::write(const TraceEvent &ev)
-{
-    os_ << ev.tick << " [" << traceCategoryName(ev.category) << "] "
-        << (ev.name ? ev.name : "?");
-    for (std::size_t i = 0; i < ev.numFields(); ++i) {
-        os_ << ' ' << ev.fields[i].key << '='
-            << jsonNumber(ev.fields[i].value);
-    }
-    os_ << '\n';
 }
 
 void
@@ -166,15 +119,14 @@ namespace
 {
 
 /**
- * A writer wrapper owning the file it writes to. The file is an
+ * A JSONL writer owning the file it writes to. The file is an
  * AtomicFile: the trace lands under its final name only on finish(),
  * so a killed run leaves no truncated trace behind.
  */
-template <typename WriterT>
-class OwningFileWriter : public TraceWriter
+class OwningJsonlWriter : public TraceWriter
 {
   public:
-    explicit OwningFileWriter(const std::string &path)
+    explicit OwningJsonlWriter(const std::string &path)
         : file_(path), writer_(file_.stream())
     {
     }
@@ -192,18 +144,16 @@ class OwningFileWriter : public TraceWriter
 
   private:
     AtomicFile file_;
-    WriterT writer_;
+    JsonlTraceWriter writer_;
     bool finished_ = false;
 };
 
 } // namespace
 
 std::unique_ptr<TraceWriter>
-openTraceFile(const std::string &path, bool text_format)
+openTraceFile(const std::string &path)
 {
-    if (text_format)
-        return std::make_unique<OwningFileWriter<TextTraceWriter>>(path);
-    return std::make_unique<OwningFileWriter<JsonlTraceWriter>>(path);
+    return std::make_unique<OwningJsonlWriter>(path);
 }
 
 } // namespace rrm::obs

@@ -6,9 +6,9 @@
  * RRM_TRACE macro. Events carry a simulation tick, a category, a
  * static event name, and up to four (key, value) fields; they land in
  * a TraceSink, which either streams them to an attached TraceWriter
- * (null / human-readable text / JSONL) or buffers them in a bounded
- * ring that keeps the most recent events and counts the overwritten
- * ones.
+ * (JSONL, Perfetto, or both through a tee) or buffers them in a
+ * bounded ring that keeps the most recent events and counts the
+ * overwritten ones.
  *
  * Cost model: with no sink attached the macro is one pointer test;
  * with a sink but the category masked off it is one pointer test plus
@@ -61,12 +61,6 @@ constexpr std::uint32_t traceAllCategories =
 
 /** Stable lower-case name of a category (e.g. "rrm", "refresh"). */
 const char *traceCategoryName(TraceCategory c);
-
-/**
- * Parse a comma-separated category list ("rrm,refresh") into a mask;
- * "all" selects every category. Unknown names are fatal().
- */
-std::uint32_t parseTraceCategories(const std::string &list);
 
 /** One trace event. POD-sized; copied by value into the ring. */
 struct TraceEvent
@@ -124,25 +118,6 @@ class TraceWriter
      * written afterwards may be dropped. Default: no-op.
      */
     virtual void finish() {}
-};
-
-/** Discards every event (measuring trace overhead in benches). */
-class NullTraceWriter : public TraceWriter
-{
-  public:
-    void write(const TraceEvent &) override {}
-};
-
-/** Human-readable one-line-per-event text. */
-class TextTraceWriter : public TraceWriter
-{
-  public:
-    explicit TextTraceWriter(std::ostream &os) : os_(os) {}
-
-    void write(const TraceEvent &ev) override;
-
-  private:
-    std::ostream &os_;
 };
 
 /** Fans one event stream out to two writers (e.g. JSONL + Perfetto). */
@@ -232,11 +207,10 @@ class TraceSink
 };
 
 /**
- * Open `path` and return a streaming writer (text or JSONL) that owns
- * the file stream. fatal() if the file cannot be opened.
+ * Open `path` and return a streaming JSONL writer that owns the file
+ * stream. fatal() if the file cannot be opened.
  */
-std::unique_ptr<TraceWriter> openTraceFile(const std::string &path,
-                                           bool text_format);
+std::unique_ptr<TraceWriter> openTraceFile(const std::string &path);
 
 } // namespace rrm::obs
 

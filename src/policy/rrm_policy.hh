@@ -86,11 +86,6 @@ class RrmPolicy : public WritePolicy
         monitor_->setTraceSink(sink);
     }
 
-    void setProfiler(obs::Profiler *profiler) override
-    {
-        monitor_->setProfiler(profiler);
-    }
-
     /** One settled decay epoch per sample row. */
     Tick preferredSampleInterval() const override
     {

@@ -200,11 +200,6 @@ class TenantQosPolicy final : public WritePolicy
         inner_->setTraceSink(sink);
     }
 
-    void setProfiler(obs::Profiler *profiler) override
-    {
-        inner_->setProfiler(profiler);
-    }
-
     Tick preferredSampleInterval() const override
     {
         return inner_->preferredSampleInterval();

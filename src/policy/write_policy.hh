@@ -35,7 +35,6 @@
 
 #include "common/units.hh"
 #include "obs/json.hh"
-#include "obs/profiler.hh"
 #include "obs/trace.hh"
 #include "pcm/write_mode.hh"
 #include "rrm/region_monitor.hh"
@@ -128,11 +127,10 @@ class WritePolicy
     /** Continuous refresh-pressure signal (adaptive feedback). */
     virtual void setPressureProbe(PressureProbe probe) { (void)probe; }
 
-    // ---- Wiring (stats, tracing, profiling, audits) ----
+    // ---- Wiring (stats, tracing, audits) ----
 
     virtual void regStats(stats::StatGroup &root) { (void)root; }
     virtual void setTraceSink(obs::TraceSink *sink) { (void)sink; }
-    virtual void setProfiler(obs::Profiler *profiler) { (void)profiler; }
 
     // ---- Observability ----
 

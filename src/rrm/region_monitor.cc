@@ -246,7 +246,6 @@ RegionMonitor::demote(Entry &entry, bool from_eviction)
 void
 RegionMonitor::onShortRetentionInterrupt()
 {
-    RRM_PROFILE(profiler_, "rrm.refreshRound");
     if (statRefreshRounds_)
         ++*statRefreshRounds_;
     RRM_TRACE(traceSink_, queue_.now(), obs::TraceCategory::Refresh,
@@ -268,7 +267,6 @@ RegionMonitor::onShortRetentionInterrupt()
 void
 RegionMonitor::onDecayTick()
 {
-    RRM_PROFILE(profiler_, "rrm.decayTick");
     for (auto &entry : entries_) {
         if (!entry.valid)
             continue;

@@ -42,7 +42,6 @@
 
 #include "common/auditable.hh"
 #include "common/bitvector.hh"
-#include "obs/profiler.hh"
 #include "obs/trace.hh"
 #include "rrm/rrm_config.hh"
 #include "sim/event_queue.hh"
@@ -90,12 +89,6 @@ class RegionMonitor : public Auditable
      * detaches; the monitor never owns the sink.
      */
     void setTraceSink(obs::TraceSink *sink) { traceSink_ = sink; }
-
-    /**
-     * Attach a wall-clock profiler; refresh rounds and decay ticks
-     * then report as "rrm.refreshRound" / "rrm.decayTick" scopes.
-     */
-    void setProfiler(obs::Profiler *profiler) { profiler_ = profiler; }
 
     /**
      * Arm the periodic short-retention and decay interrupts. The
@@ -276,7 +269,6 @@ class RegionMonitor : public Auditable
     std::function<bool()> saturationProbe_;
     bool pressureFallback_ = false;
     obs::TraceSink *traceSink_ = nullptr;
-    obs::Profiler *profiler_ = nullptr;
     std::unique_ptr<PeriodicTask> refreshTask_;
     std::unique_ptr<PeriodicTask> decayTask_;
 

@@ -61,9 +61,8 @@ RunPlan::validate() const
 
         const obs::ObsOptions &o = spec.config.obs;
         for (const std::string &path :
-             {o.runRecordFile, o.sampleCsvFile, o.sampleJsonlFile,
-              o.traceFile, o.perfettoFile, o.telemetryJsonFile,
-              o.telemetryCsvFile}) {
+             {o.runRecordFile, o.sampleCsvFile, o.traceFile,
+              o.perfettoFile, o.telemetryJsonFile}) {
             if (path.empty())
                 continue;
             const auto [it, inserted] = outputs.emplace(path, spec.id);

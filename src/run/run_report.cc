@@ -140,21 +140,6 @@ RunReport::registerStats(stats::StatGroup &parent) const
                  : runs[slowest].wallSeconds);
 }
 
-obs::Profiler
-RunReport::profile() const
-{
-    obs::Profiler prof;
-    prof.enter("run");
-    for (const auto &r : runs) {
-        if (r.status != RunStatus::Ok)
-            continue;
-        prof.enter(r.id.c_str());
-        prof.leave(static_cast<std::uint64_t>(r.wallSeconds * 1e9));
-    }
-    prof.leave(static_cast<std::uint64_t>(wallSeconds * 1e9));
-    return prof;
-}
-
 std::string
 RunReport::failureSummary() const
 {

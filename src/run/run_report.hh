@@ -6,9 +6,8 @@
  * executed the plan or how their runs interleaved, so everything
  * derived from a report (tables, bench JSON, geomeans) is
  * byte-identical across --jobs settings. Wall-clock observations
- * (per-run seconds, the slowest-run watermark, the "run" profile) are
- * the only nondeterministic fields and stay out of the deterministic
- * payloads, mirroring the stats-vs-profile split of the obs layer.
+ * (per-run seconds, the slowest-run watermark) are the only
+ * nondeterministic fields and stay out of the deterministic payloads.
  */
 
 #ifndef RRM_RUN_RUN_REPORT_HH
@@ -18,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/profiler.hh"
 #include "stats/stats.hh"
 #include "system/results.hh"
 
@@ -120,12 +118,6 @@ struct RunReport
      * (nondeterministic) wallSeconds and slowestRunSeconds.
      */
     void registerStats(stats::StatGroup &parent) const;
-
-    /**
-     * Wall-clock profile of the execution: "run" (whole plan) with
-     * one "run.<id>" child per completed run, fed in plan order.
-     */
-    obs::Profiler profile() const;
 
     /** One-line failure summary, e.g. for fatal() ("" if allOk). */
     std::string failureSummary() const;

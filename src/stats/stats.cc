@@ -110,10 +110,15 @@ HistogramStat::bucketLabel(std::size_t bucket)
     if (bucket == 0)
         return "0";
     const std::uint64_t lo = std::uint64_t(1) << (bucket - 1);
+    // Appended into one string: GCC 12 at -O3 reports a false
+    // -Wrestrict in the inlined operator+ chain.
+    std::string label = "[";
+    label += std::to_string(lo);
+    label += ',';
     // Bucket 64's upper bound (2^64) does not fit in a uint64.
-    if (bucket == kNumBuckets - 1)
-        return "[" + std::to_string(lo) + ",inf)";
-    return "[" + std::to_string(lo) + "," + std::to_string(lo * 2) + ")";
+    label += bucket == kNumBuckets - 1 ? "inf" : std::to_string(lo * 2);
+    label += ')';
+    return label;
 }
 
 void

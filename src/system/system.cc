@@ -274,11 +274,10 @@ System::setupObservability()
     const obs::ObsOptions &o = config_.obs;
 
     if (!o.traceFile.empty() || !o.perfettoFile.empty()) {
-        traceSink_ = std::make_unique<obs::TraceSink>(
-            o.traceRingCapacity, o.traceCategories);
+        traceSink_ = std::make_unique<obs::TraceSink>();
         std::unique_ptr<obs::TraceWriter> writer;
         if (!o.traceFile.empty())
-            writer = obs::openTraceFile(o.traceFile, o.traceText);
+            writer = obs::openTraceFile(o.traceFile);
         if (!o.perfettoFile.empty()) {
             auto perfetto = obs::openPerfettoFile(o.perfettoFile);
             writer = writer
@@ -293,36 +292,22 @@ System::setupObservability()
             faultMgr_->setTraceSink(traceSink_.get());
     }
 
-    if (o.telemetryEnabled()) {
+    if (!o.telemetryJsonFile.empty()) {
         telemetry_ = std::make_unique<obs::Telemetry>();
         queue_.setTelemetry(telemetry_->queueHooks());
         writePath_->setTelemetry(telemetry_->writePathHooks());
     }
 
-    if (o.profiling) {
-        selfProfiler_ = std::make_unique<obs::Profiler>();
-        policy_->setProfiler(selfProfiler_.get());
-    }
-
-    const bool want_sampling = o.sampleIntervalSeconds != 0.0 ||
-                               !o.sampleCsvFile.empty() ||
-                               !o.sampleJsonlFile.empty();
-    if (!want_sampling)
+    if (o.sampleCsvFile.empty())
         return;
 
-    // Negative (and the 0-but-file-requested case) selects the
-    // policy's preferred cadence (the RRM decay tick, so every sample
-    // row observes exactly one settled decay epoch); policies without
-    // one fall back to the paper's native 0.125 s tick compressed by
-    // the time scale.
-    Tick interval;
-    if (o.sampleIntervalSeconds > 0.0) {
-        interval = secondsToTicks(o.sampleIntervalSeconds);
-    } else {
-        interval = policy_->preferredSampleInterval();
-        if (interval == 0)
-            interval = secondsToTicks(0.125 / config_.timeScale);
-    }
+    // Sample at the policy's preferred cadence (the RRM decay tick,
+    // so every sample row observes exactly one settled decay epoch);
+    // policies without one fall back to the paper's native 0.125 s
+    // tick compressed by the time scale.
+    Tick interval = policy_->preferredSampleInterval();
+    if (interval == 0)
+        interval = secondsToTicks(0.125 / config_.timeScale);
     sampler_ = std::make_unique<obs::Sampler>(queue_, interval);
     sampler_->setTraceSink(traceSink_.get());
 
@@ -661,7 +646,6 @@ System::resetMeasurement()
 std::uint64_t
 System::runAudits()
 {
-    RRM_PROFILE(selfProfiler_.get(), "audit");
     if (statAuditRounds_)
         ++*statAuditRounds_;
     std::uint64_t violations = 0;
@@ -708,9 +692,6 @@ System::runSlice(Tick until)
 SimResults
 System::run()
 {
-    obs::Profiler *prof = selfProfiler_.get();
-    RRM_PROFILE(prof, "system.run");
-
     const Tick end = secondsToTicks(config_.windowSeconds);
     const Tick warmup_end =
         secondsToTicks(config_.windowSeconds * config_.warmupFraction);
@@ -743,18 +724,12 @@ System::run()
 
     try {
         if (!measuring_) {
-            {
-                RRM_PROFILE(prof, "warmup");
-                runCkptSlice(warmup_end);
-            }
+            runCkptSlice(warmup_end);
             resetMeasurement();
             measureStart_ = queue_.now();
             measuring_ = true;
         }
-        {
-            RRM_PROFILE(prof, "measure");
-            runCkptSlice(end);
-        }
+        runCkptSlice(end);
     } catch (const SimTimeoutError &) {
         emergencyCheckpoint();
         throw;
@@ -763,11 +738,7 @@ System::run()
         throw;
     }
 
-    SimResults results;
-    {
-        RRM_PROFILE(prof, "collect");
-        results = collectResults(measureStart_, end);
-    }
+    SimResults results = collectResults(measureStart_, end);
     writeObsOutputs(results);
     return results;
 }
@@ -788,28 +759,16 @@ System::writeObsOutputs(const SimResults &r)
 
     if (sampler_) {
         sampler_->stop();
-        if (!o.sampleCsvFile.empty()) {
-            write(o.sampleCsvFile,
-                  [&](std::ostream &os) { sampler_->writeCsv(os); });
-        }
-        if (!o.sampleJsonlFile.empty()) {
-            write(o.sampleJsonlFile,
-                  [&](std::ostream &os) { sampler_->writeJsonl(os); });
-        }
+        write(o.sampleCsvFile,
+              [&](std::ostream &os) { sampler_->writeCsv(os); });
     }
     if (!o.runRecordFile.empty()) {
         write(o.runRecordFile,
               [&](std::ostream &os) { writeRunRecord(os, r); });
     }
     if (telemetry_) {
-        if (!o.telemetryJsonFile.empty()) {
-            write(o.telemetryJsonFile,
-                  [&](std::ostream &os) { telemetry_->writeJson(os); });
-        }
-        if (!o.telemetryCsvFile.empty()) {
-            write(o.telemetryCsvFile,
-                  [&](std::ostream &os) { telemetry_->writeCsv(os); });
-        }
+        write(o.telemetryJsonFile,
+              [&](std::ostream &os) { telemetry_->writeJson(os); });
     }
     if (traceSink_)
         traceSink_->finishWriter();
@@ -898,10 +857,6 @@ System::writeRunRecord(std::ostream &os, const SimResults &r) const
         json.field("recorded", traceSink_->recorded());
         json.field("dropped", traceSink_->dropped());
         json.endObject();
-    }
-    if (selfProfiler_) {
-        json.key("profile");
-        selfProfiler_->writeJson(json);
     }
     json.endObject();
     os << '\n';

@@ -23,7 +23,6 @@
 #include "fault/fault_manager.hh"
 #include "memctrl/controller.hh"
 #include "obs/obs_config.hh"
-#include "obs/profiler.hh"
 #include "obs/sampler.hh"
 #include "obs/telemetry.hh"
 #include "pcm/energy_model.hh"
@@ -173,8 +172,8 @@ struct SystemConfig
     bool resumeFromCheckpoint = false;
 
     /**
-     * Observability outputs (tracing, sampling, run record, wall-clock
-     * self-profiling). All off by default; see obs/obs_config.hh.
+     * Observability outputs (tracing, sampling, run record,
+     * telemetry). All off by default; see obs/obs_config.hh.
      */
     obs::ObsOptions obs;
 
@@ -295,18 +294,14 @@ class System : public cpu::CorePort
     /** @{ Observability objects (null unless enabled in config.obs). */
     obs::TraceSink *traceSink() { return traceSink_.get(); }
     const obs::Sampler *sampler() const { return sampler_.get(); }
-    const obs::Profiler *selfProfiler() const
-    {
-        return selfProfiler_.get();
-    }
     const obs::Telemetry *telemetry() const { return telemetry_.get(); }
     /** @} */
 
     /**
      * Write the full machine-readable record of a finished run:
      * schema version, build metadata, configuration, derived results,
-     * the entire stats tree, and (when profiling) the wall-clock
-     * profile. Called automatically for config.obs.runRecordFile.
+     * the entire stats tree, and (when tracing) the trace counts.
+     * Called automatically for config.obs.runRecordFile.
      */
     void writeRunRecord(std::ostream &os, const SimResults &r) const;
 
@@ -402,7 +397,6 @@ class System : public cpu::CorePort
     // Observability (see config_.obs; all optional).
     std::unique_ptr<obs::TraceSink> traceSink_;
     std::unique_ptr<obs::Sampler> sampler_;
-    std::unique_ptr<obs::Profiler> selfProfiler_;
     std::unique_ptr<obs::Telemetry> telemetry_;
 
     // Global fill (LLC MSHR) accounting.

@@ -173,6 +173,14 @@ parseWorkloadSpec(const std::string &mix, const std::string &tenants,
                              bench_name + "'");
             continue;
         }
+        const std::uint64_t cores = out.perCore.size() + std::uint64_t{count};
+        if (cores > maxWorkloadCores) {
+            errors.push_back("mix entry '" + entry + "' brings the mix to " +
+                             std::to_string(cores) + " cores, above the " +
+                             std::to_string(maxWorkloadCores) +
+                             "-core limit");
+            continue;
+        }
         for (unsigned i = 0; i < count; ++i)
             out.perCore.push_back(b);
     }
@@ -259,6 +267,17 @@ collectTenantErrors(const Workload &w, std::vector<std::string> &errors)
             "tenant spec names " + std::to_string(w.tenantOf.size()) +
             " cores but the mix has " + std::to_string(w.perCore.size()));
         return;
+    }
+    // Contiguous ids from 0 are all below the core count; checking
+    // that first also keeps numTenants() (max id + 1) from wrapping.
+    for (const unsigned t : w.tenantOf) {
+        if (t >= w.perCore.size()) {
+            errors.push_back("tenant ids must be contiguous from 0: id " +
+                             std::to_string(t) + " is not below the " +
+                             std::to_string(w.perCore.size()) +
+                             "-core count");
+            return;
+        }
     }
     const unsigned num = w.numTenants();
     std::vector<bool> used(num, false);

@@ -32,6 +32,13 @@ namespace rrm::trace
 /** Core count of the canned paper workloads (Table VII). */
 constexpr std::size_t workloadCores = 4;
 
+/**
+ * Most cores a mix spec may declare: 8x the largest mix anything here
+ * runs (bwaves:8). parseWorkloadSpec() checks it before an entry
+ * expands, so "lbm:4000000000" is one error, not an allocation.
+ */
+constexpr std::size_t maxWorkloadCores = 64;
+
 /** A named N-core benchmark assignment with tenant grouping. */
 struct Workload
 {
@@ -112,8 +119,9 @@ std::string tenantSpecOf(const Workload &w);
 
 /**
  * Append one message per tenant-grouping violation: size mismatch
- * against perCore, or ids not forming a contiguous 0..T-1 range.
- * Used by parseWorkloadSpec() and SystemConfig::validate().
+ * against perCore, an id not below the core count, or ids not forming
+ * a contiguous 0..T-1 range. Used by parseWorkloadSpec() and
+ * SystemConfig::validate().
  */
 void collectTenantErrors(const Workload &w,
                          std::vector<std::string> &errors);

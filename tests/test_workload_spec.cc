@@ -153,6 +153,35 @@ TEST(WorkloadSpec, OverflowingTenantIdIsOneNamedError)
     EXPECT_NE(msg.find("'4294967297'"), std::string::npos) << msg;
 }
 
+TEST(WorkloadSpec, MixBeyondCoreLimitIsOneNamedError)
+{
+    // Counts that fit an unsigned but exceed the core limit, alone or
+    // as a running total, fail before they expand.
+    for (const char *mix : {"lbm:65", "lbm:40,mcf:40", "lbm:4000000000"}) {
+        const std::string msg = specError(mix, "");
+        EXPECT_NE(msg.find("1 problem(s)"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("64-core limit"), std::string::npos) << msg;
+    }
+    EXPECT_EQ(workloadFromSpec("lbm:32,mcf:32").numCores(),
+              maxWorkloadCores);
+}
+
+TEST(WorkloadSpec, TenantIdBeyondCoreCountIsAnError)
+{
+    // Any id at or past the core count is rejected before the
+    // contiguity check sizes anything, so the unsigned maximum cannot
+    // wrap numTenants() (max id + 1) to 0.
+    for (const char *tenants : {"0,4294967295", "0,2"}) {
+        Workload out;
+        const std::vector<std::string> errors =
+            parseWorkloadSpec("lbm:2", tenants, out);
+        ASSERT_EQ(errors.size(), 1u) << tenants;
+        EXPECT_NE(errors[0].find("not below the 2-core count"),
+                  std::string::npos)
+            << errors[0];
+    }
+}
+
 TEST(WorkloadSpec, BadTenantSyntaxIsAnError)
 {
     Workload out;

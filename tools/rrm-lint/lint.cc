@@ -806,8 +806,7 @@ defaultConfig()
                          "StartGap",     "Sampler",  "Fault"};
     c.schemeFactoryFiles = {"src/system/scheme.hh",
                             "src/system/scheme.cc"};
-    c.monotonicSeamFiles = {"src/obs/profiler.hh",
-                            "src/obs/run_record.cc"};
+    c.monotonicSeamFiles = {"src/obs/run_record.cc"};
     c.hotPathDirs = {"src/sim/", "src/memctrl/"};
     c.hotPathSeamFiles = {"src/sim/callback.hh"};
     return c;
@@ -855,7 +854,7 @@ ruleCatalog()
          "no wall-clock reads outside obs::wallClockSeconds()"},
         {"det-monotonic-clock",
          "no steady/high-resolution clock reads outside "
-         "obs::monotonicSeconds() and the self-profiler"},
+         "obs::monotonicSeconds()"},
         {"det-random",
          "no std::rand/random_device; use the seeded rrm::Random"},
         {"det-pointer-key",

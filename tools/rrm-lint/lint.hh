@@ -80,7 +80,7 @@ struct Config
     std::string traceDeclFile = "src/obs/trace.hh";
 
     /** Files (root-relative) allowed to read the monotonic clock —
-     *  the obs::monotonicSeconds() seam and the self-profiler. */
+     *  the obs::monotonicSeconds() seam. */
     std::vector<std::string> monotonicSeamFiles;
 
     /** Directory prefixes (root-relative, trailing slash) whose files
