@@ -515,6 +515,15 @@ struct OracleCase
     unsigned cores;
 };
 
+// Without a printer gtest shows GetParam() as the struct's raw bytes:
+// two load addresses and padding, which differ from run to run, and
+// ctest takes its test names from that listing.
+void
+PrintTo(const OracleCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class HierarchyOracle : public ::testing::TestWithParam<OracleCase>
 {
   protected:
@@ -598,10 +607,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(OracleCase{"tiny1", tinyConfig, 1},
                       OracleCase{"tiny4", tinyConfig, 4},
                       OracleCase{"wide1", wideConfig, 1},
-                      OracleCase{"wide4", wideConfig, 4}),
-    [](const ::testing::TestParamInfo<OracleCase> &info) {
-        return std::string(info.param.name);
-    });
+                      OracleCase{"wide4", wideConfig, 4}));
 
 /**
  * The array alone against RefCache, with invalidations punching holes
