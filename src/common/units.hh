@@ -77,6 +77,13 @@ constexpr std::uint64_t MB = 1024 * kB;
 constexpr std::uint64_t GB = 1024 * MB;
 /** @} */
 
+/**
+ * Memory block size: the unit of one PCM block write and one RRM
+ * short_retention_vector bit. SystemConfig::validate() requires every
+ * cache level's line to be exactly one block.
+ */
+constexpr std::uint64_t blockBytes = 64;
+
 inline namespace literals
 {
 

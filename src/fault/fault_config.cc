@@ -22,12 +22,6 @@ FaultConfig::collectErrors(std::vector<std::string> &errors,
         errors.push_back("fault retention tracking bound must be > 0");
     if (retentionSlackSeconds < 0.0)
         errors.push_back("fault retention slack must be >= 0");
-    if (transientWriteFailureRate > 0.0 && maxWriteRetries == 0)
-        errors.push_back("fault write retries must be > 0 when "
-                         "transient failures are injected");
-    if (retryBackoff == 0 || maxRetryBackoff < retryBackoff)
-        errors.push_back("fault retry backoff must be > 0 and at most "
-                         "the backoff cap");
     if (refreshStallSeconds < 0.0 || refreshStallPeriodSeconds < 0.0)
         errors.push_back("fault refresh stall knobs must be >= 0");
     if (refreshStallSeconds > 0.0 &&
@@ -41,11 +35,6 @@ FaultConfig::collectErrors(std::vector<std::string> &errors,
         if (fallbackHighWatermark > refresh_queue_cap)
             errors.push_back("fault fallback high watermark must not "
                              "exceed the refresh queue capacity");
-        if (fallbackPollSeconds <= 0.0)
-            errors.push_back("fault fallback poll period must be > 0");
-        if (fallbackEnterPolls == 0)
-            errors.push_back("fault fallback enter-poll count must "
-                             "be > 0");
     }
 }
 

@@ -11,10 +11,28 @@
 #include <vector>
 
 #include "common/units.hh"
-#include "memctrl/start_gap.hh"
 
 namespace rrm::fault
 {
+
+/** Rewrite attempts before a failed write is declared lost. */
+constexpr unsigned maxWriteRetries = 3;
+
+/** First rewrite backoff; doubles per attempt (200, 400, 800 ns). */
+constexpr Tick retryBackoff = 200_ns;
+
+/** Longest rewrite backoff; the doubling never reaches it. */
+constexpr Tick maxRetryBackoff = 10_us;
+static_assert((retryBackoff << (maxWriteRetries - 1)) <= maxRetryBackoff);
+
+/** Spare blocks available for retiring budget-exhausted lines. */
+constexpr std::uint64_t spareBlocks = 1024;
+
+/** Refresh-pressure governor poll period in simulated seconds. */
+constexpr double fallbackPollSeconds = 0.0005;
+
+/** Consecutive saturated polls required to enter fallback. */
+constexpr unsigned fallbackEnterPolls = 2;
 
 /**
  * Static configuration of the fault model. All knobs default to
@@ -58,13 +76,6 @@ struct FaultConfig
     /** Probability that a completed write is injected as failed. */
     double transientWriteFailureRate = 0.0;
 
-    /** Rewrite attempts before a failed write is declared lost. */
-    unsigned maxWriteRetries = 3;
-
-    /** First rewrite backoff; doubles per attempt up to the cap. */
-    Tick retryBackoff = 200_ns;
-    Tick maxRetryBackoff = 10_us;
-
     // ----- stuck-at hard faults ---------------------------------------
 
     /**
@@ -78,9 +89,6 @@ struct FaultConfig
 
     /** ECP-style per-line repair budget (ECP-6 by default). */
     unsigned repairBudgetPerLine = 6;
-
-    /** Spare blocks available for retiring budget-exhausted lines. */
-    std::uint64_t spareBlocks = 1024;
 
     // ----- refresh-queue stalls ---------------------------------------
 
@@ -105,18 +113,6 @@ struct FaultConfig
     unsigned fallbackHighWatermark = 48;
     unsigned fallbackLowWatermark = 8;
 
-    /** Governor poll period in simulated seconds. */
-    double fallbackPollSeconds = 0.0005;
-
-    /** Consecutive saturated polls required to enter fallback. */
-    unsigned fallbackEnterPolls = 2;
-
-    // ----- wear-leveling remap ----------------------------------------
-
-    /** Route block addresses through a StartGap remapper. */
-    bool useStartGap = false;
-    memctrl::StartGapParams startGap;
-
     /** Mixed with the system seed for the injector RNG streams. */
     std::uint64_t seed = 0;
 
@@ -125,8 +121,7 @@ struct FaultConfig
     enabled() const
     {
         return retentionTracking || transientWriteFailureRate > 0.0 ||
-               stuckAtWearThreshold > 0 || refreshStallSeconds > 0.0 ||
-               useStartGap;
+               stuckAtWearThreshold > 0 || refreshStallSeconds > 0.0;
     }
 
     double

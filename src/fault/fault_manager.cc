@@ -38,19 +38,13 @@ FaultManager::FaultManager(const FaultConfig &config,
     : config_(config), timeScale_(time_scale), queue_(queue),
       controller_(controller), wear_(wear), policy_(policy),
       addressMap_(memory), numChannels_(memory.numChannels),
-      blockBytes_(memory.blockBytes),
       injector_(config.transientWriteFailureRate, config.stuckAtRate,
                 config.seed ^ (system_seed * 0x9e3779b97f4a7c15ULL)),
       retention_(time_scale, config.trackRetentionMaxSeconds,
                  config.retentionSlackSeconds),
       ecp_(config.repairBudgetPerLine),
-      retirement_(memory.memoryBytes, memory.blockBytes,
-                  config.spareBlocks)
+      retirement_(memory.memoryBytes, spareBlocks)
 {
-    if (config_.useStartGap) {
-        startGap_ = std::make_unique<memctrl::StartGapRemapper>(
-            memory.memoryBytes, config_.startGap);
-    }
     retention_.setViolationCallback(
         [this](Addr block, Tick deadline, Tick now) {
             bump(statRetentionViolations_);
@@ -88,37 +82,10 @@ FaultManager::start()
     }
     if (config_.fallback && policy_ &&
         policy_->supportsPressureFallback()) {
-        const Tick period =
-            secondsToTicks(config_.fallbackPollSeconds);
+        const Tick period = secondsToTicks(fallbackPollSeconds);
         governorTask_ = std::make_unique<PeriodicTask>(
             queue_, period, queue_.now() + period,
             [this] { pollRefreshPressure(); });
-    }
-}
-
-Addr
-FaultManager::translate(Addr block) const
-{
-    Addr phys = block;
-    if (startGap_)
-        phys = startGap_->remap(phys);
-    return retirement_.remap(phys);
-}
-
-void
-FaultManager::onDemandWriteIssued(Addr phys)
-{
-    if (!startGap_)
-        return;
-    if (startGap_->onWrite(phys)) {
-        // A gap move copies one StartGap line (lineBytes) to the gap
-        // slot: charge the copy's wear as block writes attributed to
-        // the written address's neighbourhood (same remap domain).
-        const std::uint64_t blocks =
-            std::max<std::uint64_t>(1,
-                config_.startGap.lineBytes / blockBytes_);
-        for (std::uint64_t i = 0; i < blocks; ++i)
-            wear_.recordBlockWrite(phys, pcm::WearCause::DemandWrite);
     }
 }
 
@@ -167,20 +134,18 @@ FaultManager::onWriteCompleted(Addr phys, pcm::WriteMode mode,
         RRM_TRACE(traceSink_, when, obs::TraceCategory::Fault,
                   "transientWriteFault", RRM_TF("block", phys),
                   RRM_TF("attempt", attempts));
-        if (attempts > config_.maxWriteRetries) {
+        if (attempts > maxWriteRetries) {
             bump(statWritesUnrecovered_);
             retryAttempts_.erase(phys);
             warn_once("fault.writeUnrecovered", "block write failed ",
-                      config_.maxWriteRetries,
+                      maxWriteRetries,
                       " consecutive rewrites; data declared lost "
                       "(block ", phys, ")");
             if (config_.strict) {
                 RRM_CHECK(false, "unrecovered write on block ", phys);
             }
         } else if (rewrite_) {
-            const Tick backoff = std::min<Tick>(
-                config_.maxRetryBackoff,
-                config_.retryBackoff << (attempts - 1));
+            const Tick backoff = retryBackoff << (attempts - 1);
             bump(statWriteRetries_);
             ++pendingRewriteEvents_;
             queue_.scheduleAfter(backoff, [this, phys, mode] {
@@ -303,7 +268,7 @@ FaultManager::pollRefreshPressure()
     }
     if (!fallbackActive_) {
         if (deepest >= config_.fallbackHighWatermark) {
-            if (++saturatedPolls_ >= config_.fallbackEnterPolls)
+            if (++saturatedPolls_ >= fallbackEnterPolls)
                 enterFallback(deepest);
         } else {
             saturatedPolls_ = 0;
@@ -338,12 +303,6 @@ void
 FaultManager::setRewriteCallback(RewriteCallback cb)
 {
     rewrite_ = std::move(cb);
-}
-
-std::uint64_t
-FaultManager::startGapMoves() const
-{
-    return startGap_ ? startGap_->totalGapMoves() : 0;
 }
 
 void
@@ -394,13 +353,6 @@ FaultManager::regStats(stats::StatGroup &root)
                                       stamps
                                 : 0.0;
                  });
-    if (startGap_) {
-        g.addFormula("startGapMoves",
-                     "StartGap gap movements (cumulative)", [this] {
-                         return static_cast<double>(
-                             startGap_->totalGapMoves());
-                     });
-    }
 }
 
 void
@@ -412,9 +364,6 @@ FaultManager::saveCkpt(ckpt::ChunkWriter &w) const
     retention_.saveCkpt(w);
     ecp_.saveCkpt(w);
     retirement_.saveCkpt(w);
-    w.b(startGap_ != nullptr);
-    if (startGap_)
-        startGap_->saveCkpt(w);
     w.u64(retryAttempts_.size());
     for (const auto &[block, attempts] : retryAttempts_) {
         w.u64(block);
@@ -447,13 +396,6 @@ FaultManager::restoreCkpt(ckpt::ChunkReader &r)
     retention_.restoreCkpt(r);
     ecp_.restoreCkpt(r);
     retirement_.restoreCkpt(r);
-    const bool has_start_gap = r.b();
-    if (has_start_gap != (startGap_ != nullptr))
-        throw ckpt::CkptError(
-            "StartGap enablement differs between the checkpoint and "
-            "the configuration");
-    if (startGap_)
-        startGap_->restoreCkpt(r);
     retryAttempts_.clear();
     const std::uint64_t retries = r.u64();
     for (std::uint64_t i = 0; i < retries; ++i) {
@@ -479,8 +421,7 @@ FaultManager::restoreCkpt(ckpt::ChunkReader &r)
     const Tick governor_next = governor_armed ? r.u64() : 0;
     const Tick stall_period =
         secondsToTicks(config_.effectiveStallPeriodSeconds());
-    const Tick governor_period =
-        secondsToTicks(config_.fallbackPollSeconds);
+    const Tick governor_period = secondsToTicks(fallbackPollSeconds);
     const auto arm_stall = [&] {
         if (stall_armed) {
             stallTask_ = std::make_unique<PeriodicTask>(
@@ -522,10 +463,8 @@ FaultManager::audit() const
     retention_.audit();
     ecp_.audit();
     retirement_.audit();
-    if (startGap_)
-        runAudit(*startGap_);
     for (const auto &[block, attempts] : retryAttempts_) {
-        RRM_AUDIT(attempts <= config_.maxWriteRetries,
+        RRM_AUDIT(attempts <= maxWriteRetries,
                   "block ", block, " carries ", attempts,
                   " retry attempts, beyond the cap");
     }

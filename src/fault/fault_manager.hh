@@ -6,7 +6,7 @@
  *
  * Fault taxonomy and policy pairing:
  *  - retention violation  -> detection only (stat/trace/strict check)
- *  - transient write fail -> write-verify-and-retry, capped backoff
+ *  - transient write fail -> write-verify-and-retry, doubling backoff
  *  - stuck-at hard fault  -> ECP repair budget, then line retirement
  *  - refresh-queue stall  -> injected pressure; the refresh-pressure
  *                            fallback demotes hot regions to slow
@@ -29,7 +29,6 @@
 #include "fault/retention_tracker.hh"
 #include "memctrl/address_map.hh"
 #include "memctrl/controller.hh"
-#include "memctrl/start_gap.hh"
 #include "obs/trace.hh"
 #include "pcm/wear_tracker.hh"
 #include "policy/write_policy.hh"
@@ -60,14 +59,11 @@ class FaultManager : public Auditable
     void start();
 
     /**
-     * Physical routing for a block address: StartGap remap first,
-     * then retirement remap. Applied by System to every controller
-     * address; cache-fill callbacks keep the logical address.
+     * Physical routing for a block address: the retirement remap.
+     * Applied by System to every controller address; cache-fill
+     * callbacks keep the logical address.
      */
-    Addr translate(Addr block) const;
-
-    /** A demand write is about to issue to `phys` (StartGap wear). */
-    void onDemandWriteIssued(Addr phys);
+    Addr translate(Addr block) const { return retirement_.remap(block); }
 
     /** A demand write completed on the bus. */
     void onWriteCompleted(Addr phys, pcm::WriteMode mode, Tick when);
@@ -89,7 +85,6 @@ class FaultManager : public Auditable
     void regStats(stats::StatGroup &root);
 
     bool fallbackActive() const { return fallbackActive_; }
-    std::uint64_t startGapMoves() const;
     const RetentionTracker &retention() const { return retention_; }
 
     /**
@@ -105,9 +100,9 @@ class FaultManager : public Auditable
 
     /**
      * @{ Checkpoint injector RNG streams, retention deadlines, ECP /
-     * retirement maps, StartGap domains, retry bookkeeping, wear-level
-     * markers, fallback governor state, and the armed next-fire ticks
-     * of the stall / governor tasks and the retention sweep.
+     * retirement maps, retry bookkeeping, wear-level markers, fallback
+     * governor state, and the armed next-fire ticks of the stall /
+     * governor tasks and the retention sweep.
      * restoreCkpt re-arms the periodic tasks in ascending last-arm
      * order (next fire minus period) so coincident-tick fires keep
      * the interrupted run's sequence order, then the sweep; the
@@ -138,13 +133,11 @@ class FaultManager : public Auditable
     policy::WritePolicy *policy_;
     memctrl::AddressMap addressMap_;
     unsigned numChannels_;
-    std::uint64_t blockBytes_;
 
     FaultInjector injector_;
     RetentionTracker retention_;
     EcpRepair ecp_;
     LineRetirement retirement_;
-    std::unique_ptr<memctrl::StartGapRemapper> startGap_;
 
     obs::TraceSink *traceSink_ = nullptr;
     RewriteCallback rewrite_;

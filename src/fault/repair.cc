@@ -5,6 +5,9 @@
 
 #include "repair.hh"
 
+#include <string>
+#include <vector>
+
 #include "ckpt/ckpt.hh"
 #include "common/check.hh"
 
@@ -48,13 +51,11 @@ EcpRepair::audit() const
 }
 
 LineRetirement::LineRetirement(std::uint64_t memory_bytes,
-                               std::uint64_t block_bytes,
                                std::uint64_t spare_blocks)
-    : blockBytes_(block_bytes), spareBlocks_(spare_blocks),
-      spareBase_(memory_bytes - spare_blocks * block_bytes)
+    : spareBlocks_(spare_blocks),
+      spareBase_(memory_bytes - spare_blocks * blockBytes)
 {
-    RRM_CHECK(block_bytes > 0, "retirement block size must be > 0");
-    RRM_CHECK(spare_blocks * block_bytes <= memory_bytes,
+    RRM_CHECK(spare_blocks * blockBytes <= memory_bytes,
               "spare pool larger than memory");
 }
 
@@ -64,7 +65,7 @@ LineRetirement::retire(Addr line)
     RRM_CHECK(!isRetired(line), "line ", line, " retired twice");
     if (nextSpare_ >= spareBlocks_)
         return false;
-    map_[line] = spareBase_ + nextSpare_ * blockBytes_;
+    map_[line] = spareBase_ + nextSpare_ * blockBytes;
     ++nextSpare_;
     return true;
 }
@@ -92,10 +93,32 @@ LineRetirement::restoreCkpt(ckpt::ChunkReader &r)
             " entries against " + std::to_string(nextSpare_) +
             " spares handed out (pool of " +
             std::to_string(spareBlocks_) + ")");
+    std::vector<bool> backed(n, false);
     for (std::uint64_t i = 0; i < n; ++i) {
         const Addr line = r.u64();
         const Addr spare = r.u64();
-        map_[line] = spare;
+        const std::uint64_t slot = (spare - spareBase_) / blockBytes;
+        if (spare < spareBase_ || slot >= n ||
+            spare != spareBase_ + slot * blockBytes || backed[slot] ||
+            !map_.emplace(line, spare).second)
+            throw ckpt::CkptError(
+                "retirement checkpoint entry " + std::to_string(line) +
+                " -> " + std::to_string(spare) +
+                " is not a distinct line on a distinct one of the " +
+                std::to_string(n) + " spares handed out");
+        backed[slot] = true;
+    }
+    // remap() follows a chain until an unretired address; a chain
+    // longer than the map revisits a line and would never end.
+    for (const auto &[line, spare] : map_) {
+        Addr at = spare;
+        for (std::uint64_t steps = 0; isRetired(at); ++steps) {
+            if (steps == n)
+                throw ckpt::CkptError(
+                    "retirement checkpoint chain from line " +
+                    std::to_string(line) + " revisits a line");
+            at = map_.at(at);
+        }
     }
 }
 
@@ -107,7 +130,7 @@ LineRetirement::audit() const
               " disagrees with spares handed out ", nextSpare_);
     for (const auto &[line, spare] : map_) {
         RRM_AUDIT(spare >= spareBase_ &&
-                      spare < spareBase_ + spareBlocks_ * blockBytes_,
+                      spare < spareBase_ + spareBlocks_ * blockBytes,
                   "retired line ", line, " mapped outside the spare "
                   "pool");
         RRM_AUDIT(line != spare, "line retired onto itself");

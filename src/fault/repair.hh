@@ -79,8 +79,7 @@ class EcpRepair
 class LineRetirement
 {
   public:
-    LineRetirement(std::uint64_t memory_bytes, std::uint64_t block_bytes,
-                   std::uint64_t spare_blocks);
+    LineRetirement(std::uint64_t memory_bytes, std::uint64_t spare_blocks);
 
     /**
      * Retire `line` onto the next free spare. Returns false (and
@@ -122,7 +121,6 @@ class LineRetirement
     void audit() const;
 
   private:
-    std::uint64_t blockBytes_;
     std::uint64_t spareBlocks_;
     Addr spareBase_;
     std::uint64_t nextSpare_ = 0;

@@ -145,6 +145,13 @@ RetentionTracker::restoreCkpt(ckpt::ChunkReader &r)
     deadlines_.clear();
     heap_ = {};
     const std::uint64_t n = r.u64();
+    // Two u64 fields per entry: never reserve past what the payload
+    // can hold.
+    if (n > r.remaining() / 16)
+        throw ckpt::CkptError("retention checkpoint claims " +
+                              std::to_string(n) + " deadlines in " +
+                              std::to_string(r.remaining()) +
+                              " payload bytes");
     deadlines_.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
         const Addr block = r.u64();

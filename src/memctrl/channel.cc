@@ -145,7 +145,7 @@ Channel::bankReadyForWrite(const Bank &bank, Tick t) const
 Tick
 Channel::fawReady(Tick t) const
 {
-    if (activateHistory_.size() < 4)
+    if (activateHistory_.size() < fawActivates)
         return t;
     const Tick oldest = activateHistory_[activateIdx_];
     return std::max(t, oldest + params_.tFAW);
@@ -154,12 +154,12 @@ Channel::fawReady(Tick t) const
 void
 Channel::recordActivate(Tick t)
 {
-    if (activateHistory_.size() < 4) {
+    if (activateHistory_.size() < fawActivates) {
         activateHistory_.push_back(t);
         return;
     }
     activateHistory_[activateIdx_] = t;
-    activateIdx_ = (activateIdx_ + 1) % 4;
+    activateIdx_ = (activateIdx_ + 1) % fawActivates;
 }
 
 bool
@@ -582,7 +582,7 @@ Channel::restoreCkpt(ckpt::ChunkReader &r)
     lastCompletionTick_ = r.u64();
     busFreeAt_ = r.u64();
     const std::uint32_t history = r.u32();
-    if (history > 8)
+    if (history > fawActivates)
         throw ckpt::CkptError(name_ + ": implausible activate-history "
                                       "length " +
                               std::to_string(history));
@@ -590,6 +590,12 @@ Channel::restoreCkpt(ckpt::ChunkReader &r)
     for (Tick &t : activateHistory_)
         t = r.u64();
     activateIdx_ = r.u64();
+    // The ring index only moves once the ring is full.
+    if (activateIdx_ >= (history < fawActivates ? 1u : fawActivates))
+        throw ckpt::CkptError(name_ + ": activate index " +
+                              std::to_string(activateIdx_) +
+                              " outside a ring of " +
+                              std::to_string(history));
     writeDrainMode_ = r.b();
     refreshHoldUntil_ = r.u64();
     scanMemoValid_ = r.b();

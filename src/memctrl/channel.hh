@@ -204,8 +204,10 @@ class Channel : public Auditable
     Tick lastCompletionTick_ = 0;
 
     Tick busFreeAt_ = 0;
-    std::vector<Tick> activateHistory_; ///< ring of last 4 activates
-    std::size_t activateIdx_ = 0;
+    /** Activates per tFAW window: the ring below holds this many. */
+    static constexpr std::size_t fawActivates = 4;
+    std::vector<Tick> activateHistory_; ///< ring of the last activates
+    std::size_t activateIdx_ = 0;       ///< oldest entry once full
 
     bool writeDrainMode_ = false;
     Tick refreshHoldUntil_ = 0;

@@ -20,7 +20,6 @@ struct MemoryParams
     std::uint64_t memoryBytes = 8_GiB;
     unsigned numChannels = 4;
     unsigned banksPerChannel = 16;
-    unsigned blockBytes = 64;
 
     /** Memory bus: 64-bit at 400 MHz -> 2.5 ns per beat. */
     Tick busCycle = 2500_ps;

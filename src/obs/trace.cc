@@ -22,8 +22,6 @@ traceCategoryName(TraceCategory c)
         return "refresh";
       case TraceCategory::Queue:
         return "queue";
-      case TraceCategory::StartGap:
-        return "startgap";
       case TraceCategory::Sampler:
         return "sampler";
       case TraceCategory::Fault:

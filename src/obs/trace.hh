@@ -42,7 +42,6 @@ enum class TraceCategory : std::uint32_t
     RrmLifecycle = 0, ///< RRM entry register/alloc/promote/decay/evict
     Refresh,          ///< refresh issue and completion
     Queue,            ///< controller queue occupancy changes
-    StartGap,         ///< Start-Gap gap movements
     Sampler,          ///< sampler self-reporting
     Fault,            ///< fault injection, violations, degradation
     NumCategories,

@@ -13,7 +13,6 @@ EnergyModel::EnergyModel(const EnergyParams &params)
 {
     RRM_CHECK(params_.writeVoltage > 0.0, "voltage must be positive");
     RRM_CHECK(params_.bitsPerCell >= 1, "need at least one bit per cell");
-    RRM_CHECK(params_.blockBytes >= 1, "block size must be positive");
     sevenSetBlockEnergy_ =
         cellWriteEnergyCharge(WriteMode::Sets7) * cellsPerBlock();
 }
@@ -21,7 +20,7 @@ EnergyModel::EnergyModel(const EnergyParams &params)
 unsigned
 EnergyModel::cellsPerBlock() const
 {
-    return params_.blockBytes * 8u / params_.bitsPerCell;
+    return static_cast<unsigned>(blockBytes * 8 / params_.bitsPerCell);
 }
 
 double

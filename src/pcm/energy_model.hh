@@ -34,9 +34,6 @@ struct EnergyParams
     /** MLC bits per cell. */
     unsigned bitsPerCell = 2;
 
-    /** Memory block (cache line) size written per block write. */
-    unsigned blockBytes = 64;
-
     /** Energy of reading one block, in joules (mode independent). */
     double readEnergyPerBlock = 5.0e-9;
 };

@@ -28,19 +28,16 @@ wearCauseName(WearCause cause)
 }
 
 WearTracker::WearTracker(std::uint64_t memory_bytes,
-                         std::uint64_t region_bytes,
-                         std::uint64_t block_bytes)
+                         std::uint64_t region_bytes)
     : memoryBytes_(memory_bytes),
-      regionBytes_(region_bytes),
-      blockBytes_(block_bytes)
+      regionBytes_(region_bytes)
 {
     RRM_CHECK(isPowerOfTwo(regionBytes_), "region size must be 2^n");
-    RRM_CHECK(isPowerOfTwo(blockBytes_), "block size must be 2^n");
     RRM_CHECK(memoryBytes_ % regionBytes_ == 0,
               "memory size must be a whole number of regions");
-    RRM_CHECK(regionBytes_ >= blockBytes_,
+    RRM_CHECK(regionBytes_ >= blockBytes,
               "region must be at least one block");
-    numBlocks_ = memoryBytes_ / blockBytes_;
+    numBlocks_ = memoryBytes_ / blockBytes;
     regionShift_ = floorLog2(regionBytes_);
     regionWear_.assign(memoryBytes_ / regionBytes_, 0);
 }

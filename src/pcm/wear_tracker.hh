@@ -54,11 +54,10 @@ class WearTracker : public Auditable
   public:
     /**
      * @param memory_bytes Total PCM capacity.
-     * @param region_bytes Tracking granularity (power of two).
-     * @param block_bytes  Memory block size (power of two).
+     * @param region_bytes Tracking granularity (power of two, at least
+     *                     one block).
      */
-    WearTracker(std::uint64_t memory_bytes, std::uint64_t region_bytes,
-                std::uint64_t block_bytes);
+    WearTracker(std::uint64_t memory_bytes, std::uint64_t region_bytes);
 
     /** Record one block write at `addr` for the given cause. */
     void recordBlockWrite(Addr addr, WearCause cause);
@@ -78,7 +77,6 @@ class WearTracker : public Auditable
     std::uint64_t numRegions() const { return regionWear_.size(); }
     std::uint64_t numBlocks() const { return numBlocks_; }
     std::uint64_t regionBytes() const { return regionBytes_; }
-    std::uint64_t blockBytes() const { return blockBytes_; }
 
     /** Per-region wear (demand + RRM refresh) for region index r. */
     std::uint64_t regionWear(std::uint64_t r) const;
@@ -127,7 +125,6 @@ class WearTracker : public Auditable
   private:
     std::uint64_t memoryBytes_;
     std::uint64_t regionBytes_;
-    std::uint64_t blockBytes_;
     std::uint64_t numBlocks_;
     unsigned regionShift_;
 

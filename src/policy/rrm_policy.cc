@@ -21,7 +21,7 @@ RrmPolicy::writeConfigJson(obs::JsonWriter &json) const
     json.key("rrm");
     json.beginObject();
     json.field("regionBytes", config_.regionBytes);
-    json.field("blockBytes", config_.blockBytes);
+    json.field("blockBytes", blockBytes);
     json.field("numSets", config_.numSets);
     json.field("assoc", config_.assoc);
     json.field("hotThreshold", config_.hotThreshold);

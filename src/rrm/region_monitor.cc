@@ -167,7 +167,7 @@ RegionMonitor::registerLlcWrite(Addr addr, bool was_dirty)
     // obligations are created: blocks keep going out as slow writes.
     if (entry->hot && !pressureFallback_) {
         const std::uint64_t block =
-            (addr % config_.regionBytes) / config_.blockBytes;
+            (addr % config_.regionBytes) / blockBytes;
         entry->shortRetentionVector.set(block);
     }
 }
@@ -183,7 +183,7 @@ RegionMonitor::writeModeFor(Addr block_addr) const
     const Entry *entry = find(regionIdOf(block_addr));
     if (entry) {
         const std::uint64_t block =
-            (block_addr % config_.regionBytes) / config_.blockBytes;
+            (block_addr % config_.regionBytes) / blockBytes;
         if (entry->shortRetentionVector.test(block)) {
             if (statFastDecisions_)
                 ++*statFastDecisions_;
@@ -226,7 +226,7 @@ RegionMonitor::demote(Entry &entry, bool from_eviction)
     }
     const Addr region_base = entry.regionId * config_.regionBytes;
     entry.shortRetentionVector.forEachSet([&](std::size_t block) {
-        emitRefresh(region_base + block * config_.blockBytes,
+        emitRefresh(region_base + block * blockBytes,
                     config_.slowMode, true);
         if (statSlowRefreshes_)
             ++*statSlowRefreshes_;
@@ -256,7 +256,7 @@ RegionMonitor::onShortRetentionInterrupt()
             continue;
         const Addr region_base = entry.regionId * config_.regionBytes;
         entry.shortRetentionVector.forEachSet([&](std::size_t block) {
-            emitRefresh(region_base + block * config_.blockBytes,
+            emitRefresh(region_base + block * blockBytes,
                         config_.fastMode, false);
             if (statFastRefreshes_)
                 ++*statFastRefreshes_;
@@ -376,7 +376,7 @@ RegionMonitor::shortRetentionBit(Addr block_addr) const
     if (!e)
         return false;
     const std::uint64_t block =
-        (block_addr % config_.regionBytes) / config_.blockBytes;
+        (block_addr % config_.regionBytes) / blockBytes;
     return e->shortRetentionVector.test(block);
 }
 
@@ -616,7 +616,7 @@ RegionMonitorTestAccess::corruptVectorBit(RegionMonitor &rrm,
 {
     RegionMonitor::Entry &e = entryFor(rrm, block_addr);
     const std::uint64_t block =
-        (block_addr % rrm.config_.regionBytes) / rrm.config_.blockBytes;
+        (block_addr % rrm.config_.regionBytes) / blockBytes;
     e.shortRetentionVector.set(block);
 }
 

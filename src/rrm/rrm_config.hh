@@ -25,9 +25,6 @@ struct RrmConfig
     /** Retention Region size covered by one entry (default 4 KB). */
     std::uint64_t regionBytes = 4_KiB;
 
-    /** Memory block size (one short_retention_vector bit each). */
-    std::uint64_t blockBytes = 64;
-
     /** Set count (256 sets x 24 ways = 24 MB = 4x LLC coverage). */
     unsigned numSets = 256;
 
@@ -165,8 +162,8 @@ struct RrmConfig
     void
     collectErrors(std::vector<std::string> &errors) const
     {
-        if (!isPowerOfTwo(regionBytes) || !isPowerOfTwo(blockBytes))
-            errors.push_back("RRM region/block sizes must be powers of two");
+        if (!isPowerOfTwo(regionBytes))
+            errors.push_back("RRM region size must be a power of two");
         if (regionBytes < blockBytes)
             errors.push_back("RRM region smaller than a block");
         if (numSets == 0 || assoc == 0)
@@ -201,8 +198,7 @@ struct RrmConfig
     isCustomized() const
     {
         const RrmConfig def;
-        return regionBytes != def.regionBytes ||
-               blockBytes != def.blockBytes || numSets != def.numSets ||
+        return regionBytes != def.regionBytes || numSets != def.numSets ||
                assoc != def.assoc || hotThreshold != def.hotThreshold ||
                dirtyWriteFilter != def.dirtyWriteFilter ||
                accessLatency != def.accessLatency ||

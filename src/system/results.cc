@@ -94,7 +94,6 @@ SimResults::toJson(obs::JsonWriter &json) const
         json.field("refreshStalls", fault.refreshStalls);
         json.field("fallbackEntries", fault.fallbackEntries);
         json.field("fallbackExits", fault.fallbackExits);
-        json.field("startGapMoves", fault.startGapMoves);
         json.endObject();
     }
 

@@ -36,6 +36,19 @@ SystemConfig::validate() const
                          std::to_string(workload.numCores()));
     }
     trace::collectTenantErrors(workload, errors);
+    std::string bad_lines;
+    for (const cache::CacheConfig *level :
+         {&hierarchy.l1, &hierarchy.l2, &hierarchy.llc}) {
+        if (level->lineBytes != blockBytes) {
+            bad_lines += (bad_lines.empty() ? "" : ", ") + level->name +
+                         " " + std::to_string(level->lineBytes);
+        }
+    }
+    if (!bad_lines.empty()) {
+        errors.push_back("cache lines must be one " +
+                         std::to_string(blockBytes) +
+                         "-byte memory block (" + bad_lines + ")");
+    }
     if (timeScale < 1.0)
         errors.push_back("time scale must be >= 1");
     if (windowSeconds <= 0.0)
@@ -101,8 +114,7 @@ SystemConfig::finalize()
 System::System(SystemConfig config)
     : config_(std::move(config)),
       statRoot_("system"),
-      wear_(config_.memory.memoryBytes, 4_KiB,
-            config_.memory.blockBytes),
+      wear_(config_.memory.memoryBytes, 4_KiB),
       energy_(config_.energy)
 {
     config_.finalize();
@@ -432,7 +444,7 @@ void
 System::tryEnqueueRead(unsigned core, Addr line)
 {
     RRM_CHECK(line < config_.memory.memoryBytes, "bad read line");
-    // The controller sees the translated (StartGap/retirement)
+    // The controller sees the translated (retirement-remapped)
     // address; the fill callback keeps the logical line.
     const Addr phys = faultMgr_ ? faultMgr_->translate(line) : line;
     const bool ok = controller_->enqueueRead(
@@ -494,11 +506,7 @@ System::issueMemoryWrite(Addr addr, Tick when)
     const pcm::WriteMode mode = policy_->writeModeFor(addr);
     when += policy_->accessLatency();
 
-    Addr phys = addr;
-    if (faultMgr_) {
-        phys = faultMgr_->translate(addr);
-        faultMgr_->onDemandWriteIssued(phys);
-    }
+    const Addr phys = faultMgr_ ? faultMgr_->translate(addr) : addr;
     wear_.recordBlockWrite(phys, pcm::WearCause::DemandWrite);
     meas_.demandWriteEnergy += energy_.blockWriteEnergy(mode);
     TenantCounters *tc = tenantCountersForAddr(addr);
@@ -816,17 +824,14 @@ System::writeConfigJson(obs::JsonWriter &json) const
         json.field("strict", config_.fault.strict);
         json.field("transientWriteFailureRate",
                    config_.fault.transientWriteFailureRate);
-        json.field("maxWriteRetries", config_.fault.maxWriteRetries);
         json.field("stuckAtWearThreshold",
                    config_.fault.stuckAtWearThreshold);
         json.field("stuckAtRate", config_.fault.stuckAtRate);
         json.field("repairBudgetPerLine",
                    config_.fault.repairBudgetPerLine);
-        json.field("spareBlocks", config_.fault.spareBlocks);
         json.field("refreshStallSeconds",
                    config_.fault.refreshStallSeconds);
         json.field("fallback", config_.fault.fallback);
-        json.field("useStartGap", config_.fault.useStartGap);
         json.field("seed", config_.fault.seed);
         json.endObject();
     }
@@ -930,7 +935,7 @@ System::collectResults(Tick measure_start, Tick measure_end)
     wm.globalRefreshMode = config_.scheme.globalRefreshMode();
 
     const pcm::LifetimeModel lifetime(
-        config_.memory.memoryBytes / config_.memory.blockBytes,
+        config_.memory.memoryBytes / blockBytes,
         config_.lifetime);
     r.demandWriteRate = lifetime.demandWriteRate(wm);
     r.rrmRefreshRate = lifetime.rrmRefreshRate(wm);
@@ -982,7 +987,6 @@ System::collectResults(Tick measure_start, Tick measure_end)
         r.fault.refreshStalls = scalar("refreshStalls");
         r.fault.fallbackEntries = scalar("fallbackEntries");
         r.fault.fallbackExits = scalar("fallbackExits");
-        r.fault.startGapMoves = faultMgr_->startGapMoves();
     }
 
     return r;

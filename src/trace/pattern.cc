@@ -11,13 +11,6 @@
 namespace rrm::trace
 {
 
-namespace
-{
-
-constexpr std::uint64_t blockBytes = 64;
-
-} // namespace
-
 StridePattern::StridePattern(std::uint64_t footprint_bytes,
                              std::uint64_t stride_bytes,
                              double write_fraction)

@@ -14,7 +14,6 @@
 #include "cache/hierarchy.hh"
 #include "common/auditable.hh"
 #include "common/random.hh"
-#include "memctrl/start_gap.hh"
 #include "pcm/wear_tracker.hh"
 #include "rrm/region_monitor.hh"
 #include "sim/event_queue.hh"
@@ -172,71 +171,6 @@ TEST_F(AuditTest, RegionMonitorCorruptionThrowsUnderThrowPolicy)
 }
 
 // ---------------------------------------------------------------------
-// Start-Gap wear leveling
-// ---------------------------------------------------------------------
-
-TEST_F(AuditTest, StartGapDomainPassesAuditThroughRotation)
-{
-    ScopedFailurePolicy policy(FailurePolicy::LogAndCount);
-    memctrl::StartGapDomain d(64, 4);
-    d.audit();
-    // Sweep more than one full gap rotation, auditing as we go.
-    for (int i = 0; i < 300; ++i) {
-        d.onWrite();
-        d.audit();
-    }
-    EXPECT_GT(d.gapMoves(), 64u);
-    EXPECT_EQ(check::violationCount(check::ViolationKind::Audit), 0u);
-}
-
-TEST_F(AuditTest, AuditCatchesStartOutOfRange)
-{
-    ScopedFailurePolicy policy(FailurePolicy::LogAndCount);
-    memctrl::StartGapDomain d(64, 4);
-    memctrl::StartGapTestAccess::setStart(d, 64); // valid: 0..63
-    const std::uint64_t before =
-        check::violationCount(check::ViolationKind::Audit);
-    d.audit();
-    EXPECT_GT(check::violationCount(check::ViolationKind::Audit),
-              before);
-}
-
-TEST_F(AuditTest, AuditCatchesGapOutOfRange)
-{
-    ScopedFailurePolicy policy(FailurePolicy::LogAndCount);
-    memctrl::StartGapDomain d(64, 4);
-    memctrl::StartGapTestAccess::setGap(d, 66); // valid: 0..64
-    const std::uint64_t before =
-        check::violationCount(check::ViolationKind::Audit);
-    d.audit();
-    EXPECT_GT(check::violationCount(check::ViolationKind::Audit),
-              before);
-}
-
-TEST_F(AuditTest, AuditCatchesRotationBookkeepingDrift)
-{
-    ScopedFailurePolicy policy(FailurePolicy::Throw);
-    memctrl::StartGapDomain d(64, 4);
-    memctrl::StartGapTestAccess::setWritesSinceMove(d, 9); // period 4
-    EXPECT_THROW(d.audit(), check::CheckError);
-}
-
-TEST_F(AuditTest, StartGapRemapperPassesAuditUnderTraffic)
-{
-    ScopedFailurePolicy policy(FailurePolicy::LogAndCount);
-    memctrl::StartGapParams params;
-    params.lineBytes = 256;
-    params.linesPerDomain = 128;
-    params.gapWritePeriod = 8;
-    memctrl::StartGapRemapper remapper(256_KiB, params);
-    Random rng(7);
-    for (int i = 0; i < 5000; ++i)
-        remapper.onWrite(rng.uniform(256_KiB / 256) * 256);
-    EXPECT_EQ(runAudit(remapper), 0u);
-    EXPECT_GT(remapper.totalGapMoves(), 0u);
-}
-
-// ---------------------------------------------------------------------
 // Event queue, wear tracker, cache hierarchy
 // ---------------------------------------------------------------------
 
@@ -273,7 +207,7 @@ TEST_F(AuditTest, EventQueueRunHonoursEventCap)
 TEST_F(AuditTest, WearTrackerPassesAuditUnderTraffic)
 {
     ScopedFailurePolicy policy(FailurePolicy::LogAndCount);
-    pcm::WearTracker wear(1_MiB, 4_KiB, 64);
+    pcm::WearTracker wear(1_MiB, 4_KiB);
     Random rng(11);
     for (int i = 0; i < 2000; ++i) {
         const Addr addr = rng.uniform(1_MiB / 64) * 64;

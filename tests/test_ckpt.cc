@@ -151,6 +151,39 @@ resumeRun(const SystemConfig &cfg, const fs::path &dir,
     return {slurp(record), system.resumedFromEpoch()};
 }
 
+/**
+ * Run `cfg` undisturbed, then resume it as if killed after an early,
+ * a middle and the last epoch checkpoint: each resumed run must
+ * reproduce the reference run record byte for byte.
+ */
+void
+expectResumesByteIdentical(const SystemConfig &cfg,
+                           const std::string &label)
+{
+    const std::string ref_record = referenceRun(cfg);
+
+    const std::vector<fs::path> ckpts =
+        epochCheckpoints(cfg.checkpointDir);
+    ASSERT_GE(ckpts.size(), 3u)
+        << "window too short to publish three checkpoints";
+
+    // "Killed after epoch k": a directory holding exactly the files a
+    // run killed at that point would have left behind.
+    const std::size_t picks[] = {1, ckpts.size() / 2 + 1, ckpts.size()};
+    for (const std::size_t keep : picks) {
+        const fs::path dir = freshDir("identity_" + label + "_" +
+                                      std::to_string(keep));
+        for (std::size_t i = 0; i < keep; ++i)
+            fs::copy_file(ckpts[i], dir / ckpts[i].filename());
+        const auto [record, epoch] =
+            resumeRun(cfg, dir, dir / "rec.json");
+        EXPECT_GT(epoch, 0u) << "resume fell back to a cold start";
+        EXPECT_EQ(record, ref_record)
+            << label << ": resume from epoch " << epoch
+            << " diverged from the reference run";
+    }
+}
+
 class CkptResume : public ::testing::Test
 {
   protected:
@@ -309,32 +342,30 @@ TEST_P(CkptResumePerScheme, ResumeFromEveryEpochIsByteIdentical)
     const SchemeCase sc = scheme();
     const fs::path ref_dir =
         freshDir(std::string("identity_ref_") + sc.label);
-    const SystemConfig cfg =
+    expectResumesByteIdentical(
         ckptConfig("lbm", sc.scheme, ref_dir, ref_dir / "rec.json",
-                   /*faults=*/true);
-    const std::string ref_record = referenceRun(cfg);
+                   /*faults=*/true),
+        sc.label);
+}
 
-    const std::vector<fs::path> ckpts = epochCheckpoints(ref_dir);
-    ASSERT_GE(ckpts.size(), 3u)
-        << "window too short to publish three checkpoints";
+TEST_F(CkptResume, ResumeWithRetiredLinesIsByteIdentical)
+{
+    // One ECP pointer per line and a stuck-at draw every two writes
+    // to a wear region hand out every spare during warmup, so each
+    // checkpoint carries a full retirement map.
+    const fs::path ref_dir = freshDir("identity_ref_retired");
+    SystemConfig cfg = ckptConfig("lbm", Scheme::rrmScheme(), ref_dir,
+                                  ref_dir / "rec.json", /*faults=*/true);
+    cfg.fault.stuckAtWearThreshold = 2;
+    cfg.fault.repairBudgetPerLine = 1;
+    expectResumesByteIdentical(cfg, "retired");
 
-    // "Killed after epoch k": a directory holding exactly the files a
-    // run killed at that point would have left behind, for an early,
-    // a middle, and the last epoch.
-    const std::size_t picks[] = {1, ckpts.size() / 2 + 1, ckpts.size()};
-    for (const std::size_t keep : picks) {
-        const fs::path dir = freshDir(std::string("identity_") +
-                                      sc.label + "_" +
-                                      std::to_string(keep));
-        for (std::size_t i = 0; i < keep; ++i)
-            fs::copy_file(ckpts[i], dir / ckpts[i].filename());
-        const auto [record, epoch] =
-            resumeRun(cfg, dir, dir / "rec.json");
-        EXPECT_GT(epoch, 0u) << "resume fell back to a cold start";
-        EXPECT_EQ(record, ref_record)
-            << sc.label << ": resume from epoch " << epoch
-            << " diverged from the reference run";
-    }
+    const std::string record = slurp(ref_dir / "rec.json");
+    const std::string key = "\"spareExhausted\": ";
+    const std::size_t at = record.find(key);
+    ASSERT_NE(at, std::string::npos) << record;
+    EXPECT_GT(std::stoull(record.substr(at + key.size())), 0u)
+        << "the spare pool never ran dry";
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, CkptResumePerScheme,

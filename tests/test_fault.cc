@@ -15,9 +15,12 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
+#include <utility>
 #include <vector>
 
+#include "ckpt/ckpt.hh"
 #include "common/check.hh"
 #include "common/logging.hh"
 #include "fault/fault_config.hh"
@@ -203,7 +206,7 @@ TEST_F(FaultTest, EcpBudgetIsPerLineAndExhaustible)
 
 TEST_F(FaultTest, RetirementRemapsIntoTheSparePool)
 {
-    LineRetirement pool(1_MiB, 64, 4);
+    LineRetirement pool(1_MiB, 4);
     const Addr spare_base = 1_MiB - 4 * 64;
     EXPECT_TRUE(pool.retire(0x40));
     EXPECT_TRUE(pool.isRetired(0x40));
@@ -217,7 +220,7 @@ TEST_F(FaultTest, RetirementRemapsIntoTheSparePool)
 
 TEST_F(FaultTest, RetirementFailsWhenSparesExhaust)
 {
-    LineRetirement pool(1_MiB, 64, 2);
+    LineRetirement pool(1_MiB, 2);
     EXPECT_TRUE(pool.retire(0x40));
     EXPECT_TRUE(pool.retire(0x80));
     EXPECT_FALSE(pool.retire(0xc0));
@@ -226,9 +229,77 @@ TEST_F(FaultTest, RetirementFailsWhenSparesExhaust)
 
 TEST_F(FaultTest, DoubleRetireIsAContractViolation)
 {
-    LineRetirement pool(1_MiB, 64, 4);
+    LineRetirement pool(1_MiB, 4);
     EXPECT_TRUE(pool.retire(0x40));
     EXPECT_THROW(pool.retire(0x40), check::CheckError);
+}
+
+/** Restore `pool` from a payload retiring each (line, spare) pair. */
+void
+restoreRetirement(LineRetirement &pool,
+                  std::initializer_list<std::pair<Addr, Addr>> entries)
+{
+    ckpt::ChunkWriter w;
+    w.u64(entries.size()); // spares handed out
+    w.u64(entries.size());
+    for (const auto &[line, spare] : entries) {
+        w.u64(line);
+        w.u64(spare);
+    }
+    ckpt::ChunkReader r(w.data().data(), w.size(), "FLT0");
+    pool.restoreCkpt(r);
+}
+
+TEST_F(FaultTest, RetirementRestoreRejectsChainsThatRevisitALine)
+{
+    // remap() would spin forever on a spare retired onto itself or on
+    // two spares retired onto each other.
+    LineRetirement pool(1_MiB, 4);
+    const Addr s0 = 1_MiB - 4 * 64;
+    EXPECT_THROW(restoreRetirement(pool, {{s0, s0}}), ckpt::CkptError);
+    EXPECT_THROW(restoreRetirement(pool, {{s0, s0 + 64}, {s0 + 64, s0}}),
+                 ckpt::CkptError);
+}
+
+TEST_F(FaultTest, RetirementRestoreRejectsSparesNotHandedOut)
+{
+    LineRetirement pool(1_MiB, 4);
+    const Addr s0 = 1_MiB - 4 * 64;
+    EXPECT_THROW(restoreRetirement(pool, {{0x40, 0x80}}),
+                 ckpt::CkptError); // below the pool
+    EXPECT_THROW(restoreRetirement(pool, {{0x40, s0 + 64}}),
+                 ckpt::CkptError); // only spare 0 was handed out
+    EXPECT_THROW(restoreRetirement(pool, {{0x40, s0 + 8}}),
+                 ckpt::CkptError); // not a block boundary
+    EXPECT_THROW(restoreRetirement(pool, {{0x40, s0}, {0x80, s0}}),
+                 ckpt::CkptError); // one spare behind two lines
+}
+
+TEST_F(FaultTest, RetirementChainsSurviveACheckpoint)
+{
+    LineRetirement pool(1_MiB, 4);
+    ASSERT_TRUE(pool.retire(0x40));
+    ASSERT_TRUE(pool.retire(pool.remap(0x40))); // the spare wears out
+    ckpt::ChunkWriter w;
+    pool.saveCkpt(w);
+    LineRetirement copy(1_MiB, 4);
+    ckpt::ChunkReader r(w.data().data(), w.size(), "FLT0");
+    copy.restoreCkpt(r);
+    EXPECT_EQ(copy.remap(0x40), 1_MiB - 4 * 64 + 64);
+    EXPECT_EQ(copy.retiredCount(), 2u);
+}
+
+TEST_F(FaultTest, RetentionRestoreBoundsTheCountByThePayload)
+{
+    RetentionTracker t(1.0, 3.0, 0.0);
+    ckpt::ChunkWriter w;
+    w.u64(0); // stamps
+    w.u64(0); // violations
+    w.u64(std::uint64_t{1} << 60); // deadlines claimed...
+    w.u64(0x40); // ...but one present
+    w.u64(1000);
+    ckpt::ChunkReader r(w.data().data(), w.size(), "FLT0");
+    EXPECT_THROW(t.restoreCkpt(r), ckpt::CkptError);
 }
 
 // ---- FaultConfig validation ----

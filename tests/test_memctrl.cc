@@ -9,6 +9,7 @@
 #include <optional>
 #include <vector>
 
+#include "ckpt/ckpt.hh"
 #include "common/check.hh"
 #include "common/random.hh"
 #include "memctrl/controller.hh"
@@ -354,6 +355,68 @@ TEST(Controller, ManyRandomRequestsAllComplete)
     h.queue.run();
     EXPECT_EQ(completed, expected);
     EXPECT_TRUE(h.ctrl.idle());
+}
+
+// ---- Checkpoint restore ----
+
+/**
+ * A quiescent CTRL payload, in Channel::saveCkpt's field order, whose
+ * channels each hold `history` tFAW activates and ring index `idx`.
+ */
+ckpt::ChunkWriter
+ctrlPayload(const MemoryParams &p, std::uint32_t history,
+            std::uint64_t idx)
+{
+    ckpt::ChunkWriter w;
+    for (unsigned c = 0; c < p.numChannels; ++c) {
+        for (int k = 0; k < 6; ++k)
+            w.u64(0); // enqueued / retired per request kind
+        w.u64(0);     // last completion
+        w.u64(0);     // bus free at
+        w.u32(history);
+        for (std::uint32_t i = 0; i < history; ++i)
+            w.u64(100 * i);
+        w.u64(idx);
+        w.b(false); // write drain
+        w.u64(0);   // refresh hold
+        w.b(false); // scan memo valid
+        w.u64(0);
+        w.u64(maxTick);
+        w.u32(p.banksPerChannel);
+        for (unsigned b = 0; b < p.banksPerChannel; ++b) {
+            w.u64(0);                 // busy until
+            w.u64(~std::uint64_t(0)); // open row
+            w.b(false);
+        }
+    }
+    return w;
+}
+
+void
+restoreCtrl(Harness &h, std::uint32_t history, std::uint64_t idx)
+{
+    const ckpt::ChunkWriter w = ctrlPayload(h.params, history, idx);
+    ckpt::ChunkReader r(w.data().data(), w.size(), "CTRL");
+    h.ctrl.restoreCkpt(r);
+    r.expectDone();
+}
+
+TEST(Controller, CheckpointKeepsTheActivateRingInBounds)
+{
+    Harness h;
+    // The crafted layout is the one a fresh controller saves.
+    ckpt::ChunkWriter fresh;
+    h.ctrl.saveCkpt(fresh);
+    EXPECT_EQ(fresh.data(), ctrlPayload(h.params, 0, 0).data());
+
+    EXPECT_NO_THROW(restoreCtrl(h, 2, 0));
+    EXPECT_NO_THROW(restoreCtrl(h, 4, 3));
+    // The ring holds four activates, and its index moves only once
+    // it is full; anything else reads and writes past its end.
+    EXPECT_THROW(restoreCtrl(h, 4, 1000), ckpt::CkptError);
+    EXPECT_THROW(restoreCtrl(h, 4, 4), ckpt::CkptError);
+    EXPECT_THROW(restoreCtrl(h, 2, 1), ckpt::CkptError);
+    EXPECT_THROW(restoreCtrl(h, 5, 0), ckpt::CkptError);
 }
 
 } // namespace

@@ -60,8 +60,8 @@ TEST(TraceCategories, Names)
     EXPECT_STREQ(traceCategoryName(TraceCategory::RrmLifecycle), "rrm");
     EXPECT_STREQ(traceCategoryName(TraceCategory::Refresh), "refresh");
     EXPECT_STREQ(traceCategoryName(TraceCategory::Queue), "queue");
-    EXPECT_STREQ(traceCategoryName(TraceCategory::StartGap), "startgap");
     EXPECT_STREQ(traceCategoryName(TraceCategory::Sampler), "sampler");
+    EXPECT_STREQ(traceCategoryName(TraceCategory::Fault), "fault");
 }
 
 TEST(TraceSink, RingKeepsMostRecentAndCountsDrops)

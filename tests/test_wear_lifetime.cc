@@ -18,7 +18,7 @@ WearTracker
 smallTracker()
 {
     // 1 MB memory, 4 KB regions, 64 B blocks -> 256 regions.
-    return WearTracker(1_MiB, 4_KiB, 64);
+    return WearTracker(1_MiB, 4_KiB);
 }
 
 TEST(WearTracker, GeometryChecks)

@@ -802,8 +802,8 @@ defaultConfig()
                     "obs",    "pcm",     "trace", "cache",
                     "cpu",    "memctrl", "rrm",   "policy",
                     "fault",  "system",  "run"};
-    c.traceCategories = {"RrmLifecycle", "Refresh",  "Queue",
-                         "StartGap",     "Sampler",  "Fault"};
+    c.traceCategories = {"RrmLifecycle", "Refresh", "Queue", "Sampler",
+                         "Fault"};
     c.schemeFactoryFiles = {"src/system/scheme.hh",
                             "src/system/scheme.cc"};
     c.monotonicSeamFiles = {"src/obs/run_record.cc"};
