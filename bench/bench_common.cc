@@ -184,9 +184,6 @@ benchFlagTable()
          [](O &o, const V &v) {
              o.fault.refreshStallPeriodSeconds = v.number<double>() / 1e3;
          }},
-        {"--trace-packs", "DIR", RunFlags,
-         "replay .rtp packs from DIR (see tools/trace-pack)",
-         [](O &o, const V &v) { o.tracePackDir = v.text; }},
     };
     return table;
 }
@@ -205,6 +202,17 @@ printFlagHelp(const char *bench, unsigned groups)
         std::printf("  %-22s %s\n", usage.c_str(), flag.doc);
     }
     std::printf("  %-22s %s\n", "--help, -h", "this text");
+}
+
+/**
+ * Report a usage error and exit like --help does, rather than
+ * unwinding out of main() into an abort.
+ */
+[[noreturn]] void
+exitUsageError(const FatalError &e)
+{
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
 }
 
 /** Apply argv to `opts`; fatal() on the first bad flag or value. */
@@ -255,10 +263,7 @@ BenchOptions::parse(int argc, char **argv, const char *bench,
         (void)opts.selectedWorkloads();
         (void)opts.selectedSchemes({});
     } catch (const FatalError &e) {
-        // A usage error: report it and exit like --help does, rather
-        // than unwinding out of main() into an abort.
-        std::fprintf(stderr, "%s\n", e.what());
-        std::exit(2);
+        exitUsageError(e);
     }
     return opts;
 }
@@ -418,7 +423,6 @@ makeConfig(const trace::Workload &workload, const sys::Scheme &scheme,
     cfg.warmupFraction = opts.warmupFraction;
     cfg.seed = opts.seed;
     cfg.fault = opts.fault;
-    cfg.tracePackDir = opts.tracePackDir;
 
     const std::string run_tag =
         tag.empty() ? workload.name + "." + scheme.name() : tag;
@@ -472,7 +476,14 @@ runPlan(const run::RunPlan &plan, const BenchOptions &opts)
     // completed, and the plan fails with a full summary below.
     installInterruptHandlers();
     const run::Runner runner(opts.runnerOptions());
-    const run::RunReport report = runner.execute(plan);
+    run::RunReport report;
+    try {
+        report = runner.execute(plan);
+    } catch (const FatalError &e) {
+        // Only plan validation throws out of execute(): a mix whose
+        // footprints overflow their core slices is a usage error too.
+        exitUsageError(e);
+    }
 
     const std::size_t slowest = report.slowestRunIndex();
     std::fprintf(stderr,

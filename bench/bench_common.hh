@@ -35,8 +35,8 @@ enum BenchFlagGroup : unsigned
     /**
      * Everything makeConfig() and the runner consume: window, scale,
      * seed, workload and mix selection, runner policy, per-run
-     * outputs, checkpoints, trace packs, and the --fault-* knobs
-     * other than the two below.
+     * outputs, checkpoints, and the --fault-* knobs other than the
+     * two below.
      */
     RunFlags = 1u << 0,
     /** --fault-retention / --fault-rate (the fault sweep sets both). */
@@ -129,13 +129,6 @@ struct BenchOptions
      * bench outputs are byte-identical to builds without it.
      */
     fault::FaultConfig fault;
-
-    /**
-     * .rtp pack directory every run replays its instruction streams
-     * from (--trace-packs); empty = generate inline. Both sources are
-     * byte-identical in results.
-     */
-    std::string tracePackDir;
 
     /**
      * Parse argv against the declarative flag table (see

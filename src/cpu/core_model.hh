@@ -3,9 +3,8 @@
  * Trace-driven out-of-order-approximating core model.
  *
  * The core consumes a synthetic instruction trace (trace::TraceSource,
- * which generates inline or replays a .rtp trace pack)
- * and models the properties memory-system studies need (DESIGN.md
- * section 3, substitution 2):
+ * generated inline) and models the properties memory-system studies
+ * need (DESIGN.md section 3, substitution 2):
  *
  *  - a `width`-wide pipeline dispatches/retires non-memory
  *    instructions at width per cycle;

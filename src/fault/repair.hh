@@ -74,7 +74,10 @@ class EcpRepair
  * to spare blocks carved from the top of physical memory. The spare
  * range aliases ordinary memory — acceptable for a timing/wear model
  * that never stores data — but the remap keeps traffic, wear and
- * retention obligations flowing to distinct addresses.
+ * retention obligations flowing to distinct addresses. Workload
+ * memory must stay out of the pool (see remap());
+ * sys::SystemConfig::validate() enforces that whenever stuck-at
+ * faults are on.
  */
 class LineRetirement
 {
@@ -96,8 +99,12 @@ class LineRetirement
     /**
      * Live address for `block`: identity for an unretired line, else
      * the end of its retirement chain (a spare can itself wear out
-     * and retire onto a later spare; chains never cycle because every
-     * retirement targets a fresh, higher-index spare).
+     * and retire onto a later spare). Chains cannot cycle while only
+     * handed-out spares retire from inside the pool, because each
+     * retirement targets a fresh, higher-index spare. A workload line
+     * inside the pool breaks that: it can retire onto itself, or onto
+     * a spare that later retires back onto it, and this loop would
+     * never return.
      */
     Addr
     remap(Addr block) const

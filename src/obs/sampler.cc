@@ -112,6 +112,13 @@ Sampler::restoreCkpt(ckpt::ChunkReader &r)
             std::to_string(columns_.size()) + " columns, got " +
             std::to_string(interval) + " x " + std::to_string(cols));
     const std::uint64_t n = r.u64();
+    // A tick and `cols` values per row: never reserve past what the
+    // payload can hold.
+    if (n > r.remaining() / ((1 + cols) * 8))
+        throw ckpt::CkptError("sampler checkpoint claims " +
+                              std::to_string(n) + " rows in " +
+                              std::to_string(r.remaining()) +
+                              " payload bytes");
     rows_.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
         Row row;

@@ -5,6 +5,7 @@
 
 #include "system.hh"
 
+#include <algorithm>
 #include <fstream>
 
 #include "common/atomic_file.hh"
@@ -78,23 +79,49 @@ SystemConfig::validate() const
     } else if (!workload.perCore.empty() &&
                hierarchy.numCores == workload.numCores() &&
                hierarchy.numCores > 0) {
-        const std::uint64_t slice =
-            memory.memoryBytes / hierarchy.numCores;
-        for (unsigned c = 0; c < hierarchy.numCores; ++c) {
-            const auto &profile =
-                customProfiles.empty()
-                    ? trace::benchmarkProfile(workload.perCore[c])
-                    : *customProfiles[c];
-            if (profile.footprintBytes() > slice) {
-                errors.push_back("benchmark " +
-                                 std::string(profile.name) +
-                                 " footprint exceeds the " +
-                                 std::to_string(slice) +
-                                 "-byte per-core slice");
-            }
+        const unsigned cores = hierarchy.numCores;
+        const std::uint64_t slice = memory.memoryBytes / cores;
+        std::vector<const trace::BenchmarkProfile *> overflowing;
+        for (unsigned c = 0; c < cores; ++c) {
+            const auto &profile = profileOf(c);
+            if (profile.footprintBytes() <= slice ||
+                std::find(overflowing.begin(), overflowing.end(),
+                          &profile) != overflowing.end())
+                continue;
+            overflowing.push_back(&profile);
+            errors.push_back("benchmark " + std::string(profile.name) +
+                             " footprint of " +
+                             std::to_string(profile.footprintBytes()) +
+                             " bytes exceeds the " +
+                             std::to_string(slice) +
+                             "-byte per-core slice");
+        }
+        // Retired lines move onto spare blocks that alias the top of
+        // memory (fault::LineRetirement). A workload line there could
+        // retire onto itself or into a cycle, so stuck-at faults need
+        // the last core, the highest in memory, to stop short of it.
+        const std::uint64_t pool = fault::spareBlocks * blockBytes;
+        const auto &last = profileOf(cores - 1);
+        if (fault.stuckAtWearThreshold > 0 &&
+            last.footprintBytes() <= slice &&
+            (cores - 1) * slice + last.footprintBytes() + pool >
+                memory.memoryBytes) {
+            errors.push_back("benchmark " + std::string(last.name) +
+                             " on core " + std::to_string(cores - 1) +
+                             " reaches the " + std::to_string(pool) +
+                             "-byte spare pool at the top of memory,"
+                             " which stuck-at faults retire lines into");
         }
     }
     return errors;
+}
+
+const trace::BenchmarkProfile &
+SystemConfig::profileOf(std::size_t c) const
+{
+    return customProfiles.empty()
+               ? trace::benchmarkProfile(workload.perCore[c])
+               : *customProfiles[c];
 }
 
 void
@@ -398,23 +425,11 @@ System::buildCores()
         config_.memory.memoryBytes / config_.hierarchy.numCores;
     Random seeder(config_.seed);
     for (unsigned c = 0; c < config_.hierarchy.numCores; ++c) {
-        const auto &profile =
-            config_.customProfiles.empty()
-                ? trace::benchmarkProfile(config_.workload.perCore[c])
-                : *config_.customProfiles[c];
-        const std::uint64_t core_seed = seeder.next();
-        auto source =
-            config_.tracePackDir.empty()
-                ? trace::TraceSource::generate(profile, core_seed)
-                : trace::TraceSource::pack(
-                      std::make_shared<trace::TracePackReader>(
-                          config_.tracePackDir + "/" +
-                          std::string(profile.name) + "-c" +
-                          std::to_string(c) + ".rtp"),
-                      profile, core_seed);
         auto core = std::make_unique<cpu::CoreModel>(
-            c, config_.core, std::move(source), *hierarchy_, *this,
-            queue_, static_cast<Addr>(c) * slice);
+            c, config_.core,
+            trace::TraceSource::generate(config_.profileOf(c),
+                                         seeder.next()),
+            *hierarchy_, *this, queue_, static_cast<Addr>(c) * slice);
         core->regStats(statRoot_);
         cores_.push_back(std::move(core));
     }
@@ -789,13 +804,8 @@ System::writeConfigJson(obs::JsonWriter &json) const
     json.field("workload", config_.workload.name);
     json.key("perCore");
     json.beginArray();
-    for (std::size_t c = 0; c < config_.workload.numCores(); ++c) {
-        const auto &profile =
-            config_.customProfiles.empty()
-                ? trace::benchmarkProfile(config_.workload.perCore[c])
-                : *config_.customProfiles[c];
-        json.value(profile.name);
-    }
+    for (std::size_t c = 0; c < config_.workload.numCores(); ++c)
+        json.value(config_.profileOf(c).name);
     json.endArray();
     if (config_.workload.multiTenant()) {
         json.key("tenants");

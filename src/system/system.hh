@@ -196,18 +196,10 @@ struct SystemConfig
      */
     std::vector<const trace::BenchmarkProfile *> customProfiles;
 
-    std::uint64_t seed = 1;
+    /** Core `c`'s profile: its custom profile, else its benchmark's. */
+    const trace::BenchmarkProfile &profileOf(std::size_t c) const;
 
-    /**
-     * Directory of .rtp packs to replay instead of generating the
-     * instruction streams inline (empty = generate). Core c replays
-     * "<profile>-c<c>.rtp" (tools/trace-pack writes this layout)
-     * after validating the pack's seed and profile. Both sources are
-     * byte-identical for a given (profile, seed) — see
-     * trace/source.hh — so this field never enters the run-record
-     * config JSON.
-     */
-    std::string tracePackDir;
+    std::uint64_t seed = 1;
 
     /**
      * Check every configuration constraint and return one message per

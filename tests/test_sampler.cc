@@ -11,6 +11,7 @@
 
 #include <sstream>
 
+#include "ckpt/ckpt.hh"
 #include "common/check.hh"
 #include "obs/sampler.hh"
 #include "rrm/region_monitor.hh"
@@ -126,6 +127,24 @@ TEST(Sampler, CsvFormat)
     std::ostringstream csv;
     sampler.writeCsv(csv);
     EXPECT_EQ(csv.str(), "time_s,hot,frac\n0.5,3,0.5\n");
+}
+
+TEST(Sampler, RestoreBoundsTheRowCountByThePayload)
+{
+    EventQueue queue;
+    Sampler sampler(queue, 100);
+    sampler.addColumn("a", [] { return 0.0; });
+    sampler.addColumn("b", [] { return 0.0; });
+    ckpt::ChunkWriter w;
+    w.u64(100); // interval
+    w.u64(2);   // columns
+    w.u64(std::uint64_t{1} << 40); // rows claimed...
+    w.u64(100); // ...but one present
+    w.f64(1.0);
+    w.f64(2.0);
+    w.b(false);
+    ckpt::ChunkReader r(w.data().data(), w.size(), "SMPL");
+    EXPECT_THROW(sampler.restoreCkpt(r), ckpt::CkptError);
 }
 
 TEST(Sampler, ReportsEachSampleToTheTraceSink)

@@ -292,6 +292,50 @@ TEST(SystemIntegration, ConfigValidationRejectsLinesOtherThanOneBlock)
                          "(l1d 128, l2 128, llc 128)");
 }
 
+TEST(SystemIntegration, ConfigValidationNamesEachOverflowingBenchmarkOnce)
+{
+    // Ten cores cut 8 GiB into 819 MiB slices: mcf's footprint
+    // overflows one, libquantum's fits. Five mcf cores are one error.
+    SystemConfig cfg = quickConfig("lbm", Scheme::rrmScheme());
+    cfg.workload = trace::workloadFromSpec("mcf:5,libquantum:5");
+    cfg.hierarchy.numCores = 10;
+    const std::uint64_t mcf =
+        trace::benchmarkProfile(trace::Benchmark::Mcf).footprintBytes();
+    const std::vector<std::string> errors = cfg.validate();
+    ASSERT_EQ(errors.size(), 1u);
+    EXPECT_EQ(errors[0], "benchmark mcf footprint of " +
+                             std::to_string(mcf) +
+                             " bytes exceeds the 858993459-byte "
+                             "per-core slice");
+}
+
+TEST(SystemIntegration, ConfigValidationKeepsWorkloadsOutOfTheSparePool)
+{
+    // Stuck-at faults retire lines onto spare blocks at the top of
+    // memory. A last core that fills its whole 2 GiB slice reaches
+    // them, so only a config with stuck-at faults on rejects it.
+    trace::PatternSpec spec{};
+    spec.kind = trace::PatternSpec::Kind::Chase;
+    spec.weight = 1.0;
+    spec.footprintBytes = 64_MiB;
+    const trace::BenchmarkProfile small{"small", 100.0, 0.0, {spec}};
+    spec.footprintBytes = 2_GiB;
+    const trace::BenchmarkProfile full{"full", 100.0, 0.0, {spec}};
+
+    SystemConfig cfg = quickConfig("lbm", Scheme::rrmScheme());
+    cfg.customProfiles = {&small, &small, &small, &full};
+    ASSERT_EQ(cfg.memory.memoryBytes / cfg.hierarchy.numCores, 2_GiB);
+    EXPECT_TRUE(cfg.validate().empty());
+
+    cfg.fault.stuckAtWearThreshold = 1000;
+    const std::vector<std::string> errors = cfg.validate();
+    ASSERT_EQ(errors.size(), 1u);
+    EXPECT_NE(errors[0].find("benchmark full on core 3 reaches the "
+                             "65536-byte spare pool"),
+              std::string::npos)
+        << errors[0];
+}
+
 TEST(SystemIntegration, CountOnlyRefreshTimingStillCountsWear)
 {
     SystemConfig cfg = quickConfig("GemsFDTD", Scheme::rrmScheme());

@@ -1,15 +1,18 @@
 /**
  * @file
- * Tests for benchmark profiles, the trace generator, and workloads.
+ * Tests for benchmark profiles, the trace generator, the trace
+ * source's checkpoint seek, and workloads.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "common/check.hh"
 #include "common/logging.hh"
 #include "common/units.hh"
 #include "trace/generator.hh"
+#include "trace/source.hh"
 #include "trace/workload.hh"
 
 namespace rrm::trace
@@ -117,6 +120,47 @@ TEST(TraceGenerator, ComponentsDoNotOverlap)
 TEST(TraceGenerator, UnknownBenchmarkNameIsFatal)
 {
     EXPECT_THROW(benchmarkFromName("quake3"), FatalError);
+}
+
+/**
+ * After `src.seek(skip)`, the next `n` records must be records
+ * skip..skip+n-1 of a fresh generator's stream.
+ */
+void
+expectSeekedStream(TraceSource &src, const BenchmarkProfile &profile,
+                   std::uint64_t seed, std::uint64_t skip, std::uint64_t n)
+{
+    src.seek(skip);
+    EXPECT_EQ(src.consumed(), skip);
+    TraceGenerator ref(profile, seed);
+    for (std::uint64_t i = 0; i < skip; ++i)
+        ref.next();
+    for (std::uint64_t i = 0; i < n; ++i) {
+        const TraceRecord got = src.next();
+        const TraceRecord want = ref.next();
+        ASSERT_EQ(got.addr, want.addr) << "record " << skip + i;
+        ASSERT_EQ(got.type, want.type) << "record " << skip + i;
+        ASSERT_EQ(got.gapInstructions, want.gapInstructions)
+            << "record " << skip + i;
+    }
+    EXPECT_EQ(src.consumed(), skip + n);
+}
+
+TEST(TraceSource, SeekGenerateSource)
+{
+    const BenchmarkProfile &profile =
+        benchmarkProfile(Benchmark::GemsFDTD);
+    const std::uint64_t seed = 21;
+    TraceSource src = TraceSource::generate(profile, seed);
+    expectSeekedStream(src, profile, seed, 5000, 1000);
+}
+
+TEST(TraceSource, SeekOnUsedStreamPanics)
+{
+    TraceSource src =
+        TraceSource::generate(benchmarkProfile(Benchmark::Lbm), 1);
+    src.next();
+    EXPECT_THROW(src.seek(10), check::CheckError);
 }
 
 TEST(Workload, SingleWorkloadRunsFourCopies)
