@@ -115,9 +115,6 @@ benchFlagTable()
         {"--fail-fast", nullptr, RunFlags,
          "cancel queued runs after the first failure",
          [](O &o, const V &) { o.failFast = true; }},
-        {"--verbose", nullptr, RunFlags,
-         "per-run progress lines on stderr",
-         [](O &o, const V &) { o.verbose = true; }},
         {"--stats-json", "STEM", RunFlags,
          "per-run run-record JSON files STEM.<run>.json",
          [](O &o, const V &v) { o.statsJsonStem = v.text; }},
@@ -134,7 +131,7 @@ benchFlagTable()
          "per-run telemetry stats STEM.<run>.telemetry.json",
          [](O &o, const V &v) { o.telemetryStem = v.text; }},
         {"--progress", nullptr, RunFlags,
-         "throughput/ETA heartbeat lines on stderr",
+         "one stderr line per finished run (status, id, Mev/s, ETA)",
          [](O &o, const V &) { o.progress = true; }},
         {"--json-out", "F", JsonOutFlag, "bench-report path",
          [](O &o, const V &v) { o.jsonOut = v.text; }},
@@ -301,21 +298,21 @@ BenchOptions::selectedSchemes(
 }
 
 run::RunnerOptions
-BenchOptions::runnerOptions() const
+BenchOptions::runnerOptions(const run::RunPlan &plan) const
 {
     run::RunnerOptions ro;
     ro.jobs = jobs;
     ro.failFast = failFast;
-    ro.verbose = verbose;
     ro.timeoutSeconds = timeoutSeconds;
     ro.retries = retries;
     if (progress) {
-        ro.onProgress = [](const run::RunProgress &p) {
+        ro.onProgress = [&plan](const run::RunProgress &p) {
             std::fprintf(stderr,
-                         "progress: %zu/%zu runs done, last %.2f Mev/s"
-                         " (%.2f s), eta %.1f s\n",
-                         p.finished, p.total, p.eventsPerSecond / 1e6,
-                         p.runSeconds, p.etaSeconds);
+                         "progress: %zu/%zu %s %s %.2f s, %.2f Mev/s,"
+                         " eta %.1f s\n",
+                         p.finished, p.total, run::runStatusName(p.status),
+                         plan[p.index].id.c_str(), p.runSeconds,
+                         p.eventsPerSecond / 1e6, p.etaSeconds);
         };
     }
     return ro;
@@ -475,7 +472,7 @@ runPlan(const run::RunPlan &plan, const BenchOptions &opts)
     // write their final checkpoints (when configured), the report is
     // completed, and the plan fails with a full summary below.
     installInterruptHandlers();
-    const run::Runner runner(opts.runnerOptions());
+    const run::Runner runner(opts.runnerOptions(plan));
     run::RunReport report;
     try {
         report = runner.execute(plan);

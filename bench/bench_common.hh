@@ -77,9 +77,6 @@ struct BenchOptions
     /** Scheme subset by name (--schemes); empty = bench default. */
     std::vector<std::string> schemes;
 
-    /** Print per-run progress to stderr. */
-    bool verbose = false;
-
     /** Worker threads (--jobs); 0 = hardware concurrency, 1 = serial. */
     unsigned jobs = 0;
 
@@ -98,7 +95,7 @@ struct BenchOptions
     std::string telemetryStem;  ///< telemetry JSON (--telemetry)
     /** @} */
 
-    /** Throughput/ETA heartbeat lines on stderr (--progress). */
+    /** One stderr line per finished run (--progress). */
     bool progress = false;
 
     /** Bench-report path override (--json-out); bench default if empty. */
@@ -153,8 +150,12 @@ struct BenchOptions
     std::vector<sys::Scheme>
     selectedSchemes(const std::vector<sys::Scheme> &defaults) const;
 
-    /** Runner policy from these options (jobs, fail-fast, verbose). */
-    run::RunnerOptions runnerOptions() const;
+    /**
+     * Runner policy from these options (jobs, fail-fast, timeout,
+     * retries); --progress names each run by its id in `plan`, which
+     * must outlive the runner.
+     */
+    run::RunnerOptions runnerOptions(const run::RunPlan &plan) const;
 };
 
 /** Hook to adjust the SystemConfig before a run (sweep knobs). */

@@ -13,21 +13,15 @@ namespace rrm::cache
 Cache::Cache(const CacheConfig &config)
     : config_(config)
 {
-    RRM_CHECK(config_.lineBytes >= 2 && isPowerOfTwo(config_.lineBytes),
-              "line size must be 2^n bytes, n >= 1");
     RRM_CHECK(config_.assoc >= 1, "associativity must be >= 1");
-    RRM_CHECK(config_.sizeBytes %
-                      (std::uint64_t(config_.lineBytes) * config_.assoc) ==
-                  0,
+    RRM_CHECK(config_.sizeBytes % (blockBytes * config_.assoc) == 0,
               "cache '", config_.name,
               "' size must be a whole number of sets");
-    numSets_ =
-        config_.sizeBytes / (std::uint64_t(config_.lineBytes) * config_.assoc);
+    numSets_ = config_.sizeBytes / (blockBytes * config_.assoc);
     RRM_CHECK(isPowerOfTwo(numSets_), "cache '", config_.name,
               "' set count must be a power of two");
     RRM_CHECK(numSets_ * config_.assoc < noWay, "cache '", config_.name,
               "' has too many lines for a way handle");
-    lineShift_ = floorLog2(config_.lineBytes);
     const std::uint64_t lines = numSets_ * config_.assoc;
     tags_.assign(lines, freeTag);
     stamps_.assign(lines, 0);
@@ -55,7 +49,7 @@ Cache::allocate(Addr addr)
     out.way = base + victimWay(base);
     if (tags_[out.way] != freeTag) {
         out.victim.valid = true;
-        out.victim.addr = tags_[out.way] << lineShift_;
+        out.victim.addr = tags_[out.way] << lineShift;
         out.victim.dirty = dirty_[out.way] != 0;
         if (statEvictions_)
             ++*statEvictions_;
@@ -105,7 +99,7 @@ Cache::audit() const
                           " way ", w, ")");
                 continue;
             }
-            const Addr addr = tags_[way] << lineShift_;
+            const Addr addr = tags_[way] << lineShift;
             RRM_AUDIT(setIndex(addr) == set, "cache '", config_.name,
                       "': tag in set ", set, " indexes to set ",
                       setIndex(addr));

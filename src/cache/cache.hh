@@ -19,6 +19,7 @@
 #ifndef RRM_CACHE_CACHE_HH
 #define RRM_CACHE_CACHE_HH
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -38,15 +39,16 @@ class ChunkReader;
 namespace rrm::cache
 {
 
-/** Static configuration of one cache level. */
+/**
+ * Static configuration of one cache level. Every level's line is one
+ * memory block (rrm::blockBytes), the unit the RRM and the PCM track.
+ */
 struct CacheConfig
 {
     std::string name = "cache";
     std::uint64_t sizeBytes = 32 * 1024;
     unsigned assoc = 4;
-    unsigned lineBytes = 64;
     Tick hitLatency = 1_ns;
-    unsigned mshrs = 8;
 };
 
 /**
@@ -87,7 +89,7 @@ class Cache : public Auditable
     Addr
     lineAddr(Addr addr) const
     {
-        return addr & ~static_cast<Addr>(config_.lineBytes - 1);
+        return addr & ~static_cast<Addr>(blockBytes - 1);
     }
 
     /** Handle of the line holding `addr`, or noWay. No side effects. */
@@ -161,7 +163,7 @@ class Cache : public Auditable
     {
         for (const Addr tag : tags_)
             if (tag != freeTag)
-                fn(tag << lineShift_);
+                fn(tag << lineShift);
     }
 
     /** Register hit/miss/writeback statistics into a group. */
@@ -187,13 +189,16 @@ class Cache : public Auditable
     void audit() const override;
 
   private:
-    /** Tag of a free way; no line's tag (addr >> lineShift_) is. */
+    /** log2 of the line (block) size. */
+    static constexpr unsigned lineShift = std::countr_zero(blockBytes);
+
+    /** Tag of a free way; no line's tag (addr >> lineShift) is. */
     static constexpr Addr freeTag = ~Addr(0);
 
     std::uint64_t
     setIndex(Addr addr) const
     {
-        return (addr >> lineShift_) & (numSets_ - 1);
+        return (addr >> lineShift) & (numSets_ - 1);
     }
 
     /** Handle of way 0 of the set `addr` maps to. */
@@ -203,7 +208,7 @@ class Cache : public Auditable
         return static_cast<Way>(setIndex(addr) * config_.assoc);
     }
 
-    Addr tagOf(Addr addr) const { return addr >> lineShift_; }
+    Addr tagOf(Addr addr) const { return addr >> lineShift; }
 
     /**
      * Replacement: the way of the set at `base` with the smallest
@@ -216,7 +221,6 @@ class Cache : public Auditable
 
     CacheConfig config_;
     std::uint64_t numSets_;
-    unsigned lineShift_;
 
     /** @{ numSets_ * assoc entries each, set-major. */
     std::vector<Addr> tags_;             ///< freeTag marks a free way

@@ -19,19 +19,16 @@ defaultHierarchyConfig()
     cfg.l1.sizeBytes = 32_KiB;
     cfg.l1.assoc = 4;
     cfg.l1.hitLatency = 1_ns; // 2 cycles @ 2 GHz
-    cfg.l1.mshrs = 8;
 
     cfg.l2.name = "l2";
     cfg.l2.sizeBytes = 256_KiB;
     cfg.l2.assoc = 8;
     cfg.l2.hitLatency = 6_ns; // 12 cycles
-    cfg.l2.mshrs = 12;
 
     cfg.llc.name = "llc";
     cfg.llc.sizeBytes = 6_MiB;
     cfg.llc.assoc = 24;
     cfg.llc.hitLatency = 17500_ps; // 35 cycles
-    cfg.llc.mshrs = 32;
 
     return cfg;
 }
@@ -40,9 +37,6 @@ CacheHierarchy::CacheHierarchy(const HierarchyConfig &config)
     : config_(config)
 {
     RRM_CHECK(config_.numCores >= 1, "need at least one core");
-    RRM_CHECK(config_.l1.lineBytes == config_.l2.lineBytes &&
-                  config_.l2.lineBytes == config_.llc.lineBytes,
-              "all levels must share one line size");
     for (unsigned c = 0; c < config_.numCores; ++c) {
         CacheConfig l1 = config_.l1;
         CacheConfig l2 = config_.l2;

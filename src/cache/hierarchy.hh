@@ -14,8 +14,10 @@
  *    hierarchy dirty (merging any dirtier L1/L2 copies).
  *
  * Instruction fetch is not modelled: the SPEC-like workloads of the
- * paper have negligible I-side LLC traffic. MSHR counts live in the
- * configs; the core model enforces them (it owns request concurrency).
+ * paper have negligible I-side LLC traffic. The per-core L1 MSHRs are
+ * cpu::CoreParams::maxOutstandingMisses, which the core model enforces
+ * (it owns request concurrency); the System enforces the shared LLC's
+ * llcMshrs().
  */
 
 #ifndef RRM_CACHE_HIERARCHY_HH
@@ -90,11 +92,8 @@ class CacheHierarchy : public Auditable
      */
     HierarchyEvents fill(unsigned core, Addr addr, bool is_write);
 
-    /** LLC MSHR budget (outstanding memory reads). */
-    unsigned llcMshrs() const { return config_.llc.mshrs; }
-
-    /** Per-core outstanding-miss budget (L1 MSHRs). */
-    unsigned coreMshrs() const { return config_.l1.mshrs; }
+    /** LLC MSHR budget (outstanding memory reads; Table IV). */
+    static constexpr unsigned llcMshrs() { return 32; }
 
     const Cache &llc() const { return *llc_; }
     const Cache &l1(unsigned core) const { return *l1s_.at(core); }

@@ -78,9 +78,8 @@ constexpr std::uint64_t GB = 1024 * MB;
 /** @} */
 
 /**
- * Memory block size: the unit of one PCM block write and one RRM
- * short_retention_vector bit. SystemConfig::validate() requires every
- * cache level's line to be exactly one block.
+ * Memory block size: the unit of one PCM block write, one RRM
+ * short_retention_vector bit and every cache level's line.
  */
 constexpr std::uint64_t blockBytes = 64;
 

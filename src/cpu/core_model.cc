@@ -24,7 +24,6 @@ CoreModel::CoreModel(unsigned id, const CoreParams &params,
       queue_(queue),
       addrBase_(addr_base)
 {
-    RRM_CHECK(params_.width >= 1, "core width must be positive");
     RRM_CHECK(params_.robSize >= 1, "ROB must be non-empty");
     RRM_CHECK(params_.maxOutstandingMisses >= 1, "need at least one MSHR");
     outstanding_.resize(params_.maxOutstandingMisses);

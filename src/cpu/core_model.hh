@@ -38,20 +38,24 @@
 namespace rrm::cpu
 {
 
-/** Core timing parameters (paper Table IV: 2 GHz, 8-issue OoO). */
+/**
+ * Core timing parameters (paper Table IV: 2 GHz, 8-issue OoO). The
+ * clock, width, run-ahead quantum and hit penalties are constants;
+ * the ROB and MSHR sizes stay settable for the core-model tests.
+ */
 struct CoreParams
 {
-    Tick cycle = 500_ps;   ///< 2 GHz
-    unsigned width = 8;    ///< dispatch/retire width
+    static constexpr Tick cycle = 500_ps; ///< 2 GHz
+    static constexpr unsigned width = 8;  ///< dispatch/retire width
     unsigned robSize = 192;
     unsigned maxOutstandingMisses = 8; ///< L1 MSHRs
 
     /** Max run-ahead before resynchronizing with the event queue. */
-    Tick quantum = 200_ns;
+    static constexpr Tick quantum = 200_ns;
 
     /** Extra cycles charged to an L2 / LLC load hit (partial hiding). */
-    Cycles l2HitPenalty = 3;
-    Cycles llcHitPenalty = 12;
+    static constexpr Cycles l2HitPenalty = 3;
+    static constexpr Cycles llcHitPenalty = 12;
 };
 
 /**

@@ -18,8 +18,6 @@ FaultConfig::collectErrors(std::vector<std::string> &errors,
                          "within [0, 1]");
     if (!rate_ok(stuckAtRate))
         errors.push_back("fault stuck-at rate must be within [0, 1]");
-    if (trackRetentionMaxSeconds <= 0.0)
-        errors.push_back("fault retention tracking bound must be > 0");
     if (retentionSlackSeconds < 0.0)
         errors.push_back("fault retention slack must be >= 0");
     if (refreshStallSeconds < 0.0 || refreshStallPeriodSeconds < 0.0)

@@ -35,6 +35,14 @@ constexpr double fallbackPollSeconds = 0.0005;
 constexpr unsigned fallbackEnterPolls = 2;
 
 /**
+ * Only write modes whose *unscaled* retention is at or below this
+ * bound are deadline-tracked. It covers 3-SETs (2.01 s) but not
+ * 4-SETs (24.05 s) and above, whose deadlines are orders of magnitude
+ * beyond any simulated window.
+ */
+constexpr double trackRetentionMaxSeconds = 3.0;
+
+/**
  * Static configuration of the fault model. All knobs default to
  * "off": a default-constructed FaultConfig is `!enabled()` and the
  * simulator behaves (and emits output) exactly as if the fault layer
@@ -51,14 +59,6 @@ struct FaultConfig
      * refresh or rewrite arrives in time.
      */
     bool retentionTracking = false;
-
-    /**
-     * Only write modes whose *unscaled* retention is at or below this
-     * bound are deadline-tracked. The default covers 3-SETs (2.01 s)
-     * but not 4-SETs (24.05 s) and above, whose deadlines are orders
-     * of magnitude beyond any simulated window.
-     */
-    double trackRetentionMaxSeconds = 3.0;
 
     /**
      * Extra allowance added to every deadline, in *simulated* seconds

@@ -40,8 +40,7 @@ FaultManager::FaultManager(const FaultConfig &config,
       addressMap_(memory), numChannels_(memory.numChannels),
       injector_(config.transientWriteFailureRate, config.stuckAtRate,
                 config.seed ^ (system_seed * 0x9e3779b97f4a7c15ULL)),
-      retention_(time_scale, config.trackRetentionMaxSeconds,
-                 config.retentionSlackSeconds),
+      retention_(time_scale, config.retentionSlackSeconds),
       ecp_(config.repairBudgetPerLine),
       retirement_(memory.memoryBytes, spareBlocks)
 {

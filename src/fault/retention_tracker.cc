@@ -10,26 +10,22 @@
 
 #include "ckpt/ckpt.hh"
 #include "common/check.hh"
+#include "fault/fault_config.hh"
 
 namespace rrm::fault
 {
 
-RetentionTracker::RetentionTracker(double time_scale,
-                                   double track_max_seconds,
-                                   double slack_seconds)
-    : timeScale_(time_scale), trackMaxSeconds_(track_max_seconds),
-      slackTicks_(secondsToTicks(slack_seconds))
+RetentionTracker::RetentionTracker(double time_scale, double slack_seconds)
+    : timeScale_(time_scale), slackTicks_(secondsToTicks(slack_seconds))
 {
     RRM_CHECK(timeScale_ > 0.0, "retention tracker time scale must "
                                 "be > 0");
-    RRM_CHECK(trackMaxSeconds_ > 0.0, "retention tracking bound must "
-                                      "be > 0");
 }
 
 bool
 RetentionTracker::tracks(pcm::WriteMode mode) const
 {
-    return pcm::retentionSeconds(mode) <= trackMaxSeconds_;
+    return pcm::retentionSeconds(mode) <= trackRetentionMaxSeconds;
 }
 
 Tick

@@ -39,10 +39,12 @@ class RetentionTracker
     /** (block, missed deadline, sweep time). */
     using ViolationCallback = std::function<void(Addr, Tick, Tick)>;
 
-    RetentionTracker(double time_scale, double track_max_seconds,
-                     double slack_seconds);
+    RetentionTracker(double time_scale, double slack_seconds);
 
-    /** True when `mode` is short-retention enough to be tracked. */
+    /**
+     * True when `mode` is short-retention enough to be tracked (at
+     * most trackRetentionMaxSeconds).
+     */
     bool tracks(pcm::WriteMode mode) const;
 
     /**
@@ -111,7 +113,6 @@ class RetentionTracker
     void dropStaleTop();
 
     double timeScale_;
-    double trackMaxSeconds_;
     Tick slackTicks_;
 
     /** Live deadline per tracked block. */

@@ -41,10 +41,6 @@ class AddressMap
     {
         RRM_CHECK(isPowerOfTwo(params.numChannels),
                   "channel count must be a power of two");
-        RRM_CHECK(isPowerOfTwo(params.banksPerChannel),
-                  "bank count must be a power of two");
-        RRM_CHECK(isPowerOfTwo(params.rowBufferBytes),
-                  "row buffer size must be a power of two");
         colShift_ = floorLog2(params.rowBufferBytes);
         chanBits_ = floorLog2(params.numChannels);
         bankBits_ = floorLog2(params.banksPerChannel);

@@ -8,29 +8,36 @@
 
 #include <cstdint>
 
+#include "common/math_util.hh"
 #include "common/units.hh"
 #include "pcm/write_mode.hh"
 
 namespace rrm::memctrl
 {
 
-/** Geometry + timing of the PCM main memory (Table V defaults). */
+/**
+ * Geometry + timing of the PCM main memory (Table V). The paper's
+ * geometry and timing are constants; what stays settable is the
+ * channel count, the queue sizing and write pausing, which tests use
+ * to build a small controller and the ablation bench to switch
+ * pausing off.
+ */
 struct MemoryParams
 {
-    std::uint64_t memoryBytes = 8_GiB;
+    static constexpr std::uint64_t memoryBytes = 8_GiB;
     unsigned numChannels = 4;
-    unsigned banksPerChannel = 16;
+    static constexpr unsigned banksPerChannel = 16;
 
     /** Memory bus: 64-bit at 400 MHz -> 2.5 ns per beat. */
-    Tick busCycle = 2500_ps;
-    unsigned busWidthBytes = 8;
+    static constexpr Tick busCycle = 2500_ps;
+    static constexpr unsigned busWidthBytes = 8;
 
     /** Row-buffer granularity for open-page read hits. */
-    std::uint64_t rowBufferBytes = 1_KiB;
+    static constexpr std::uint64_t rowBufferBytes = 1_KiB;
 
-    Tick tRCD = 120_ns; ///< activate (array read) latency
-    Tick tCAS = 2500_ps; ///< column access, 1 mem cycle
-    Tick tFAW = 50_ns;  ///< four-activate window per channel
+    static constexpr Tick tRCD = 120_ns;  ///< activate (array read) latency
+    static constexpr Tick tCAS = 2500_ps; ///< column access, 1 mem cycle
+    static constexpr Tick tFAW = 50_ns;   ///< four-activate window per channel
 
     /** Queue capacities per channel (Table V). */
     unsigned readQueueCap = 32;
@@ -50,13 +57,16 @@ struct MemoryParams
     bool writePausing = true;
 
     /** Data transfer time of one block on the channel bus. */
-    Tick
-    burstTime() const
+    static constexpr Tick
+    burstTime()
     {
-        const Cycles busBeats = blockBytes / busWidthBytes;
-        return cyclesToTicks(busBeats, busCycle);
+        return cyclesToTicks(blockBytes / busWidthBytes, busCycle);
     }
 };
+
+static_assert(isPowerOfTwo(MemoryParams::banksPerChannel) &&
+                  isPowerOfTwo(MemoryParams::rowBufferBytes),
+              "the address map decodes banks and rows by bit fields");
 
 } // namespace rrm::memctrl
 

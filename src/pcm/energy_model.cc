@@ -8,20 +8,10 @@
 namespace rrm::pcm
 {
 
-EnergyModel::EnergyModel(const EnergyParams &params)
-    : params_(params)
-{
-    RRM_CHECK(params_.writeVoltage > 0.0, "voltage must be positive");
-    RRM_CHECK(params_.bitsPerCell >= 1, "need at least one bit per cell");
-    sevenSetBlockEnergy_ =
-        cellWriteEnergyCharge(WriteMode::Sets7) * cellsPerBlock();
-}
-
-unsigned
-EnergyModel::cellsPerBlock() const
-{
-    return static_cast<unsigned>(blockBytes * 8 / params_.bitsPerCell);
-}
+EnergyModel::EnergyModel()
+    : sevenSetBlockEnergy_(cellWriteEnergyCharge(WriteMode::Sets7) *
+                           cellsPerBlock())
+{}
 
 double
 EnergyModel::cellWriteEnergyCharge(WriteMode mode) const
@@ -33,7 +23,7 @@ EnergyModel::cellWriteEnergyCharge(WriteMode mode) const
     const double set_charge = p.setCurrentUa * 1e-6 *
                               ticksToSeconds(setPulse) *
                               static_cast<double>(p.setIterations);
-    return params_.writeVoltage * (reset_charge + set_charge);
+    return writeVoltage * (reset_charge + set_charge);
 }
 
 double

@@ -25,29 +25,27 @@
 namespace rrm::pcm
 {
 
-/** Energy model parameters. */
-struct EnergyParams
-{
-    /** Write supply voltage (20 nm chip demonstration: 1.8 V). */
-    double writeVoltage = 1.8;
+/** Write supply voltage (20 nm chip demonstration: 1.8 V). */
+constexpr double writeVoltage = 1.8;
 
-    /** MLC bits per cell. */
-    unsigned bitsPerCell = 2;
+/** MLC bits per cell. */
+constexpr unsigned bitsPerCell = 2;
 
-    /** Energy of reading one block, in joules (mode independent). */
-    double readEnergyPerBlock = 5.0e-9;
-};
+/** Energy of reading one block, in joules (mode independent). */
+constexpr double readEnergyPerBlock = 5.0e-9;
 
 /** Per-write / per-read energy calculations. */
 class EnergyModel
 {
   public:
-    explicit EnergyModel(const EnergyParams &params = EnergyParams());
-
-    const EnergyParams &params() const { return params_; }
+    EnergyModel();
 
     /** Cells per memory block (block bits / bits per cell). */
-    unsigned cellsPerBlock() const;
+    static constexpr unsigned
+    cellsPerBlock()
+    {
+        return static_cast<unsigned>(blockBytes * 8 / bitsPerCell);
+    }
 
     /** Charge-model energy of one cell write, in joules. */
     double cellWriteEnergyCharge(WriteMode mode) const;
@@ -63,7 +61,7 @@ class EnergyModel
     double normalizedWriteEnergy(WriteMode mode) const;
 
     /** Energy of reading one block, in joules. */
-    double blockReadEnergy() const { return params_.readEnergyPerBlock; }
+    double blockReadEnergy() const { return readEnergyPerBlock; }
 
     /**
      * Energy of refreshing one block with the given write mode: a
@@ -73,7 +71,6 @@ class EnergyModel
     double blockRefreshEnergy(WriteMode mode) const;
 
   private:
-    EnergyParams params_;
     double sevenSetBlockEnergy_;
 };
 

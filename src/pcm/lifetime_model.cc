@@ -8,15 +8,10 @@
 namespace rrm::pcm
 {
 
-LifetimeModel::LifetimeModel(std::uint64_t num_blocks,
-                             const LifetimeParams &params)
-    : numBlocks_(num_blocks), params_(params)
+LifetimeModel::LifetimeModel(std::uint64_t num_blocks)
+    : numBlocks_(num_blocks)
 {
     RRM_CHECK(numBlocks_ > 0, "lifetime model needs a non-empty array");
-    RRM_CHECK(params_.endurance > 0.0, "endurance must be positive");
-    RRM_CHECK(params_.levelingEfficiency > 0.0 &&
-                  params_.levelingEfficiency <= 1.0,
-              "leveling efficiency must be in (0, 1]");
 }
 
 double
@@ -61,7 +56,7 @@ LifetimeModel::lifetimeSeconds(const WearMeasurement &m) const
 {
     const double rate = perBlockWriteRate(m);
     RRM_CHECK(rate > 0.0, "zero write rate gives unbounded lifetime");
-    return params_.levelingEfficiency * params_.endurance / rate;
+    return levelingEfficiency * endurance / rate;
 }
 
 double

@@ -31,15 +31,12 @@
 namespace rrm::pcm
 {
 
-/** Lifetime model configuration. */
-struct LifetimeParams
-{
-    /** Cell endurance in RESET cycles. */
-    double endurance = 5.0e6;
+/** Cell endurance in RESET cycles. */
+constexpr double endurance = 5.0e6;
 
-    /** Fraction of average-cell lifetime achieved by wear leveling. */
-    double levelingEfficiency = 0.95;
-};
+/** Fraction of average-cell lifetime achieved by wear leveling. */
+constexpr double levelingEfficiency = 0.95;
+static_assert(levelingEfficiency > 0.0 && levelingEfficiency <= 1.0);
 
 /** Measured wear over a simulated window, ready for extrapolation. */
 struct WearMeasurement
@@ -68,10 +65,8 @@ struct WearMeasurement
 class LifetimeModel
 {
   public:
-    LifetimeModel(std::uint64_t num_blocks,
-                  const LifetimeParams &params = LifetimeParams());
+    explicit LifetimeModel(std::uint64_t num_blocks);
 
-    const LifetimeParams &params() const { return params_; }
     std::uint64_t numBlocks() const { return numBlocks_; }
 
     /** Demand block writes per real second (whole array). */
@@ -94,7 +89,6 @@ class LifetimeModel
 
   private:
     std::uint64_t numBlocks_;
-    LifetimeParams params_;
 };
 
 /** Seconds per (Julian) year. */

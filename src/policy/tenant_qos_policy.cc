@@ -100,10 +100,8 @@ pcm::WriteMode
 TenantQosPolicy::writeModeFor(Addr block_addr) const
 {
     const unsigned t = layout_.tenantOfAddr(block_addr);
-    if (config_.demoteNoisy && noisy_[t]) {
-        const monitor::RegionMonitor *mon = inner_->monitor();
-        return mon ? mon->config().slowMode : pcm::WriteMode::Sets7;
-    }
+    if (config_.demoteNoisy && noisy_[t])
+        return monitor::RrmConfig::slowMode;
     return inner_->writeModeFor(block_addr);
 }
 

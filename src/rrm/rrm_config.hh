@@ -19,7 +19,12 @@
 namespace rrm::monitor
 {
 
-/** Static configuration of the RRM structure. */
+/**
+ * Static configuration of the RRM structure. The paper's 3-SETs/7-SETs
+ * mode pair, 0.01 s guard, 16 decay ticks per interval and lookup
+ * latency are constants; the geometry, threshold, filter and scaling
+ * knobs stay settable for the sensitivity benches.
+ */
 struct RrmConfig
 {
     /** Retention Region size covered by one entry (default 4 KB). */
@@ -44,17 +49,21 @@ struct RrmConfig
     bool dirtyWriteFilter = true;
 
     /** RRM lookup latency (4 cycles @ 2 GHz). */
-    Tick accessLatency = 2_ns;
+    static constexpr Tick accessLatency = 2_ns;
 
     /** Fast (short retention) and slow (long retention) write modes. */
-    pcm::WriteMode fastMode = pcm::WriteMode::Sets3;
-    pcm::WriteMode slowMode = pcm::WriteMode::Sets7;
+    static constexpr pcm::WriteMode fastMode = pcm::WriteMode::Sets3;
+    static constexpr pcm::WriteMode slowMode = pcm::WriteMode::Sets7;
+
+    // More SET iterations program a narrower band: longer retention.
+    static_assert(pcm::setIterations(fastMode) < pcm::setIterations(slowMode),
+                  "the fast mode must have the shorter retention");
 
     /**
      * Safety margin before the fast mode's retention expires: the
      * paper refreshes every 2 s against a 2.01 s retention.
      */
-    double guardSeconds = 0.01;
+    static constexpr double guardSeconds = 0.01;
 
     /**
      * Retention-interval compression factor of the run (DESIGN.md
@@ -63,7 +72,7 @@ struct RrmConfig
     double timeScale = 1.0;
 
     /** Decay ticks per short-retention interval (4-bit counter). */
-    unsigned decayTicksPerInterval = 16;
+    static constexpr unsigned decayTicksPerInterval = 16;
 
     /**
      * Stretch factor applied to the decay window in scaled runs.
@@ -172,11 +181,6 @@ struct RrmConfig
             errors.push_back("hot_threshold must be positive");
         if (timeScale < 1.0)
             errors.push_back("time scale must be >= 1");
-        if (pcm::retentionSeconds(fastMode) >=
-            pcm::retentionSeconds(slowMode)) {
-            errors.push_back(
-                "fast mode must have shorter retention than slow");
-        }
     }
 
     /** Validate invariants; fatal() on bad user configuration. */
@@ -201,10 +205,6 @@ struct RrmConfig
         return regionBytes != def.regionBytes || numSets != def.numSets ||
                assoc != def.assoc || hotThreshold != def.hotThreshold ||
                dirtyWriteFilter != def.dirtyWriteFilter ||
-               accessLatency != def.accessLatency ||
-               fastMode != def.fastMode || slowMode != def.slowMode ||
-               guardSeconds != def.guardSeconds ||
-               decayTicksPerInterval != def.decayTicksPerInterval ||
                decayStretch != def.decayStretch;
     }
 };

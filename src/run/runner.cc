@@ -6,7 +6,6 @@
 #include "runner.hh"
 
 #include <atomic>
-#include <cstdio>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -53,7 +52,6 @@ struct Execution
     /** Serializes progress accounting and the onProgress callback. */
     std::mutex progressMutex;
     std::size_t finished = 0;          // guarded by progressMutex
-    double slowestSeconds = 0.0;       // guarded by progressMutex
     double finishedSeconds = 0.0;      // guarded by progressMutex
 };
 
@@ -134,11 +132,6 @@ executeOne(Execution &ex, std::size_t index)
     {
         const std::lock_guard<std::mutex> lock(ex.progressMutex);
         progress.finished = ++ex.finished;
-        if (slot.status == RunStatus::Ok &&
-            slot.wallSeconds > ex.slowestSeconds) {
-            ex.slowestSeconds = slot.wallSeconds;
-        }
-        progress.slowestSeconds = ex.slowestSeconds;
         ex.finishedSeconds += slot.wallSeconds;
         const std::size_t remaining = progress.total - progress.finished;
         if (remaining > 0 && ex.finishedSeconds > 0.0) {
@@ -147,14 +140,6 @@ executeOne(Execution &ex, std::size_t index)
             progress.etaSeconds =
                 mean * static_cast<double>(remaining) /
                 static_cast<double>(ex.report.jobs ? ex.report.jobs : 1);
-        }
-        if (ex.options.verbose) {
-            std::fprintf(stderr,
-                         "  [%zu/%zu] %-9s %-32s %6.2f s"
-                         " (slowest %.2f s)\n",
-                         progress.finished, progress.total,
-                         runStatusName(slot.status), spec.label.c_str(),
-                         slot.wallSeconds, progress.slowestSeconds);
         }
         if (ex.options.onProgress)
             ex.options.onProgress(progress);

@@ -46,9 +46,6 @@ struct RunProgress
     /** Wall seconds of this run. */
     double runSeconds = 0.0;
 
-    /** Slowest completed run seen so far (the watermark). */
-    double slowestSeconds = 0.0;
-
     /** Simulator events this run executed (0 unless Ok). */
     std::uint64_t eventsExecuted = 0;
 
@@ -83,9 +80,6 @@ struct RunnerOptions
      * on other workers complete normally.
      */
     bool failFast = false;
-
-    /** Print per-run progress lines to stderr. */
-    bool verbose = false;
 
     /**
      * Per-run wall-clock budget in seconds, applied to every run whose

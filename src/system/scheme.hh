@@ -23,15 +23,11 @@
 #include <vector>
 
 #include "pcm/write_mode.hh"
+#include "rrm/rrm_config.hh"
 
 namespace rrm
 {
 class EventQueue;
-
-namespace monitor
-{
-struct RrmConfig;
-}
 
 namespace policy
 {
@@ -110,7 +106,7 @@ struct Scheme
     globalRefreshMode() const
     {
         return kind == SchemeKind::Static ? staticMode
-                                          : pcm::WriteMode::Sets7;
+                                          : monitor::RrmConfig::slowMode;
     }
 
     /** Canonical name; parseScheme() inverts it exactly. */

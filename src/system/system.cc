@@ -37,19 +37,6 @@ SystemConfig::validate() const
                          std::to_string(workload.numCores()));
     }
     trace::collectTenantErrors(workload, errors);
-    std::string bad_lines;
-    for (const cache::CacheConfig *level :
-         {&hierarchy.l1, &hierarchy.l2, &hierarchy.llc}) {
-        if (level->lineBytes != blockBytes) {
-            bad_lines += (bad_lines.empty() ? "" : ", ") + level->name +
-                         " " + std::to_string(level->lineBytes);
-        }
-    }
-    if (!bad_lines.empty()) {
-        errors.push_back("cache lines must be one " +
-                         std::to_string(blockBytes) +
-                         "-byte memory block (" + bad_lines + ")");
-    }
     if (timeScale < 1.0)
         errors.push_back("time scale must be >= 1");
     if (windowSeconds <= 0.0)
@@ -141,8 +128,7 @@ SystemConfig::finalize()
 System::System(SystemConfig config)
     : config_(std::move(config)),
       statRoot_("system"),
-      wear_(config_.memory.memoryBytes, 4_KiB),
-      energy_(config_.energy)
+      wear_(config_.memory.memoryBytes, 4_KiB)
 {
     config_.finalize();
     timeScaleInt_ = static_cast<std::uint64_t>(config_.timeScale);
@@ -822,9 +808,9 @@ System::writeConfigJson(obs::JsonWriter &json) const
     json.field("refreshTiming",
                static_cast<int>(config_.refreshTiming));
     json.field("memoryBytes", config_.memory.memoryBytes);
+    if (!config_.memory.writePausing)
+        json.field("writePausing", false);
     json.field("auditEveryEvents", config_.auditEveryEvents);
-    if (config_.wallTimeoutSeconds > 0.0)
-        json.field("wallTimeoutSeconds", config_.wallTimeoutSeconds);
     if (config_.fault.enabled()) {
         json.key("fault");
         json.beginObject();
@@ -841,7 +827,13 @@ System::writeConfigJson(obs::JsonWriter &json) const
                    config_.fault.repairBudgetPerLine);
         json.field("refreshStallSeconds",
                    config_.fault.refreshStallSeconds);
+        json.field("refreshStallPeriodSeconds",
+                   config_.fault.refreshStallPeriodSeconds);
         json.field("fallback", config_.fault.fallback);
+        json.field("fallbackHighWatermark",
+                   config_.fault.fallbackHighWatermark);
+        json.field("fallbackLowWatermark",
+                   config_.fault.fallbackLowWatermark);
         json.field("seed", config_.fault.seed);
         json.endObject();
     }
@@ -944,9 +936,8 @@ System::collectResults(Tick measure_start, Tick measure_end)
     wm.timeScale = config_.timeScale;
     wm.globalRefreshMode = config_.scheme.globalRefreshMode();
 
-    const pcm::LifetimeModel lifetime(
-        config_.memory.memoryBytes / blockBytes,
-        config_.lifetime);
+    const pcm::LifetimeModel lifetime(config_.memory.memoryBytes /
+                                      blockBytes);
     r.demandWriteRate = lifetime.demandWriteRate(wm);
     r.rrmRefreshRate = lifetime.rrmRefreshRate(wm);
     r.globalRefreshRate = lifetime.globalRefreshRate(wm);

@@ -125,9 +125,6 @@ struct SystemConfig
     /** LLC writeback buffer entries (dirty victims awaiting a queue). */
     unsigned writebackBufferCap = 16;
 
-    pcm::LifetimeParams lifetime;
-    pcm::EnergyParams energy;
-
     /** Enable the Table III region write profiler. */
     bool profileRegionWrites = false;
 
@@ -308,6 +305,12 @@ class System : public cpu::CorePort
     void buildCores();
     void setupObservability();
     void writeObsOutputs(const SimResults &r);
+
+    /**
+     * The run record's `config`: every model input a bench can set and
+     * no host-side budget. The checkpoint fingerprint hashes it, so a
+     * resume under another --timeout keeps its checkpoints.
+     */
     void writeConfigJson(obs::JsonWriter &json) const;
     void runSlice(Tick until);
     void tryEnqueueRead(unsigned core, Addr line);

@@ -72,8 +72,7 @@ class RefCache
 {
   public:
     explicit RefCache(const CacheConfig &cfg)
-        : assoc_(cfg.assoc), lineBytes_(cfg.lineBytes),
-          sets_(cfg.sizeBytes / (std::uint64_t(cfg.lineBytes) * cfg.assoc))
+        : assoc_(cfg.assoc), sets_(cfg.sizeBytes / (blockBytes * cfg.assoc))
     {}
 
     /** Look up; a hit counts and becomes most recent. */
@@ -170,12 +169,12 @@ class RefCache
     };
     using Set = std::list<Entry>;
 
-    Addr lineOf(Addr addr) const { return addr - addr % lineBytes_; }
+    Addr lineOf(Addr addr) const { return addr - addr % blockBytes; }
 
     std::size_t
     setIndex(Addr addr) const
     {
-        return static_cast<std::size_t>((addr / lineBytes_) % sets_.size());
+        return static_cast<std::size_t>((addr / blockBytes) % sets_.size());
     }
 
     Set &setOf(Addr addr) { return sets_[setIndex(addr)]; }
@@ -190,7 +189,6 @@ class RefCache
     }
 
     std::size_t assoc_;
-    Addr lineBytes_;
     std::vector<Set> sets_;
 };
 
@@ -263,7 +261,7 @@ class RefHierarchy
     Addr
     lineOf(Addr addr) const
     {
-        return addr - addr % cfg_.llc.lineBytes;
+        return addr - addr % blockBytes;
     }
 
     RefCache &
@@ -505,7 +503,7 @@ wideConfig(unsigned cores)
 std::uint64_t
 llcLines(const HierarchyConfig &cfg)
 {
-    return cfg.llc.sizeBytes / cfg.llc.lineBytes;
+    return cfg.llc.sizeBytes / blockBytes;
 }
 
 struct OracleCase
@@ -593,7 +591,7 @@ TEST_P(HierarchyOracle, CoresShareAFewHotLines)
     HierarchyLockstep ls(c);
     Random rng(404 + cores());
     const std::uint64_t span =
-        c.l2.sizeBytes / c.l2.lineBytes + llcLines(c) / 2;
+        c.l2.sizeBytes / blockBytes + llcLines(c) / 2;
     ASSERT_TRUE(ls.drive(rng, 20000, 0.4, [&](unsigned &core, Addr &a,
                                               bool &w) {
         core = static_cast<unsigned>(rng.uniform(cores()));

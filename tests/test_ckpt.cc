@@ -27,6 +27,7 @@
 #include "common/logging.hh"
 #include "run/runner.hh"
 #include "system/system.hh"
+#include "test_temp_dir.hh"
 
 namespace rrm::sys
 {
@@ -34,23 +35,12 @@ namespace
 {
 
 namespace fs = std::filesystem;
+using test::TempDir;
 
 // .rckpt framing constants (mirrors src/ckpt/ckpt.cc) used to compute
 // per-section payload offsets for targeted corruption.
 constexpr std::size_t kHeaderSize = 8 + 4 + 4 + 8 + 8 + 8 + 4;
 constexpr std::size_t kSectionFrameSize = 4 + 8 + 4;
-
-/** Fresh empty directory under the system temp dir. */
-fs::path
-freshDir(const std::string &name)
-{
-    const fs::path dir = fs::temp_directory_path() /
-                         ("rrm_test_ckpt_" + std::to_string(::getpid()) +
-                          "_" + name);
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir;
-}
 
 std::string
 slurp(const fs::path &path)
@@ -171,8 +161,8 @@ expectResumesByteIdentical(const SystemConfig &cfg,
     // run killed at that point would have left behind.
     const std::size_t picks[] = {1, ckpts.size() / 2 + 1, ckpts.size()};
     for (const std::size_t keep : picks) {
-        const fs::path dir = freshDir("identity_" + label + "_" +
-                                      std::to_string(keep));
+        const TempDir dir("ckpt_identity_" + label + "_" +
+                          std::to_string(keep));
         for (std::size_t i = 0; i < keep; ++i)
             fs::copy_file(ckpts[i], dir / ckpts[i].filename());
         const auto [record, epoch] =
@@ -292,7 +282,7 @@ TEST(CkptContainer, TruncationAtEveryLengthIsDetected)
 
 TEST_F(CkptResume, ConfigValidationRejectsInconsistentCheckpointing)
 {
-    const fs::path dir = freshDir("validate");
+    const TempDir dir("ckpt_validate");
     SystemConfig cfg = ckptConfig(
         "lbm", Scheme::staticScheme(pcm::WriteMode::Sets7), dir,
         dir / "rec.json", /*faults=*/false);
@@ -340,8 +330,7 @@ class CkptResumePerScheme
 TEST_P(CkptResumePerScheme, ResumeFromEveryEpochIsByteIdentical)
 {
     const SchemeCase sc = scheme();
-    const fs::path ref_dir =
-        freshDir(std::string("identity_ref_") + sc.label);
+    const TempDir ref_dir(std::string("ckpt_identity_ref_") + sc.label);
     expectResumesByteIdentical(
         ckptConfig("lbm", sc.scheme, ref_dir, ref_dir / "rec.json",
                    /*faults=*/true),
@@ -353,7 +342,7 @@ TEST_F(CkptResume, ResumeWithRetiredLinesIsByteIdentical)
     // One ECP pointer per line and a stuck-at draw every two writes
     // to a wear region hand out every spare during warmup, so each
     // checkpoint carries a full retirement map.
-    const fs::path ref_dir = freshDir("identity_ref_retired");
+    const TempDir ref_dir("ckpt_identity_ref_retired");
     SystemConfig cfg = ckptConfig("lbm", Scheme::rrmScheme(), ref_dir,
                                   ref_dir / "rec.json", /*faults=*/true);
     cfg.fault.stuckAtWearThreshold = 2;
@@ -377,7 +366,7 @@ INSTANTIATE_TEST_SUITE_P(Schemes, CkptResumePerScheme,
 
 TEST_F(CkptResume, FlippingOneByteInEachSectionInvalidatesTheFile)
 {
-    const fs::path dir = freshDir("flip_sections");
+    const TempDir dir("ckpt_flip_sections");
     const SystemConfig cfg =
         ckptConfig("lbm", Scheme::rrmScheme(), dir, dir / "rec.json",
                    /*faults=*/true);
@@ -412,7 +401,7 @@ TEST_F(CkptResume, FlippingOneByteInEachSectionInvalidatesTheFile)
 
 TEST_F(CkptResume, CorruptNewestFallsBackToPreviousCheckpoint)
 {
-    const fs::path ref_dir = freshDir("fallback_ref");
+    const TempDir ref_dir("ckpt_fallback_ref");
     const SystemConfig cfg =
         ckptConfig("lbm", Scheme::rrmScheme(), ref_dir,
                    ref_dir / "rec.json", /*faults=*/true);
@@ -422,7 +411,7 @@ TEST_F(CkptResume, CorruptNewestFallsBackToPreviousCheckpoint)
 
     // Newest checkpoint corrupted in place: resume must skip it with
     // a warning and restore the previous one — still byte-identical.
-    const fs::path dir = freshDir("fallback_corrupt");
+    const TempDir dir("ckpt_fallback_corrupt");
     for (const fs::path &p : ckpts)
         fs::copy_file(p, dir / p.filename());
     std::vector<std::uint8_t> bytes =
@@ -438,7 +427,7 @@ TEST_F(CkptResume, CorruptNewestFallsBackToPreviousCheckpoint)
 
 TEST_F(CkptResume, TruncatedNewestFallsBackToPreviousCheckpoint)
 {
-    const fs::path ref_dir = freshDir("truncate_ref");
+    const TempDir ref_dir("ckpt_truncate_ref");
     const SystemConfig cfg = ckptConfig(
         "lbm", Scheme::staticScheme(pcm::WriteMode::Sets7), ref_dir,
         ref_dir / "rec.json", /*faults=*/false);
@@ -446,7 +435,7 @@ TEST_F(CkptResume, TruncatedNewestFallsBackToPreviousCheckpoint)
     const std::vector<fs::path> ckpts = epochCheckpoints(ref_dir);
     ASSERT_GE(ckpts.size(), 2u);
 
-    const fs::path dir = freshDir("truncate");
+    const TempDir dir("ckpt_truncate");
     for (const fs::path &p : ckpts)
         fs::copy_file(p, dir / p.filename());
     const fs::path newest = dir / ckpts.back().filename();
@@ -460,7 +449,7 @@ TEST_F(CkptResume, TruncatedNewestFallsBackToPreviousCheckpoint)
 
 TEST_F(CkptResume, AllCheckpointsCorruptMeansCleanColdStart)
 {
-    const fs::path ref_dir = freshDir("cold_ref");
+    const TempDir ref_dir("ckpt_cold_ref");
     const SystemConfig cfg =
         ckptConfig("lbm", Scheme::rrmScheme(), ref_dir,
                    ref_dir / "rec.json", /*faults=*/false);
@@ -468,7 +457,7 @@ TEST_F(CkptResume, AllCheckpointsCorruptMeansCleanColdStart)
     const std::vector<fs::path> ckpts = epochCheckpoints(ref_dir);
     ASSERT_GE(ckpts.size(), 1u);
 
-    const fs::path dir = freshDir("cold");
+    const TempDir dir("ckpt_cold");
     std::vector<std::uint8_t> bytes = slurpBytes(ckpts.back());
     bytes[bytes.size() / 3] ^= 0xFF;
     writeBytes(dir / ckpts.back().filename(), bytes);
@@ -480,7 +469,7 @@ TEST_F(CkptResume, AllCheckpointsCorruptMeansCleanColdStart)
 
 TEST_F(CkptResume, FingerprintMismatchIsRejected)
 {
-    const fs::path ref_dir = freshDir("fp_ref");
+    const TempDir ref_dir("ckpt_fp_ref");
     const SystemConfig cfg =
         ckptConfig("lbm", Scheme::rrmScheme(), ref_dir,
                    ref_dir / "rec.json", /*faults=*/false);
@@ -497,6 +486,73 @@ TEST_F(CkptResume, FingerprintMismatchIsRejected)
     EXPECT_EQ(epoch, 0u);
 }
 
+/**
+ * Publish `cfg`'s checkpoints, then resume `other` from the same
+ * directory; return the epoch it resumed from (0 = cold start).
+ */
+std::uint64_t
+resumeEpochUnder(const SystemConfig &cfg, const SystemConfig &other)
+{
+    referenceRun(cfg);
+    EXPECT_GE(epochCheckpoints(cfg.checkpointDir).size(), 1u);
+    const fs::path dir = cfg.checkpointDir;
+    return resumeRun(other, dir, dir / "rec_other.json").second;
+}
+
+TEST_F(CkptResume, FingerprintCoversEveryModelInput)
+{
+    // A model input missing from the run record's config would let a
+    // resume carry on under a different model. Each must start cold.
+    // Half the usual window still publishes one checkpoint.
+    {
+        const TempDir dir("ckpt_fp_pausing");
+        SystemConfig cfg =
+            ckptConfig("lbm", Scheme::rrmScheme(), dir, dir / "rec.json",
+                       /*faults=*/false);
+        cfg.windowSeconds = 0.012;
+        SystemConfig other = cfg;
+        other.memory.writePausing = false;
+        EXPECT_EQ(resumeEpochUnder(cfg, other), 0u) << "writePausing";
+    }
+    {
+        const TempDir dir("ckpt_fp_stall");
+        SystemConfig cfg =
+            ckptConfig("lbm", Scheme::rrmScheme(), dir, dir / "rec.json",
+                       /*faults=*/false);
+        cfg.windowSeconds = 0.012;
+        cfg.fault.refreshStallSeconds = 0.0002;
+        cfg.fault.refreshStallPeriodSeconds = 0.001;
+        SystemConfig other = cfg;
+        other.fault.refreshStallPeriodSeconds = 0.002;
+        EXPECT_EQ(resumeEpochUnder(cfg, other), 0u)
+            << "refreshStallPeriodSeconds";
+    }
+}
+
+TEST_F(CkptResume, ResumeIgnoresTheWallClockBudget)
+{
+    // The wall-clock budget is the host's, not the model's: a run
+    // checkpointed without one resumes under one (the way a timed-out
+    // run is retried), and the record does not show it.
+    const TempDir ref_dir("ckpt_budget_ref");
+    const SystemConfig cfg =
+        ckptConfig("lbm", Scheme::rrmScheme(), ref_dir,
+                   ref_dir / "rec.json", /*faults=*/false);
+    ASSERT_EQ(cfg.wallTimeoutSeconds, 0.0);
+    const std::string ref_record = referenceRun(cfg);
+    const std::vector<fs::path> ckpts = epochCheckpoints(ref_dir);
+    ASSERT_GE(ckpts.size(), 2u);
+
+    const TempDir dir("ckpt_budget");
+    for (std::size_t i = 0; i < ckpts.size() / 2; ++i)
+        fs::copy_file(ckpts[i], dir / ckpts[i].filename());
+    SystemConfig budgeted = cfg;
+    budgeted.wallTimeoutSeconds = 1000.0;
+    const auto [record, epoch] = resumeRun(budgeted, dir, dir / "rec.json");
+    EXPECT_GT(epoch, 0u) << "the budget changed the config fingerprint";
+    EXPECT_EQ(record, ref_record);
+}
+
 // ---------------------------------------------------------------------
 // SIGKILL mid-flight: a forked child is killed while simulating; the
 // parent resumes from whatever the child managed to publish.
@@ -504,7 +560,7 @@ TEST_F(CkptResume, FingerprintMismatchIsRejected)
 
 TEST_F(CkptResume, KilledChildResumesByteIdentical)
 {
-    const fs::path ref_dir = freshDir("kill_ref");
+    const TempDir ref_dir("ckpt_kill_ref");
     const SystemConfig cfg =
         ckptConfig("lbm", Scheme::rrmScheme(), ref_dir,
                    ref_dir / "rec.json", /*faults=*/true);
@@ -515,8 +571,7 @@ TEST_F(CkptResume, KilledChildResumesByteIdentical)
     // Kill after the 1st, 2nd, and 3rd published checkpoint.
     for (const std::size_t target : {std::size_t{1}, std::size_t{2},
                                      std::size_t{3}}) {
-        const fs::path dir =
-            freshDir("kill_" + std::to_string(target));
+        const TempDir dir("ckpt_kill_" + std::to_string(target));
         const pid_t pid = ::fork();
         ASSERT_GE(pid, 0) << "fork failed";
         if (pid == 0) {
@@ -566,7 +621,7 @@ TEST_F(CkptResume, KilledChildResumesByteIdentical)
 
 TEST_F(CkptResume, InterruptWritesValidEmergencyCheckpoint)
 {
-    const fs::path dir = freshDir("interrupt");
+    const TempDir dir("ckpt_interrupt");
     SystemConfig cfg =
         ckptConfig("lbm", Scheme::rrmScheme(), dir, dir / "rec.json",
                    /*faults=*/false);
@@ -601,13 +656,10 @@ TEST_F(CkptResume, InterruptWritesValidEmergencyCheckpoint)
 
 TEST_F(CkptResume, RunnerCancelsCleanlyWhenInterruptedBeforeStart)
 {
+    const TempDir dir("ckpt_runner_cancel");
     run::RunPlan plan;
-    {
-        const fs::path dir = freshDir("runner_cancel");
-        plan.add(ckptConfig("lbm",
-                            Scheme::staticScheme(pcm::WriteMode::Sets7),
-                            dir, dir / "rec.json", false));
-    }
+    plan.add(ckptConfig("lbm", Scheme::staticScheme(pcm::WriteMode::Sets7),
+                        dir, dir / "rec.json", false));
     requestInterrupt();
     run::RunnerOptions opts;
     opts.jobs = 1;

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/check.hh"
 #include "pcm/energy_model.hh"
 
 namespace rrm::pcm
@@ -18,13 +17,6 @@ TEST(EnergyModel, CellsPerBlock)
     EnergyModel m;
     // 64 B * 8 bits / 2 bits per MLC cell.
     EXPECT_EQ(m.cellsPerBlock(), 256u);
-}
-
-TEST(EnergyModel, CellsPerBlockScalesWithBitsPerCell)
-{
-    EnergyParams p;
-    p.bitsPerCell = 4;
-    EXPECT_EQ(EnergyModel(p).cellsPerBlock(), 128u);
 }
 
 TEST(EnergyModel, ChargeModelKnownValue)
@@ -74,17 +66,6 @@ TEST(EnergyModel, RefreshAddsReadEnergy)
                     m.blockReadEnergy() + m.blockWriteEnergy(mode),
                     1e-15);
     }
-}
-
-TEST(EnergyModel, InvalidParamsPanic)
-{
-    EnergyParams p;
-    p.writeVoltage = 0.0;
-    EXPECT_THROW(EnergyModel{p}, check::CheckError);
-
-    EnergyParams q;
-    q.bitsPerCell = 0;
-    EXPECT_THROW(EnergyModel{q}, check::CheckError);
 }
 
 } // namespace

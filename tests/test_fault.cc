@@ -53,7 +53,7 @@ class FaultTest : public ::testing::Test
 
 TEST_F(FaultTest, TracksOnlyShortRetentionModes)
 {
-    const RetentionTracker t(1.0, 3.0, 0.0);
+    const RetentionTracker t(1.0, 0.0);
     EXPECT_TRUE(t.tracks(pcm::WriteMode::Sets3));
     EXPECT_FALSE(t.tracks(pcm::WriteMode::Sets4)); // 24.05 s
     EXPECT_FALSE(t.tracks(pcm::WriteMode::Sets7)); // 3054.9 s
@@ -61,7 +61,7 @@ TEST_F(FaultTest, TracksOnlyShortRetentionModes)
 
 TEST_F(FaultTest, DeadlineMatchesTable1RetentionAtNativeScale)
 {
-    const RetentionTracker t(1.0, 3.0, 0.0);
+    const RetentionTracker t(1.0, 0.0);
     EXPECT_EQ(t.retentionTicks(pcm::WriteMode::Sets3),
               secondsToTicks(2.01));
 }
@@ -72,7 +72,7 @@ TEST_F(FaultTest, GuardbandAgainstRrmRefreshCadenceIsTenMillis)
     // expires 3-SETs blocks after 2.01 s: the margin between the two
     // is exactly the paper's 0.01 s guardband, at any timeScale.
     for (const double scale : {1.0, 50.0, 250.0}) {
-        const RetentionTracker t(scale, 3.0, 0.0);
+        const RetentionTracker t(scale, 0.0);
         monitor::RrmConfig rrm;
         rrm.timeScale = scale;
         EXPECT_EQ(t.retentionTicks(pcm::WriteMode::Sets3) -
@@ -84,14 +84,14 @@ TEST_F(FaultTest, GuardbandAgainstRrmRefreshCadenceIsTenMillis)
 
 TEST_F(FaultTest, SlackIsAddedUnscaled)
 {
-    const RetentionTracker t(100.0, 3.0, 0.005);
+    const RetentionTracker t(100.0, 0.005);
     EXPECT_EQ(t.retentionTicks(pcm::WriteMode::Sets3),
               secondsToTicks(2.01 / 100.0) + secondsToTicks(0.005));
 }
 
 TEST_F(FaultTest, SweepExpiresStrictlyPastDeadlinesOnly)
 {
-    RetentionTracker t(1.0, 3.0, 0.0);
+    RetentionTracker t(1.0, 0.0);
     const Tick r = t.retentionTicks(pcm::WriteMode::Sets3);
     std::vector<Addr> expired;
     t.setViolationCallback(
@@ -112,7 +112,7 @@ TEST_F(FaultTest, SweepExpiresStrictlyPastDeadlinesOnly)
 
 TEST_F(FaultTest, RefreshReStampsTheDeadline)
 {
-    RetentionTracker t(1.0, 3.0, 0.0);
+    RetentionTracker t(1.0, 0.0);
     const Tick r = t.retentionTicks(pcm::WriteMode::Sets3);
     t.recordWrite(0x40, pcm::WriteMode::Sets3, 0);
     t.recordRefresh(0x40, pcm::WriteMode::Sets3, r - 10);
@@ -122,7 +122,7 @@ TEST_F(FaultTest, RefreshReStampsTheDeadline)
 
 TEST_F(FaultTest, LongRetentionRewriteClearsTheObligation)
 {
-    RetentionTracker t(1.0, 3.0, 0.0);
+    RetentionTracker t(1.0, 0.0);
     t.recordWrite(0x40, pcm::WriteMode::Sets3, 0);
     EXPECT_EQ(t.trackedCount(), 1u);
     t.recordWrite(0x40, pcm::WriteMode::Sets7, 100);
@@ -132,7 +132,7 @@ TEST_F(FaultTest, LongRetentionRewriteClearsTheObligation)
 
 TEST_F(FaultTest, ClearDropsTheObligation)
 {
-    RetentionTracker t(1.0, 3.0, 0.0);
+    RetentionTracker t(1.0, 0.0);
     t.recordWrite(0x40, pcm::WriteMode::Sets3, 0);
     t.clear(0x40);
     EXPECT_EQ(t.trackedCount(), 0u);
@@ -141,7 +141,7 @@ TEST_F(FaultTest, ClearDropsTheObligation)
 
 TEST_F(FaultTest, NextDeadlineSurvivesLazyHeapInvalidation)
 {
-    RetentionTracker t(1.0, 3.0, 0.0);
+    RetentionTracker t(1.0, 0.0);
     const Tick r = t.retentionTicks(pcm::WriteMode::Sets3);
     t.recordWrite(0x40, pcm::WriteMode::Sets3, 0);
     t.recordWrite(0x80, pcm::WriteMode::Sets3, 50);
@@ -291,7 +291,7 @@ TEST_F(FaultTest, RetirementChainsSurviveACheckpoint)
 
 TEST_F(FaultTest, RetentionRestoreBoundsTheCountByThePayload)
 {
-    RetentionTracker t(1.0, 3.0, 0.0);
+    RetentionTracker t(1.0, 0.0);
     ckpt::ChunkWriter w;
     w.u64(0); // stamps
     w.u64(0); // violations
@@ -308,7 +308,7 @@ TEST_F(FaultTest, CollectErrorsCatchesBadKnobs)
 {
     FaultConfig cfg;
     cfg.transientWriteFailureRate = 1.5;
-    cfg.trackRetentionMaxSeconds = 0.0;
+    cfg.stuckAtRate = 2.0;
     cfg.retentionSlackSeconds = -1.0;
     cfg.fallbackHighWatermark = 4;
     cfg.fallbackLowWatermark = 8;

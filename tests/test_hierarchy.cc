@@ -341,7 +341,7 @@ TEST(Hierarchy, DefaultConfigMatchesTable4)
     EXPECT_EQ(cfg.l2.assoc, 8u);
     EXPECT_EQ(cfg.llc.sizeBytes, 6_MiB);
     EXPECT_EQ(cfg.llc.assoc, 24u);
-    EXPECT_EQ(cfg.llc.mshrs, 32u);
+    EXPECT_EQ(CacheHierarchy::llcMshrs(), 32u);
 }
 
 } // namespace

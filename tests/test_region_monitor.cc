@@ -346,10 +346,6 @@ TEST(RrmConfig, ValidationCatchesBadConfigs)
     EXPECT_THROW(cfg.check(), FatalError);
 
     cfg = RrmConfig{};
-    cfg.fastMode = pcm::WriteMode::Sets7;
-    EXPECT_THROW(cfg.check(), FatalError);
-
-    cfg = RrmConfig{};
     cfg.timeScale = 0.5;
     EXPECT_THROW(cfg.check(), FatalError);
 }

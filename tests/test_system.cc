@@ -277,21 +277,6 @@ TEST(SystemIntegration, ConfigValidationFlagsIgnoredRrmSettings)
         << errors[0];
 }
 
-TEST(SystemIntegration, ConfigValidationRejectsLinesOtherThanOneBlock)
-{
-    // Every LLC write-back is counted as one block write, so a cache
-    // line must be exactly one memory block; all offending levels
-    // land in one message.
-    SystemConfig cfg = quickConfig("lbm", Scheme::rrmScheme());
-    cfg.hierarchy.l1.lineBytes = 128;
-    cfg.hierarchy.l2.lineBytes = 128;
-    cfg.hierarchy.llc.lineBytes = 128;
-    const std::vector<std::string> errors = cfg.validate();
-    ASSERT_EQ(errors.size(), 1u);
-    EXPECT_EQ(errors[0], "cache lines must be one 64-byte memory block "
-                         "(l1d 128, l2 128, llc 128)");
-}
-
 TEST(SystemIntegration, ConfigValidationNamesEachOverflowingBenchmarkOnce)
 {
     // Ten cores cut 8 GiB into 819 MiB slices: mcf's footprint

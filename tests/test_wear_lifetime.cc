@@ -191,11 +191,6 @@ TEST(LifetimeModel, EmptyWindowPanics)
 TEST(LifetimeModel, InvalidParamsPanic)
 {
     EXPECT_THROW(LifetimeModel(0), check::CheckError);
-    LifetimeParams p;
-    p.levelingEfficiency = 0.0;
-    EXPECT_THROW(LifetimeModel(10, p), check::CheckError);
-    p.levelingEfficiency = 1.5;
-    EXPECT_THROW(LifetimeModel(10, p), check::CheckError);
 }
 
 } // namespace
