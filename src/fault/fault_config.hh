@@ -28,6 +28,9 @@ static_assert((retryBackoff << (maxWriteRetries - 1)) <= maxRetryBackoff);
 /** Spare blocks available for retiring budget-exhausted lines. */
 constexpr std::uint64_t spareBlocks = 1024;
 
+/** Granularity of the stuck-at model's per-region write counts. */
+constexpr std::uint64_t wearRegionBytes = 4_KiB;
+
 /** Refresh-pressure governor poll period in simulated seconds. */
 constexpr double fallbackPollSeconds = 0.0005;
 
@@ -79,8 +82,9 @@ struct FaultConfig
     // ----- stuck-at hard faults ---------------------------------------
 
     /**
-     * Every time a wear region's write count crosses a multiple of
-     * this threshold, draw for a new stuck-at cell. 0 disables.
+     * Every time a wear region's write count (writes issued since
+     * warmup) crosses a multiple of this threshold, draw for a new
+     * stuck-at cell. 0 disables.
      */
     std::uint64_t stuckAtWearThreshold = 0;
 

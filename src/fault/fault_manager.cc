@@ -26,6 +26,15 @@ bump(stats::Scalar *s)
         ++*s;
 }
 
+/** Wear region of a physical block address inside the PCM array. */
+std::uint64_t
+wearRegion(Addr phys)
+{
+    RRM_CHECK(phys < memctrl::MemoryParams::memoryBytes, "address ", phys,
+              " outside PCM array");
+    return phys / wearRegionBytes;
+}
+
 } // namespace
 
 FaultManager::FaultManager(const FaultConfig &config,
@@ -33,10 +42,9 @@ FaultManager::FaultManager(const FaultConfig &config,
                            double time_scale, std::uint64_t system_seed,
                            EventQueue &queue,
                            memctrl::Controller &controller,
-                           pcm::WearTracker &wear,
                            policy::WritePolicy *policy)
     : config_(config), timeScale_(time_scale), queue_(queue),
-      controller_(controller), wear_(wear), policy_(policy),
+      controller_(controller), policy_(policy),
       addressMap_(memory), numChannels_(memory.numChannels),
       injector_(config.transientWriteFailureRate, config.stuckAtRate,
                 config.seed ^ (system_seed * 0x9e3779b97f4a7c15ULL)),
@@ -123,6 +131,23 @@ FaultManager::sweepRetention()
 }
 
 void
+FaultManager::recordWrite(Addr phys)
+{
+    if (config_.stuckAtWearThreshold == 0)
+        return;
+    ++regionWear_[wearRegion(phys)].writes;
+    ++wearWrites_;
+}
+
+void
+FaultManager::resetWearCounts()
+{
+    for (auto &[region, wear] : regionWear_)
+        wear.writes = 0;
+    wearWrites_ = 0;
+}
+
+void
 FaultManager::onWriteCompleted(Addr phys, pcm::WriteMode mode,
                                Tick when)
 {
@@ -199,18 +224,17 @@ FaultManager::maybeDevelopStuckAt(Addr phys, Tick when)
 {
     if (config_.stuckAtWearThreshold == 0)
         return;
-    const std::uint64_t region = wear_.regionIndex(phys);
+    RegionWear &wear = regionWear_[wearRegion(phys)];
     const std::uint64_t level =
-        wear_.regionWear(region) / config_.stuckAtWearThreshold;
-    std::uint64_t &last = wearLevel_[region];
-    if (level <= last) {
-        // Wear counters reset with the measurement window; follow
-        // them down without drawing new faults.
-        last = std::min(last, level);
+        wear.writes / config_.stuckAtWearThreshold;
+    if (level <= wear.level) {
+        // Counts reset with the measurement window; follow them down
+        // without drawing new faults.
+        wear.level = level;
         return;
     }
-    while (last < level) {
-        ++last;
+    while (wear.level < level) {
+        ++wear.level;
         if (injector_.developsStuckAt())
             handleStuckAt(phys, when);
     }
@@ -368,10 +392,12 @@ FaultManager::saveCkpt(ckpt::ChunkWriter &w) const
         w.u64(block);
         w.u32(attempts);
     }
-    w.u64(wearLevel_.size());
-    for (const auto &[region, level] : wearLevel_) {
+    w.u64(wearWrites_);
+    w.u64(regionWear_.size());
+    for (const auto &[region, wear] : regionWear_) {
         w.u64(region);
-        w.u64(level);
+        w.u64(wear.writes);
+        w.u64(wear.level);
     }
     w.b(fallbackActive_);
     w.u32(saturatedPolls_);
@@ -401,11 +427,13 @@ FaultManager::restoreCkpt(ckpt::ChunkReader &r)
         const Addr block = r.u64();
         retryAttempts_[block] = r.u32();
     }
-    wearLevel_.clear();
-    const std::uint64_t levels = r.u64();
-    for (std::uint64_t i = 0; i < levels; ++i) {
-        const std::uint64_t region = r.u64();
-        wearLevel_[region] = r.u64();
+    wearWrites_ = r.u64();
+    regionWear_.clear();
+    const std::uint64_t regions = r.u64();
+    for (std::uint64_t i = 0; i < regions; ++i) {
+        RegionWear &wear = regionWear_[r.u64()];
+        wear.writes = r.u64();
+        wear.level = r.u64();
     }
     fallbackActive_ = r.b();
     saturatedPolls_ = r.u32();
@@ -469,6 +497,11 @@ FaultManager::audit() const
     }
     RRM_AUDIT(retirement_.retiredCount() <= retirement_.spareCapacity(),
               "more lines retired than spares exist");
+    std::uint64_t region_sum = 0;
+    for (const auto &[region, wear] : regionWear_)
+        region_sum += wear.writes;
+    RRM_AUDIT(region_sum == wearWrites_, "region wear sum ", region_sum,
+              " != ", wearWrites_, " writes recorded since the reset");
     RRM_AUDIT(!fallbackActive_ ||
                   (policy_ && policy_->supportsPressureFallback()),
               "fallback active without a policy able to demote");

@@ -30,7 +30,6 @@
 #include "memctrl/address_map.hh"
 #include "memctrl/controller.hh"
 #include "obs/trace.hh"
-#include "pcm/wear_tracker.hh"
 #include "policy/write_policy.hh"
 #include "sim/event_queue.hh"
 #include "stats/stats.hh"
@@ -48,7 +47,6 @@ class FaultManager : public Auditable
                  const memctrl::MemoryParams &memory, double time_scale,
                  std::uint64_t system_seed, EventQueue &queue,
                  memctrl::Controller &controller,
-                 pcm::WearTracker &wear,
                  policy::WritePolicy *policy);
     ~FaultManager() override;
 
@@ -64,6 +62,20 @@ class FaultManager : public Auditable
      * callbacks keep the logical address.
      */
     Addr translate(Addr block) const { return retirement_.remap(block); }
+
+    /**
+     * A block write (demand, rewrite or RRM refresh) was issued at
+     * `phys`: count it toward its wear region. Counts are kept only
+     * when stuckAtWearThreshold > 0, and only for written regions.
+     */
+    void recordWrite(Addr phys);
+
+    /**
+     * Zero every region's write count (the warmup boundary). Each
+     * region keeps its last drawn level, which follows the count down
+     * at the region's next completed write without drawing.
+     */
+    void resetWearCounts();
 
     /** A demand write completed on the bus. */
     void onWriteCompleted(Addr phys, pcm::WriteMode mode, Tick when);
@@ -100,7 +112,7 @@ class FaultManager : public Auditable
 
     /**
      * @{ Checkpoint injector RNG streams, retention deadlines, ECP /
-     * retirement maps, retry bookkeeping, wear-level markers, fallback
+     * retirement maps, retry bookkeeping, per-region wear, fallback
      * governor state, and the armed next-fire ticks of the stall /
      * governor tasks and the retention sweep.
      * restoreCkpt re-arms the periodic tasks in ascending last-arm
@@ -129,7 +141,6 @@ class FaultManager : public Auditable
     double timeScale_;
     EventQueue &queue_;
     memctrl::Controller &controller_;
-    pcm::WearTracker &wear_;
     policy::WritePolicy *policy_;
     memctrl::AddressMap addressMap_;
     unsigned numChannels_;
@@ -146,8 +157,18 @@ class FaultManager : public Auditable
      *  audits and any future export iterate deterministically. */
     std::map<Addr, unsigned> retryAttempts_;
 
-    /** Last wear-threshold multiple checked per wear region. */
-    std::map<std::uint64_t, std::uint64_t> wearLevel_;
+    /** Stuck-at wear of one written wearRegionBytes region. */
+    struct RegionWear
+    {
+        std::uint64_t writes = 0; ///< issued since the last reset
+        std::uint64_t level = 0;  ///< last threshold multiple drawn
+    };
+
+    /** Per written region, ordered like retryAttempts_. */
+    std::map<std::uint64_t, RegionWear> regionWear_;
+
+    /** Writes recorded since the last reset (the regions' sum). */
+    std::uint64_t wearWrites_ = 0;
 
     /** One pending event for the earliest retention deadline. */
     EventHandle sweepEvent_;

@@ -14,13 +14,12 @@ namespace rrm::run
 {
 
 RunSpec &
-RunPlan::add(sys::SystemConfig config, std::string id, std::string label)
+RunPlan::add(sys::SystemConfig config, std::string id)
 {
     RunSpec spec;
     if (id.empty())
         id = config.workload.name + "." + config.scheme.name();
     spec.id = std::move(id);
-    spec.label = label.empty() ? spec.id : std::move(label);
     spec.config = std::move(config);
     runs_.push_back(std::move(spec));
     return runs_.back();

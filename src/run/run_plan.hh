@@ -42,9 +42,6 @@ struct RunSpec
     /** Stable plan-unique id, e.g. "GemsFDTD.RRM". */
     std::string id;
 
-    /** Display label for progress output; defaults to the id. */
-    std::string label;
-
     sys::SystemConfig config;
 
     PostRunHook postRun;
@@ -55,12 +52,10 @@ class RunPlan
 {
   public:
     /**
-     * Append a run. An empty id defaults to
-     * "<workload>.<scheme>"; an empty label defaults to the id.
+     * Append a run. An empty id defaults to "<workload>.<scheme>".
      * Returns the spec for further adjustment (hooks, config edits).
      */
-    RunSpec &add(sys::SystemConfig config, std::string id = "",
-                 std::string label = "");
+    RunSpec &add(sys::SystemConfig config, std::string id = "");
 
     /**
      * Build the standard figure matrix: every workload under every

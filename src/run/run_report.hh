@@ -50,7 +50,6 @@ const char *runStatusName(RunStatus status);
 struct RunResult
 {
     std::string id;
-    std::string label;
     RunStatus status = RunStatus::Cancelled;
 
     /** Failure message ("" unless status is Failed / TimedOut). */

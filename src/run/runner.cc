@@ -196,7 +196,6 @@ Runner::execute(const RunPlan &plan) const
     report.runs.resize(plan.size());
     for (std::size_t i = 0; i < plan.size(); ++i) {
         report.runs[i].id = plan[i].id;
-        report.runs[i].label = plan[i].label;
         report.runs[i].status = RunStatus::Cancelled;
     }
     report.jobs = effectiveJobs(plan.size());

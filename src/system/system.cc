@@ -127,8 +127,7 @@ SystemConfig::finalize()
 
 System::System(SystemConfig config)
     : config_(std::move(config)),
-      statRoot_("system"),
-      wear_(config_.memory.memoryBytes, 4_KiB)
+      statRoot_("system")
 {
     config_.finalize();
     timeScaleInt_ = static_cast<std::uint64_t>(config_.timeScale);
@@ -189,7 +188,7 @@ System::System(SystemConfig config)
     if (config_.fault.enabled()) {
         faultMgr_ = std::make_unique<fault::FaultManager>(
             config_.fault, config_.memory, config_.timeScale,
-            config_.seed, queue_, *controller_, wear_, policy_.get());
+            config_.seed, queue_, *controller_, policy_.get());
         faultMgr_->setRewriteCallback(
             [this](Addr addr, pcm::WriteMode mode) {
                 retryFaultedWrite(addr, mode);
@@ -508,18 +507,7 @@ System::issueMemoryWrite(Addr addr, Tick when)
     when += policy_->accessLatency();
 
     const Addr phys = faultMgr_ ? faultMgr_->translate(addr) : addr;
-    wear_.recordBlockWrite(phys, pcm::WearCause::DemandWrite);
-    meas_.demandWriteEnergy += energy_.blockWriteEnergy(mode);
-    TenantCounters *tc = tenantCountersForAddr(addr);
-    if (policy_->isFastMode(mode)) {
-        ++meas_.fastWrites;
-        if (tc)
-            ++tc->fastWrites;
-    } else {
-        ++meas_.slowWrites;
-        if (tc)
-            ++tc->slowWrites;
-    }
+    accountWrite(phys, addr, mode);
     if (profiler_)
         profiler_->recordWrite(addr, when);
 
@@ -535,13 +523,12 @@ System::issueMemoryWrite(Addr addr, Tick when)
 }
 
 void
-System::retryFaultedWrite(Addr addr, pcm::WriteMode mode)
+System::accountWrite(Addr phys, Addr tenant_addr, pcm::WriteMode mode)
 {
-    // Rewrite of a transiently-failed write: same physical block and
-    // mode; wear, energy and write counters accrue like any write.
-    wear_.recordBlockWrite(addr, pcm::WearCause::DemandWrite);
+    if (faultMgr_)
+        faultMgr_->recordWrite(phys);
     meas_.demandWriteEnergy += energy_.blockWriteEnergy(mode);
-    TenantCounters *tc = tenantCountersForAddr(addr);
+    TenantCounters *tc = tenantCountersForAddr(tenant_addr);
     if (policy_->isFastMode(mode)) {
         ++meas_.fastWrites;
         if (tc)
@@ -551,6 +538,14 @@ System::retryFaultedWrite(Addr addr, pcm::WriteMode mode)
         if (tc)
             ++tc->slowWrites;
     }
+}
+
+void
+System::retryFaultedWrite(Addr addr, pcm::WriteMode mode)
+{
+    // Rewrite of a transiently-failed write: same physical block and
+    // mode, accounted like any write.
+    accountWrite(addr, addr, mode);
     writePath_->queueWriteback(addr, mode);
 }
 
@@ -560,7 +555,8 @@ System::onPolicyRefresh(const monitor::RefreshRequest &req)
     RRM_CHECK(req.blockAddr < config_.memory.memoryBytes, "bad refresh addr");
     const Addr phys =
         faultMgr_ ? faultMgr_->translate(req.blockAddr) : req.blockAddr;
-    wear_.recordBlockWrite(phys, pcm::WearCause::RrmRefresh);
+    if (faultMgr_)
+        faultMgr_->recordWrite(phys);
     meas_.refreshEnergy += energy_.blockRefreshEnergy(req.mode);
     TenantCounters *tc = tenantCountersForAddr(req.blockAddr);
     if (policy_->isFastMode(req.mode)) {
@@ -644,7 +640,8 @@ void
 System::resetMeasurement()
 {
     statRoot_.reset();
-    wear_.reset();
+    if (faultMgr_)
+        faultMgr_->resetWearCounts();
     meas_.reset();
     for (auto &core : cores_)
         core->resetInstructionCount();
@@ -666,7 +663,6 @@ System::runAudits()
         violations += runAudit(*mon);
     if (faultMgr_)
         violations += runAudit(*faultMgr_);
-    violations += runAudit(wear_);
     if (violations && statAuditViolations_)
         *statAuditViolations_ += static_cast<double>(violations);
     return violations;
@@ -808,8 +804,41 @@ System::writeConfigJson(obs::JsonWriter &json) const
     json.field("refreshTiming",
                static_cast<int>(config_.refreshTiming));
     json.field("memoryBytes", config_.memory.memoryBytes);
-    if (!config_.memory.writePausing)
-        json.field("writePausing", false);
+    // Machine knobs enter the record only off their defaults, so the
+    // paper machine's records (and the goldens) keep their bytes.
+    static const SystemConfig defaults;
+    const auto knob = [&json](std::string_view key, auto value,
+                              auto dflt) {
+        if (value != dflt)
+            json.field(key, value);
+    };
+    const memctrl::MemoryParams &mem = defaults.memory;
+    knob("writePausing", config_.memory.writePausing, mem.writePausing);
+    knob("numChannels", config_.memory.numChannels, mem.numChannels);
+    knob("readQueueCap", config_.memory.readQueueCap, mem.readQueueCap);
+    knob("writeQueueCap", config_.memory.writeQueueCap,
+         mem.writeQueueCap);
+    knob("refreshQueueCap", config_.memory.refreshQueueCap,
+         mem.refreshQueueCap);
+    knob("writeHighWatermark", config_.memory.writeHighWatermark,
+         mem.writeHighWatermark);
+    knob("writeLowWatermark", config_.memory.writeLowWatermark,
+         mem.writeLowWatermark);
+    knob("robSize", config_.core.robSize, defaults.core.robSize);
+    knob("maxOutstandingMisses", config_.core.maxOutstandingMisses,
+         defaults.core.maxOutstandingMisses);
+    knob("writebackBufferCap", config_.writebackBufferCap,
+         defaults.writebackBufferCap);
+    const auto cache_knobs = [&knob](const std::string &level,
+                                     const cache::CacheConfig &c,
+                                     const cache::CacheConfig &dflt) {
+        knob(level + "SizeBytes", c.sizeBytes, dflt.sizeBytes);
+        knob(level + "Assoc", c.assoc, dflt.assoc);
+        knob(level + "HitLatency", c.hitLatency, dflt.hitLatency);
+    };
+    cache_knobs("l1", config_.hierarchy.l1, defaults.hierarchy.l1);
+    cache_knobs("l2", config_.hierarchy.l2, defaults.hierarchy.l2);
+    cache_knobs("llc", config_.hierarchy.llc, defaults.hierarchy.llc);
     json.field("auditEveryEvents", config_.auditEveryEvents);
     if (config_.fault.enabled()) {
         json.key("fault");

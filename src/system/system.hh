@@ -27,7 +27,6 @@
 #include "obs/telemetry.hh"
 #include "pcm/energy_model.hh"
 #include "pcm/lifetime_model.hh"
-#include "pcm/wear_tracker.hh"
 #include "policy/adaptive_config.hh"
 #include "policy/tenant_qos_policy.hh"
 #include "policy/write_policy.hh"
@@ -178,7 +177,7 @@ struct SystemConfig
      * Deep-audit cadence: after every `auditEveryEvents` executed
      * events, run the audit() of every Auditable component (event
      * queue, cache hierarchy, memory controller, RRM, write path,
-     * wear tracker). 0 disables periodic audits. Violations follow
+     * fault layer). 0 disables periodic audits. Violations follow
      * the global check::FailurePolicy and are exported via the
      * "checks" and "sys.audit*" stats.
      */
@@ -307,15 +306,23 @@ class System : public cpu::CorePort
     void writeObsOutputs(const SimResults &r);
 
     /**
-     * The run record's `config`: every model input a bench can set and
-     * no host-side budget. The checkpoint fingerprint hashes it, so a
-     * resume under another --timeout keeps its checkpoints.
+     * The run record's `config`: every model input a bench can set,
+     * each machine knob that is off its default, and no host-side
+     * budget. The checkpoint fingerprint hashes it, so a resume under
+     * another --timeout keeps its checkpoints.
      */
     void writeConfigJson(obs::JsonWriter &json) const;
     void runSlice(Tick until);
     void tryEnqueueRead(unsigned core, Addr line);
     void onReadComplete(unsigned core, Addr line);
     void issueMemoryWrite(Addr addr, Tick when);
+
+    /**
+     * Account one demand write or rewrite issued at `phys`: energy,
+     * the fast/slow split, the tenant owning `tenant_addr` and the
+     * stuck-at wear count.
+     */
+    void accountWrite(Addr phys, Addr tenant_addr, pcm::WriteMode mode);
     void onPolicyRefresh(const monitor::RefreshRequest &req);
     void retryFaultedWrite(Addr addr, pcm::WriteMode mode);
     bool refreshPathSaturated() const;
@@ -385,7 +392,6 @@ class System : public cpu::CorePort
     std::unique_ptr<fault::FaultManager> faultMgr_;
     std::vector<std::unique_ptr<cpu::CoreModel>> cores_;
 
-    pcm::WearTracker wear_;
     pcm::EnergyModel energy_;
     std::unique_ptr<RegionWriteProfiler> profiler_;
 

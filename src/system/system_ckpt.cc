@@ -50,7 +50,6 @@ constexpr std::uint32_t secCaches = ckpt::sectionId('C', 'A', 'C', 'H');
 constexpr std::uint32_t secController =
     ckpt::sectionId('C', 'T', 'R', 'L');
 constexpr std::uint32_t secPolicy = ckpt::sectionId('P', 'O', 'L', 'I');
-constexpr std::uint32_t secWear = ckpt::sectionId('W', 'E', 'A', 'R');
 constexpr std::uint32_t secFault = ckpt::sectionId('F', 'L', 'T', '0');
 constexpr std::uint32_t secStats = ckpt::sectionId('S', 'T', 'A', 'T');
 constexpr std::uint32_t secSampler = ckpt::sectionId('S', 'M', 'P', 'L');
@@ -201,11 +200,6 @@ System::saveCkptSections(ckpt::CkptWriter &file) const
         policy_->saveCkpt(w);
         file.section(secPolicy, w);
     }
-    {
-        ckpt::ChunkWriter w;
-        wear_.saveCkpt(w);
-        file.section(secWear, w);
-    }
     if (faultMgr_) {
         ckpt::ChunkWriter w;
         faultMgr_->saveCkpt(w);
@@ -244,8 +238,8 @@ System::ckptCompatError(const ckpt::CkptReader &reader) const
     }
 
     std::vector<std::uint32_t> required = {
-        secQueue, secSystem,     secCores, secCaches,
-        secController, secPolicy, secWear,  secStats};
+        secQueue,      secSystem, secCores, secCaches,
+        secController, secPolicy, secStats};
     if (faultMgr_)
         required.push_back(secFault);
     if (sampler_)
@@ -323,11 +317,6 @@ System::restoreCkptSections(const ckpt::CkptReader &reader)
     if (sampler_) {
         auto r = reader.section(secSampler);
         sampler_->restoreCkpt(r); // re-arms the sample task
-        r.expectDone();
-    }
-    {
-        auto r = reader.section(secWear);
-        wear_.restoreCkpt(r);
         r.expectDone();
     }
     // Telemetry does not influence event scheduling, so a file

@@ -14,7 +14,6 @@
 #include "cache/hierarchy.hh"
 #include "common/auditable.hh"
 #include "common/random.hh"
-#include "pcm/wear_tracker.hh"
 #include "rrm/region_monitor.hh"
 #include "sim/event_queue.hh"
 #include "system/system.hh"
@@ -202,21 +201,6 @@ TEST_F(AuditTest, EventQueueRunHonoursEventCap)
     EXPECT_EQ(q.run(Tick(1000)), 7u);
     EXPECT_EQ(fired, 10);
     EXPECT_EQ(q.now(), Tick(1000));
-}
-
-TEST_F(AuditTest, WearTrackerPassesAuditUnderTraffic)
-{
-    ScopedFailurePolicy policy(FailurePolicy::LogAndCount);
-    pcm::WearTracker wear(1_MiB, 4_KiB);
-    Random rng(11);
-    for (int i = 0; i < 2000; ++i) {
-        const Addr addr = rng.uniform(1_MiB / 64) * 64;
-        wear.recordBlockWrite(addr, i % 3 == 0
-                                        ? pcm::WearCause::RrmRefresh
-                                        : pcm::WearCause::DemandWrite);
-    }
-    wear.recordGlobalRefresh(500);
-    EXPECT_EQ(runAudit(wear), 0u);
 }
 
 TEST_F(AuditTest, CacheHierarchyPassesAuditUnderRandomTraffic)

@@ -529,6 +529,44 @@ TEST_F(CkptResume, FingerprintCoversEveryModelInput)
     }
 }
 
+TEST_F(CkptResume, FingerprintCoversTheMachineKnobs)
+{
+    // Machine knobs enter the record only off their defaults; a resume
+    // under one must still start cold.
+    const auto expect_cold = [](const char *label, auto &&change) {
+        const TempDir dir(std::string("ckpt_fp_") + label);
+        SystemConfig cfg =
+            ckptConfig("lbm", Scheme::rrmScheme(), dir, dir / "rec.json",
+                       /*faults=*/false);
+        cfg.windowSeconds = 0.012;
+        SystemConfig other = cfg;
+        change(other);
+        EXPECT_EQ(resumeEpochUnder(cfg, other), 0u) << label;
+    };
+    expect_cold("writebackBufferCap",
+                [](SystemConfig &c) { c.writebackBufferCap = 4; });
+    expect_cold("readQueueCap",
+                [](SystemConfig &c) { c.memory.readQueueCap = 8; });
+}
+
+TEST_F(CkptResume, FaultOffRrmCheckpointHoldsSevenSections)
+{
+    const TempDir dir("ckpt_sections");
+    SystemConfig cfg = ckptConfig("lbm", Scheme::rrmScheme(), dir,
+                                  dir / "rec.json", /*faults=*/false);
+    cfg.windowSeconds = 0.012;
+    referenceRun(cfg);
+    const std::vector<fs::path> ckpts = epochCheckpoints(dir);
+    ASSERT_GE(ckpts.size(), 1u);
+    std::vector<std::string> names;
+    for (const std::uint32_t id :
+         ckpt::CkptReader(ckpts.back().string()).sectionIds())
+        names.push_back(ckpt::sectionName(id));
+    const std::vector<std::string> expected = {
+        "QUEU", "SYS0", "CORE", "CACH", "CTRL", "POLI", "STAT"};
+    EXPECT_EQ(names, expected);
+}
+
 TEST_F(CkptResume, ResumeIgnoresTheWallClockBudget)
 {
     // The wall-clock budget is the host's, not the model's: a run

@@ -25,6 +25,7 @@
 #include "common/logging.hh"
 #include "fault/fault_config.hh"
 #include "fault/fault_injector.hh"
+#include "fault/fault_manager.hh"
 #include "fault/repair.hh"
 #include "fault/retention_tracker.hh"
 #include "memctrl/controller.hh"
@@ -300,6 +301,77 @@ TEST_F(FaultTest, RetentionRestoreBoundsTheCountByThePayload)
     w.u64(1000);
     ckpt::ChunkReader r(w.data().data(), w.size(), "FLT0");
     EXPECT_THROW(t.restoreCkpt(r), ckpt::CkptError);
+}
+
+// ---- Stuck-at wear counts ----
+
+/** A FaultManager on its own controller, with its stats registered. */
+struct WearRig
+{
+    explicit WearRig(const FaultConfig &config)
+        : ctrl(memory, queue),
+          mgr(config, memory, 1.0, 1, queue, ctrl, nullptr)
+    {
+        mgr.regStats(root);
+    }
+
+    /** Record `n` writes to `block`, then complete one there. */
+    void
+    writeAndComplete(Addr block, int n)
+    {
+        for (int i = 0; i < n; ++i)
+            mgr.recordWrite(block);
+        mgr.onWriteCompleted(block, pcm::WriteMode::Sets7, queue.now());
+    }
+
+    std::uint64_t
+    stuckAtFaults() const
+    {
+        const auto *s = dynamic_cast<const stats::Scalar *>(
+            root.find("fault.stuckAtFaults"));
+        return s ? static_cast<std::uint64_t>(s->value()) : 0;
+    }
+
+    EventQueue queue;
+    memctrl::MemoryParams memory;
+    memctrl::Controller ctrl;
+    stats::StatGroup root{"system"};
+    FaultManager mgr;
+};
+
+FaultConfig
+stuckAtEveryTwoWrites()
+{
+    FaultConfig cfg;
+    cfg.stuckAtWearThreshold = 2;
+    cfg.stuckAtRate = 1.0;
+    return cfg;
+}
+
+TEST_F(FaultTest, StuckAtLevelFollowsTheResetCountDownLazily)
+{
+    WearRig rig(stuckAtEveryTwoWrites());
+    const Addr block = 5 * wearRegionBytes + 64;
+    rig.writeAndComplete(block, 5);
+    EXPECT_EQ(rig.stuckAtFaults(), 2u);
+
+    // The warmup boundary zeroes the count but keeps the drawn level:
+    // climbing back to it draws nothing, passing it draws again.
+    rig.mgr.resetWearCounts();
+    rig.writeAndComplete(block, 5);
+    EXPECT_EQ(rig.stuckAtFaults(), 2u);
+    rig.writeAndComplete(block, 1);
+    EXPECT_EQ(rig.stuckAtFaults(), 3u);
+
+    check::ScopedFailurePolicy audit(check::FailurePolicy::LogAndCount);
+    EXPECT_EQ(runAudit(rig.mgr), 0u);
+}
+
+TEST_F(FaultTest, WearCountRejectsAddressesOutsideTheArray)
+{
+    WearRig rig(stuckAtEveryTwoWrites());
+    EXPECT_THROW(rig.mgr.recordWrite(memctrl::MemoryParams::memoryBytes),
+                 check::CheckError);
 }
 
 // ---- FaultConfig validation ----

@@ -70,12 +70,9 @@ TEST(RunPlan, DefaultsIdsAndLabels)
     RunPlan plan;
     RunSpec &a = plan.add(quickConfig("lbm", kStatic7));
     EXPECT_EQ(a.id, "lbm.Static-7-SETs");
-    EXPECT_EQ(a.label, "lbm.Static-7-SETs");
 
-    RunSpec &b = plan.add(quickConfig("lbm", kStatic7), "lbm.sweep-1",
-                          "lbm sweep point 1");
+    RunSpec &b = plan.add(quickConfig("lbm", kStatic7), "lbm.sweep-1");
     EXPECT_EQ(b.id, "lbm.sweep-1");
-    EXPECT_EQ(b.label, "lbm sweep point 1");
     EXPECT_EQ(plan.size(), 2u);
     EXPECT_NO_THROW(plan.validate());
 }

@@ -1,105 +1,17 @@
 /**
  * @file
- * Tests for wear tracking and lifetime estimation.
+ * Tests for lifetime estimation.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/check.hh"
 #include "pcm/lifetime_model.hh"
-#include "pcm/wear_tracker.hh"
 
 namespace rrm::pcm
 {
 namespace
 {
-
-WearTracker
-smallTracker()
-{
-    // 1 MB memory, 4 KB regions, 64 B blocks -> 256 regions.
-    return WearTracker(1_MiB, 4_KiB);
-}
-
-TEST(WearTracker, GeometryChecks)
-{
-    WearTracker t = smallTracker();
-    EXPECT_EQ(t.numRegions(), 256u);
-    EXPECT_EQ(t.numBlocks(), 1_MiB / 64);
-}
-
-TEST(WearTracker, RecordsPerCauseTotals)
-{
-    WearTracker t = smallTracker();
-    t.recordBlockWrite(0, WearCause::DemandWrite);
-    t.recordBlockWrite(64, WearCause::DemandWrite);
-    t.recordBlockWrite(128, WearCause::RrmRefresh);
-    t.recordGlobalRefresh(1000);
-    EXPECT_EQ(t.total(WearCause::DemandWrite), 2u);
-    EXPECT_EQ(t.total(WearCause::RrmRefresh), 1u);
-    EXPECT_EQ(t.total(WearCause::GlobalRefresh), 1000u);
-    EXPECT_EQ(t.grandTotal(), 1003u);
-}
-
-TEST(WearTracker, RegionAttribution)
-{
-    WearTracker t = smallTracker();
-    // Three writes in region 0, one in region 5.
-    t.recordBlockWrite(0, WearCause::DemandWrite);
-    t.recordBlockWrite(64, WearCause::DemandWrite);
-    t.recordBlockWrite(4095, WearCause::RrmRefresh);
-    t.recordBlockWrite(5 * 4096, WearCause::DemandWrite);
-    EXPECT_EQ(t.regionWear(0), 3u);
-    EXPECT_EQ(t.regionWear(5), 1u);
-    EXPECT_EQ(t.regionWear(1), 0u);
-    EXPECT_EQ(t.touchedRegions(), 2u);
-    EXPECT_EQ(t.maxRegionWear(), 3u);
-}
-
-TEST(WearTracker, RegionWearStatsSkipUntouched)
-{
-    WearTracker t = smallTracker();
-    t.recordBlockWrite(0, WearCause::DemandWrite);
-    t.recordBlockWrite(0, WearCause::DemandWrite);
-    t.recordBlockWrite(4096, WearCause::DemandWrite);
-    const SampleStats s = t.regionWearStats();
-    EXPECT_EQ(s.count(), 2u);
-    EXPECT_DOUBLE_EQ(s.mean(), 1.5);
-}
-
-TEST(WearTracker, GlobalRefreshViaBlockWritePanics)
-{
-    WearTracker t = smallTracker();
-    EXPECT_THROW(t.recordBlockWrite(0, WearCause::GlobalRefresh),
-                 check::CheckError);
-}
-
-TEST(WearTracker, OutOfRangeAddressPanics)
-{
-    WearTracker t = smallTracker();
-    EXPECT_THROW(t.recordBlockWrite(1_MiB, WearCause::DemandWrite),
-                 check::CheckError);
-}
-
-TEST(WearTracker, ResetClearsEverything)
-{
-    WearTracker t = smallTracker();
-    t.recordBlockWrite(0, WearCause::DemandWrite);
-    t.recordGlobalRefresh(5);
-    t.reset();
-    EXPECT_EQ(t.grandTotal(), 0u);
-    EXPECT_EQ(t.touchedRegions(), 0u);
-}
-
-TEST(WearTracker, CauseNames)
-{
-    EXPECT_EQ(wearCauseName(WearCause::DemandWrite), "demand_write");
-    EXPECT_EQ(wearCauseName(WearCause::RrmRefresh), "rrm_refresh");
-    EXPECT_EQ(wearCauseName(WearCause::GlobalRefresh),
-              "global_refresh");
-}
-
-// ---- Lifetime ----
 
 constexpr std::uint64_t blocks8GiB = 8_GiB / 64;
 
