@@ -225,6 +225,47 @@ BM_ControllerRandomReads(benchmark::State &state)
 BENCHMARK(BM_ControllerRandomReads);
 
 /**
+ * The scheduler under a write-heavy phase: each iteration sends 64
+ * writes (alternating 3- and 7-SET) and 16 reads to four banks of
+ * channel 0, eight requests every 40 ns, so the write queue passes the
+ * high watermark and drains to the low one while reads pause the
+ * writes in flight; then it runs the queue dry. Items are requests.
+ */
+void
+BM_ControllerMixedTraffic(benchmark::State &state)
+{
+    EventQueue queue;
+    memctrl::MemoryParams params;
+    memctrl::Controller ctrl(params, queue);
+    // Channel 0's row-buffer segments; the bank is the segment index's
+    // low bits.
+    const Addr segment = params.numChannels * params.rowBufferBytes;
+    constexpr unsigned requests = 80;
+    Random rng(1);
+    std::uint64_t completed = 0;
+    for (auto _ : state) {
+        for (unsigned i = 0; i < requests; ++i) {
+            const Addr addr =
+                (rng.uniform(4) * params.banksPerChannel + rng.uniform(4)) *
+                    segment +
+                rng.uniform(params.rowBufferBytes / blockBytes) * blockBytes;
+            if (i % 5 == 4) {
+                ctrl.enqueueRead(addr, [&](Tick) { ++completed; });
+            } else {
+                ctrl.enqueueWrite(addr, i % 2 ? pcm::WriteMode::Sets7
+                                              : pcm::WriteMode::Sets3);
+            }
+            if (i % 8 == 7)
+                queue.run(queue.now() + 40_ns);
+        }
+        queue.run();
+    }
+    benchmark::DoNotOptimize(completed);
+    state.SetItemsProcessed(state.iterations() * requests);
+}
+BENCHMARK(BM_ControllerMixedTraffic);
+
+/**
  * The write path under backpressure, hooked to the controller as the
  * System hooks it. Each iteration sends twice a controller queue's
  * worth of writebacks (alternating 3- and 7-SET writes) and of

@@ -58,7 +58,7 @@ std::uint32_t crc32(const void *data, std::size_t size,
                     std::uint32_t seed = 0);
 
 /** Current .rckpt format version. */
-constexpr std::uint32_t formatVersion = 6;
+constexpr std::uint32_t formatVersion = 7;
 
 /** Section id: four printable characters packed little-endian. */
 constexpr std::uint32_t

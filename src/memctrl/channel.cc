@@ -40,35 +40,32 @@ Channel::enqueueRead(Request req)
         return false;
     RRM_DCHECK(req.kind == ReqKind::Read, "read queue got a ",
                static_cast<int>(req.kind));
-    req.enqueueTick = queue_.now();
+    const Tick now = queue_.now();
+    req.enqueueTick = now;
     req.loc = map_.decode(req.addr);
     ++enqueued_[static_cast<std::size_t>(ReqKind::Read)];
-    readQ_.push_back(std::move(req));
-    RRM_TRACE(traceSink_, queue_.now(), obs::TraceCategory::Queue,
-              "readEnq", RRM_TF("channel", index_),
-              RRM_TF("readQ", readQ_.size()),
+    const bool first = readQ_.empty();
+    readQ_.push(std::move(req));
+    RRM_TRACE(traceSink_, now, obs::TraceCategory::Queue, "readEnq",
+              RRM_TF("channel", index_), RRM_TF("readQ", readQ_.size()),
               RRM_TF("writeQ", writeQ_.size()),
               RRM_TF("refreshQ", refreshQ_.size()));
-    if (scanMemoValid_ && scanMemoTick_ == queue_.now()) {
-        // Every other queued request already failed to issue at this
-        // tick under the current bank/bus state, so only the new
-        // arrival needs a try. In write-drain mode the full scan
-        // would not try reads at all, and the memoized retry is
-        // already scheduled, so there is nothing to do.
-        if (writeDrainMode_)
-            return true;
-        Tick earliest = scanMemoEarliest_;
-        if (!tryIssueRead(readQ_.back(), earliest)) {
-            scanMemoEarliest_ = earliest;
-            if (earliest != maxTick)
-                scheduleRetry(earliest);
+    // A scan in drain mode tries no reads. Otherwise only the arrival
+    // needs a try, unless it is the first read: that stops a scan
+    // trying writes, so a writes-only scan's window no longer applies.
+    if (now < quietUntil_ && !writeDrainMode_) {
+        Tick horizon = quietUntil_;
+        const Tick start =
+            first ? now
+                  : readIssueTick(readQ_.key(readQ_.size() - 1), now,
+                                  horizon);
+        if (start > now) {
+            quietEarliest_ = std::min(quietEarliest_, start);
+            quietUntil_ = std::min(horizon, quietEarliest_);
+            scheduleRetry(quietEarliest_);
             return true;
         }
-        readQ_.pop_back();
-        // The issue changed bank/bus state; rescan like the full
-        // scheduler loop would after any issue.
-        trySchedule();
-        return true;
+        quietUntil_ = 0;
     }
     trySchedule();
     return true;
@@ -84,12 +81,13 @@ Channel::enqueueWrite(Request req)
     req.enqueueTick = queue_.now();
     req.loc = map_.decode(req.addr);
     ++enqueued_[static_cast<std::size_t>(ReqKind::Write)];
-    writeQ_.push_back(std::move(req));
+    writeQ_.push(std::move(req));
     RRM_TRACE(traceSink_, queue_.now(), obs::TraceCategory::Queue,
               "writeEnq", RRM_TF("channel", index_),
               RRM_TF("readQ", readQ_.size()),
               RRM_TF("writeQ", writeQ_.size()),
               RRM_TF("refreshQ", refreshQ_.size()));
+    quietUntil_ = 0;
     trySchedule();
     return true;
 }
@@ -104,42 +102,58 @@ Channel::enqueueRefresh(Request req)
     req.enqueueTick = queue_.now();
     req.loc = map_.decode(req.addr);
     ++enqueued_[static_cast<std::size_t>(ReqKind::RrmRefresh)];
-    refreshQ_.push_back(std::move(req));
+    refreshQ_.push(std::move(req));
     RRM_TRACE(traceSink_, queue_.now(), obs::TraceCategory::Queue,
               "refreshEnq", RRM_TF("channel", index_),
               RRM_TF("readQ", readQ_.size()),
               RRM_TF("writeQ", writeQ_.size()),
               RRM_TF("refreshQ", refreshQ_.size()));
+    quietUntil_ = 0;
     trySchedule();
     return true;
 }
 
 Tick
-Channel::bankReadyForRead(const Bank &bank, Tick t) const
+Channel::readIssueTick(const RequestQueue::Key &key, Tick now,
+                       Tick &horizon) const
 {
-    if (bank.busyUntil <= t)
-        return t;
-    if (bank.writing && params_.writePausing) {
-        // Pause points: end of RESET, then end of each SET pulse.
-        const Tick first = bank.writePulseStart + pcm::resetPulse;
-        Tick boundary = first;
-        if (t > boundary) {
+    const Bank &bank = banks_[key.bank];
+    if (bank.writeEnded(now))
+        return now;
+    const bool row_hit = bank.hasOpenRow && bank.openRow == key.rowId;
+    const Tick access = readAccessTime(params_, row_hit);
+    Tick start = std::max(bank.busyUntil, now);
+    if (bank.busyUntil > now && bank.writing) {
+        if (params_.writePausing) {
+            // Pause points: end of RESET, then end of each SET pulse
+            // but the last, which the read just waits out.
+            const Tick first = bank.writePulseStart + pcm::resetPulse;
             const Tick k =
-                divCeil(t - first, pcm::setPulse);
-            boundary = first + k * pcm::setPulse;
+                now > first ? divCeil(now - first, pcm::setPulse) : 0;
+            start = std::min(first + k * pcm::setPulse, bank.busyUntil);
         }
-        // No pause point after the final SET: just wait it out.
-        if (boundary >= bank.busyUntil)
-            return bank.busyUntil;
-        return boundary;
+        horizon = std::min(horizon, start);
     }
-    return bank.busyUntil;
+    if (!row_hit)
+        start = fawReady(start);
+    // The data burst needs the channel bus right after the access.
+    if (busFreeAt_ > start + access)
+        start = busFreeAt_ - access;
+    return start;
 }
 
 Tick
-Channel::bankReadyForWrite(const Bank &bank, Tick t) const
+Channel::writeIssueTick(const Bank &bank, bool is_refresh, Tick now,
+                        Tick &horizon) const
 {
-    return std::max(bank.busyUntil, t);
+    if (bank.writeEnded(now))
+        return now;
+    if (bank.writing)
+        horizon = std::min(horizon, bank.busyUntil);
+    Tick start = std::max(bank.busyUntil, now);
+    if (!is_refresh && busFreeAt_ > start)
+        start = busFreeAt_; // incoming data burst needs the bus
+    return start;
 }
 
 Tick
@@ -163,36 +177,53 @@ Channel::recordActivate(Tick t)
 }
 
 bool
-Channel::tryIssueRead(const Request &req, Tick &earliest)
+Channel::tryIssueRead(std::size_t pos, Scan &scan)
 {
     const Tick now = queue_.now();
-    const Location &loc = req.loc;
-    Bank &bank = banks_[loc.bank];
-    if (bank.writing && bank.busyUntil <= now) {
-        // The write is done but its completion event fires later this
-        // tick; retry right after it.
-        earliest = std::min(earliest, now);
+    const RequestQueue::Key &key = readQ_.key(pos);
+    const Tick start = readIssueTick(key, now, scan.horizon);
+    if (start > now || banks_[key.bank].writeEnded(now)) {
+        scan.earliest = std::min(scan.earliest, start);
         return false;
     }
-    const bool row_hit = bank.hasOpenRow && bank.openRow == loc.rowId;
+    issueRead(pos);
+    return true;
+}
+
+bool
+Channel::tryIssueWrite(RequestQueue &q, Scan &scan, bool is_refresh)
+{
+    static_assert(MemoryParams::banksPerChannel <= 32);
+    const Tick now = queue_.now();
+    // Banks already found waiting: their later requests wait as long.
+    std::uint32_t waiting = 0;
+    for (std::size_t i = 0; i < q.size(); ++i) {
+        const unsigned b = q.key(i).bank;
+        if (waiting & (1u << b))
+            continue;
+        const Tick start =
+            writeIssueTick(banks_[b], is_refresh, now, scan.horizon);
+        if (start <= now && !banks_[b].writeEnded(now)) {
+            issueWrite(q, i, is_refresh);
+            return true;
+        }
+        scan.earliest = std::min(scan.earliest, start);
+        waiting |= 1u << b;
+    }
+    return false;
+}
+
+void
+Channel::issueRead(std::size_t pos)
+{
+    const Tick now = queue_.now();
+    const RequestQueue::Key key = readQ_.key(pos);
+    Bank &bank = banks_[key.bank];
+    quietUntil_ = 0;
+    const bool row_hit = bank.hasOpenRow && bank.openRow == key.rowId;
     const Tick access = readAccessTime(params_, row_hit);
-
-    Tick start = bankReadyForRead(bank, now);
-    if (!row_hit)
-        start = fawReady(start);
-    // The data burst needs the channel bus right after the access.
-    if (busFreeAt_ > start + access)
-        start = busFreeAt_ - access;
-
-    if (start > now) {
-        earliest = std::min(earliest, start);
-        return false;
-    }
-
-    // Issue now.
-    const bool pausing = bank.writing && bank.busyUntil > now;
-    if (pausing) {
-        // Push the interrupted write's remaining pulses back.
+    if (bank.writing) {
+        // Pausing: push the interrupted write's remaining pulses back.
         bank.writePulseStart += access;
         bank.busyUntil += access;
         if (statWritePauses_)
@@ -203,7 +234,7 @@ Channel::tryIssueRead(const Request &req, Tick &earliest)
     if (!row_hit) {
         recordActivate(now);
         bank.hasOpenRow = true;
-        bank.openRow = loc.rowId;
+        bank.openRow = key.rowId;
     }
     busFreeAt_ = now + access + params_.burstTime();
 
@@ -215,43 +246,29 @@ Channel::tryIssueRead(const Request &req, Tick &earliest)
     const Tick finish = now + access + params_.burstTime();
     RRM_TRACE(traceSink_, now, obs::TraceCategory::Queue,
               "readService", RRM_TF("channel", index_),
-              RRM_TF("bank", loc.bank), RRM_TF("dur", finish - now));
+              RRM_TF("bank", key.bank), RRM_TF("dur", finish - now));
+    Request req = readQ_.take(pos);
     if (statReadLatency_)
         statReadLatency_->add(finish - req.enqueueTick);
     ++inflightReads_;
-    Request copy = req;
     queue_.schedule(
         finish,
-        [this, copy = std::move(copy), finish] {
-            complete(copy, finish);
+        [this, req = std::move(req), finish] {
+            complete(req, finish);
             trySchedule();
         },
         EventPriority::MemoryResponse);
-    return true;
 }
 
-bool
-Channel::tryIssueWrite(const Request &req, Tick &earliest,
-                       bool is_refresh)
+void
+Channel::issueWrite(RequestQueue &q, std::size_t pos, bool is_refresh)
 {
     const Tick now = queue_.now();
-    const Location &loc = req.loc;
-    Bank &bank = banks_[loc.bank];
-    if (bank.writing && bank.busyUntil <= now) {
-        earliest = std::min(earliest, now);
-        return false;
-    }
-
-    Tick start = bankReadyForWrite(bank, now);
-    if (!is_refresh && busFreeAt_ > start)
-        start = busFreeAt_; // incoming data burst needs the bus
-
-    if (start > now) {
-        earliest = std::min(earliest, start);
-        return false;
-    }
-
-    const Tick wp = pcm::writeLatency(req.mode);
+    const unsigned bank_idx = q.key(pos).bank;
+    Bank &bank = banks_[bank_idx];
+    quietUntil_ = 0;
+    bank.inflightWrite = q.take(pos);
+    const Tick wp = pcm::writeLatency(bank.inflightWrite.mode);
     Tick pulse_start;
     if (is_refresh) {
         // Internal read (array access) then rewrite; no bus transfer.
@@ -269,17 +286,14 @@ Channel::tryIssueWrite(const Request &req, Tick &earliest,
 
     bank.writing = true;
     bank.writePulseStart = pulse_start;
-    bank.writeMode = req.mode;
     bank.busyUntil = pulse_start + wp;
-    bank.inflightWrite = req;
     RRM_TRACE(traceSink_, now, obs::TraceCategory::Queue,
               is_refresh ? "refreshService" : "writeService",
-              RRM_TF("channel", index_), RRM_TF("bank", loc.bank),
+              RRM_TF("channel", index_), RRM_TF("bank", bank_idx),
               RRM_TF("dur", bank.busyUntil - now));
 
     // Completion check; reschedules itself if pauses moved the end.
-    scheduleWriteCheck(loc.bank, bank.busyUntil);
-    return true;
+    scheduleWriteCheck(bank_idx, bank.busyUntil);
 }
 
 void
@@ -293,7 +307,6 @@ Channel::scheduleWriteCheck(unsigned bank_idx, Tick when)
 void
 Channel::writeCheck(unsigned bank_idx)
 {
-    scanMemoValid_ = false; // bank state mutates before the rescan
     Bank &bank = banks_[bank_idx];
     if (queue_.now() < bank.busyUntil) {
         // A pause pushed the pulse train back; check again at the
@@ -302,6 +315,7 @@ Channel::writeCheck(unsigned bank_idx)
         return;
     }
     bank.writing = false;
+    quietUntil_ = 0;
     complete(bank.inflightWrite, queue_.now());
     trySchedule();
 }
@@ -311,7 +325,7 @@ Channel::holdRefreshes(Tick until)
 {
     if (until <= refreshHoldUntil_)
         return;
-    scanMemoValid_ = false;
+    quietUntil_ = 0;
     refreshHoldUntil_ = until;
     if (!refreshQ_.empty())
         scheduleRetry(until);
@@ -355,98 +369,105 @@ Channel::complete(const Request &req, Tick when)
 void
 Channel::trySchedule()
 {
-    scanMemoValid_ = false;
+    if (queue_.now() < quietUntil_) {
+        RRM_DCHECK(quietWindowHolds(), name_,
+                   ": a scan inside the quiet window would find more");
+        // Any queued request makes quietEarliest_ finite.
+        if (quietEarliest_ != maxTick)
+            scheduleRetry(quietEarliest_);
+        return;
+    }
     Tick earliest = maxTick;
-    bool issued_any = true;
-    while (issued_any) {
-        issued_any = false;
-
-        // Write-drain hysteresis.
-        if (!writeDrainMode_ &&
-            writeQ_.size() >= params_.writeHighWatermark) {
-            writeDrainMode_ = true;
-            if (statDrainEntries_)
-                ++*statDrainEntries_;
-        }
-        if (writeDrainMode_ &&
-            writeQ_.size() <= params_.writeLowWatermark) {
-            writeDrainMode_ = false;
-        }
-
-        // 1. RRM refreshes: highest priority, FCFS with bank
-        // skipping — unless an injected stall holds refresh issue.
-        if (queue_.now() >= refreshHoldUntil_) {
-            for (auto it = refreshQ_.begin(); it != refreshQ_.end();
-                 ++it) {
-                if (tryIssueWrite(*it, earliest, true)) {
-                    refreshQ_.erase(it);
-                    issued_any = true;
-                    break;
-                }
-            }
-        } else if (!refreshQ_.empty()) {
-            earliest = std::min(earliest, refreshHoldUntil_);
-        }
-        if (issued_any)
-            continue;
-
-        // 2. Reads (FR-FCFS), unless draining writes.
-        if (!writeDrainMode_ && !readQ_.empty()) {
-            bool issued = false;
-            // First serviceable row hit...
-            for (auto it = readQ_.begin(); it != readQ_.end(); ++it) {
-                const Location &loc = it->loc;
-                const Bank &bank = banks_[loc.bank];
-                if (bank.hasOpenRow && bank.openRow == loc.rowId &&
-                    bank.busyUntil <= queue_.now()) {
-                    if (tryIssueRead(*it, earliest)) {
-                        readQ_.erase(it);
-                        issued = true;
-                    }
-                    break;
-                }
-            }
-            // ...otherwise the oldest serviceable read.
-            if (!issued) {
-                for (auto it = readQ_.begin(); it != readQ_.end();
-                     ++it) {
-                    if (tryIssueRead(*it, earliest)) {
-                        readQ_.erase(it);
-                        issued = true;
-                        break;
-                    }
-                }
-            }
-            if (issued) {
-                issued_any = true;
-                continue;
-            }
-        }
-
-        // 3. Writes: drain mode, or nothing else to do.
-        if (!writeQ_.empty() && (writeDrainMode_ || readQ_.empty())) {
-            for (auto it = writeQ_.begin(); it != writeQ_.end(); ++it) {
-                if (tryIssueWrite(*it, earliest, false)) {
-                    writeQ_.erase(it);
-                    issued_any = true;
-                    if (writeIssuedHook_)
-                        writeIssuedHook_();
-                    break;
-                }
-            }
-        }
+    Scan scan;
+    for (bool issued = true; issued;) {
+        scan = Scan{};
+        issued = schedulePass(scan);
+        earliest = std::min(earliest, scan.earliest);
     }
 
     if ((!refreshQ_.empty() || !readQ_.empty() || !writeQ_.empty()) &&
         earliest != maxTick) {
         scheduleRetry(earliest);
     }
+    // The last pass issued nothing: it opens the quiet window.
+    quietEarliest_ = scan.earliest;
+    quietUntil_ = std::min(scan.earliest, scan.horizon);
+}
 
-    // The final loop iteration was a complete scan that issued
-    // nothing, so the memo is valid regardless of earlier issues.
-    scanMemoValid_ = true;
-    scanMemoTick_ = queue_.now();
-    scanMemoEarliest_ = earliest;
+bool
+Channel::schedulePass(Scan &scan)
+{
+    const Tick now = queue_.now();
+
+    // Write-drain hysteresis.
+    if (!writeDrainMode_ && writeQ_.size() >= params_.writeHighWatermark) {
+        writeDrainMode_ = true;
+        if (statDrainEntries_)
+            ++*statDrainEntries_;
+    }
+    if (writeDrainMode_ && writeQ_.size() <= params_.writeLowWatermark)
+        writeDrainMode_ = false;
+
+    // 1. RRM refreshes: highest priority, FCFS with bank skipping —
+    // unless an injected stall holds refresh issue.
+    if (now >= refreshHoldUntil_) {
+        if (tryIssueWrite(refreshQ_, scan, true))
+            return true;
+    } else if (!refreshQ_.empty()) {
+        scan.earliest = std::min(scan.earliest, refreshHoldUntil_);
+    }
+
+    // 2. Reads (FR-FCFS), unless draining writes.
+    if (!writeDrainMode_ && !readQ_.empty()) {
+        // The first row hit on an idle bank; the search stops there
+        // even when that read cannot issue...
+        for (std::size_t i = 0; i < readQ_.size(); ++i) {
+            const RequestQueue::Key &key = readQ_.key(i);
+            const Bank &bank = banks_[key.bank];
+            if (bank.hasOpenRow && bank.openRow == key.rowId &&
+                bank.busyUntil <= now) {
+                if (tryIssueRead(i, scan))
+                    return true;
+                break;
+            }
+        }
+        // ...otherwise the oldest serviceable read.
+        for (std::size_t i = 0; i < readQ_.size(); ++i)
+            if (tryIssueRead(i, scan))
+                return true;
+    }
+
+    // 3. Writes: drain mode, or nothing else to do.
+    if ((writeDrainMode_ || readQ_.empty()) &&
+        tryIssueWrite(writeQ_, scan, false)) {
+        if (writeIssuedHook_)
+            writeIssuedHook_();
+        return true;
+    }
+    return false;
+}
+
+bool
+Channel::quietWindowHolds() const
+{
+    // Each request a scan now would try waits past now iff their
+    // earliest issue tick is quietEarliest_ (> now in the window).
+    const Tick now = queue_.now();
+    const bool held = now < refreshHoldUntil_;
+    Tick horizon = maxTick;
+    Tick e = held && !refreshQ_.empty() ? refreshHoldUntil_ : maxTick;
+    for (std::size_t i = 0; !held && i < refreshQ_.size(); ++i) {
+        e = std::min(e, writeIssueTick(banks_[refreshQ_.key(i).bank],
+                                       true, now, horizon));
+    }
+    for (std::size_t i = 0; !writeDrainMode_ && i < readQ_.size(); ++i)
+        e = std::min(e, readIssueTick(readQ_.key(i), now, horizon));
+    const bool writes = writeDrainMode_ || readQ_.empty();
+    for (std::size_t i = 0; writes && i < writeQ_.size(); ++i) {
+        e = std::min(e, writeIssueTick(banks_[writeQ_.key(i).bank], false,
+                                       now, horizon));
+    }
+    return now >= quietUntil_ || e == quietEarliest_;
 }
 
 void
@@ -479,9 +500,14 @@ Channel::audit() const
     RRM_AUDIT(refreshQ_.size() <= params_.refreshQueueCap, name_,
               ": refresh queue above its cap");
 
-    const auto auditQueue = [&](const std::deque<Request> &q,
-                                ReqKind kind, const char *qname) {
-        for (const Request &req : q) {
+    const auto auditQueue = [&](const RequestQueue &q, ReqKind kind,
+                                const char *qname) {
+        for (std::size_t i = 0; i < q.size(); ++i) {
+            const Request &req = q.at(i);
+            RRM_AUDIT(q.key(i).bank == req.loc.bank &&
+                          q.key(i).rowId == req.loc.rowId,
+                      name_, ": ", qname, " queue key ", i,
+                      " does not match its request");
             RRM_AUDIT(req.kind == kind, name_, ": ", qname,
                       " queue holds a request of kind ",
                       static_cast<int>(req.kind));
@@ -533,8 +559,8 @@ Channel::audit() const
               ": a completion was delivered in the future");
     RRM_AUDIT(!retryPending_ || retryAt_ >= now, name_,
               ": pending retry scheduled in the past");
-    RRM_AUDIT(!scanMemoValid_ || scanMemoTick_ <= now, name_,
-              ": scan memo recorded in the future");
+    RRM_AUDIT(quietWindowHolds(), name_,
+              ": a scan inside the quiet window would find more");
 }
 
 void
@@ -559,9 +585,6 @@ Channel::saveCkpt(ckpt::ChunkWriter &w) const
     w.u64(activateIdx_);
     w.b(writeDrainMode_);
     w.u64(refreshHoldUntil_);
-    w.b(scanMemoValid_);
-    w.u64(scanMemoTick_);
-    w.u64(scanMemoEarliest_);
     w.u32(static_cast<std::uint32_t>(banks_.size()));
     for (const Bank &bank : banks_) {
         RRM_CHECK(!bank.writing, name_, ": checkpoint with a bank mid-write");
@@ -598,9 +621,7 @@ Channel::restoreCkpt(ckpt::ChunkReader &r)
                               std::to_string(history));
     writeDrainMode_ = r.b();
     refreshHoldUntil_ = r.u64();
-    scanMemoValid_ = r.b();
-    scanMemoTick_ = r.u64();
-    scanMemoEarliest_ = r.u64();
+    quietUntil_ = 0;
     const std::uint32_t n = r.u32();
     if (n != banks_.size())
         throw ckpt::CkptError(

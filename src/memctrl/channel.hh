@@ -18,7 +18,6 @@
 #define RRM_MEMCTRL_CHANNEL_HH
 
 #include <array>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -124,8 +123,8 @@ class Channel : public Auditable
      * @{ Checkpoint the channel at a quiescent point: all queues must
      * be empty, no bank mid-write, no read in flight, and no retry
      * pending (asserted). What remains is bank timing state, the
-     * conservation counters, the tFAW activate ring, and the
-     * scheduler's hysteresis/memo state.
+     * conservation counters, the tFAW activate ring, and the drain
+     * hysteresis. The quiet window is not saved: restore closes it.
      */
     void saveCkpt(ckpt::ChunkWriter &w) const;
     void restoreCkpt(ckpt::ChunkReader &r);
@@ -139,11 +138,64 @@ class Channel : public Auditable
      * retired, queued, or in flight at a bank — nothing lost or
      * duplicated), queue occupancies within their caps, queued
      * requests enqueued no later than now, coherent per-bank write
-     * state, and a pending retry no earlier than now.
+     * state, a pending retry no earlier than now, and an open quiet
+     * window that a full scan would confirm (quietWindowHolds()).
      */
     void audit() const override;
 
   private:
+    /**
+     * A controller queue laid out for the scheduler: an arrival-ordered
+     * vector of 16-byte keys (bank, row, slot) that scans walk and erase
+     * from, over Request payload slots made on demand and recycled.
+     */
+    class RequestQueue
+    {
+      public:
+        struct Key
+        {
+            std::uint64_t rowId;
+            std::uint32_t bank;
+            std::uint32_t slot;
+        };
+
+        bool empty() const { return keys_.empty(); }
+        std::size_t size() const { return keys_.size(); }
+        const Key &key(std::size_t pos) const { return keys_[pos]; }
+        const Request &
+        at(std::size_t pos) const
+        {
+            return slots_[keys_[pos].slot];
+        }
+
+        /** Append `req`, whose `loc` is already decoded. */
+        void
+        push(Request req)
+        {
+            if (free_.empty()) {
+                free_.push_back(static_cast<std::uint32_t>(slots_.size()));
+                slots_.emplace_back();
+            }
+            keys_.push_back({req.loc.rowId, req.loc.bank, free_.back()});
+            free_.pop_back();
+            slots_[keys_.back().slot] = std::move(req);
+        }
+
+        /** Remove and return the request at `pos`, keeping arrival order. */
+        Request
+        take(std::size_t pos)
+        {
+            free_.push_back(keys_[pos].slot);
+            keys_.erase(keys_.begin() + static_cast<std::ptrdiff_t>(pos));
+            return std::move(slots_[free_.back()]);
+        }
+
+      private:
+        std::vector<Key> keys_;
+        std::vector<Request> slots_;
+        std::vector<std::uint32_t> free_;
+    };
+
     struct Bank
     {
         Tick busyUntil = 0;
@@ -153,33 +205,58 @@ class Channel : public Auditable
         /** In-flight pausable write, if any. */
         bool writing = false;
         Tick writePulseStart = 0; ///< start of the pulse train
-        pcm::WriteMode writeMode = pcm::WriteMode::Sets7;
         Request inflightWrite;
+
+        /** Pulses over, completion event not yet run: takes nothing. */
+        bool writeEnded(Tick now) const
+        {
+            return writing && busyUntil <= now;
+        }
     };
 
-    /** Earliest tick >= `t` at which `bank` can accept a read. */
-    Tick bankReadyForRead(const Bank &bank, Tick t) const;
+    /** What one scheduler pass learnt from the requests it tried. */
+    struct Scan
+    {
+        Tick earliest = maxTick; ///< earliest issue tick of a failed try
+        Tick horizon = maxTick;  ///< first flip of a tried bank's write
+    };
 
-    /** Earliest tick >= `t` at which `bank` can accept a write. */
-    Tick bankReadyForWrite(const Bank &bank, Tick t) const;
+    /**
+     * @{ Issue tick a scan at `now` finds for a read, or a write or
+     * refresh to `bank`: `now` if it can issue now or its bank's write
+     * ended unretired. For a bank mid-write, lowers `horizon` to where
+     * that tick next moves by itself (DESIGN.md section 15).
+     */
+    Tick readIssueTick(const RequestQueue::Key &key, Tick now,
+                       Tick &horizon) const;
+    Tick writeIssueTick(const Bank &bank, bool is_refresh, Tick now,
+                        Tick &horizon) const;
+    /** @} */
 
     /** Earliest tick >= `t` satisfying the tFAW activate window. */
     Tick fawReady(Tick t) const;
 
     void recordActivate(Tick t);
 
-    /** Try to issue as much as possible; arrange a retry if blocked. */
+    /** Issue what can issue; arrange a retry if blocked. */
     void trySchedule();
 
-    /**
-     * Attempt to issue the given request now.
-     * @param earliest[out] Updated with the request's earliest issue
-     *        time when it cannot issue now.
-     * @return true if issued.
-     */
-    bool tryIssueRead(const Request &req, Tick &earliest);
-    bool tryIssueWrite(const Request &req, Tick &earliest,
-                       bool is_refresh);
+    /** One FR-FCFS pass; true if it issued a request. */
+    bool schedulePass(Scan &scan);
+
+    /** False if a scan in the open quiet window would differ. */
+    bool quietWindowHolds() const;
+
+    /** Issue read `pos` if it can issue now, else fold it into `scan`. */
+    bool tryIssueRead(std::size_t pos, Scan &scan);
+
+    /** Issue q's oldest issuable write (refresh); fold the rest in scan. */
+    bool tryIssueWrite(RequestQueue &q, Scan &scan, bool is_refresh);
+
+    /** @{ Issue the request at `pos` now, moving its payload out. */
+    void issueRead(std::size_t pos);
+    void issueWrite(RequestQueue &q, std::size_t pos, bool is_refresh);
+    /** @} */
 
     void scheduleRetry(Tick when);
     void complete(const Request &req, Tick when);
@@ -193,9 +270,9 @@ class Channel : public Auditable
     AddressMap map_;
 
     std::vector<Bank> banks_;
-    std::deque<Request> readQ_;
-    std::deque<Request> writeQ_;
-    std::deque<Request> refreshQ_;
+    RequestQueue readQ_;
+    RequestQueue writeQ_;
+    RequestQueue refreshQ_;
 
     // Request-conservation accounting (audited), indexed by ReqKind.
     std::array<std::uint64_t, 3> enqueued_{};
@@ -217,18 +294,14 @@ class Channel : public Auditable
     EventHandle retryEvent_;
 
     /**
-     * Failed-scan memo. After a trySchedule() pass whose final
-     * iteration issued nothing, every queued request is known to be
-     * un-issuable at (scanMemoTick_, current bank/bus state), and
-     * tryIssue* failure is side-effect-free. While the memo holds (same
-     * tick, no bank/bus/hold mutation), enqueueRead() only has to try
-     * the new arrival instead of re-walking the whole queue; the
-     * accumulated earliest-retry tick carries over. Invalidated at
-     * every full-scan entry, bank-state mutation, and refresh hold.
+     * The quiet window [t, quietUntil_) left by a scan at t that found
+     * nothing to issue before quietEarliest_: inside it, a scan would
+     * find the same (DESIGN.md section 15). Closed (0) by any issue,
+     * write or refresh arrival, write completion, refresh hold,
+     * restore, and a first read outside drain mode.
      */
-    bool scanMemoValid_ = false;
-    Tick scanMemoTick_ = 0;
-    Tick scanMemoEarliest_ = maxTick;
+    Tick quietUntil_ = 0;
+    Tick quietEarliest_ = maxTick;
 
     CompletionHook completionHook_;
     WriteIssuedHook writeIssuedHook_;
