@@ -136,7 +136,13 @@ benchFlagTable()
         {"--json-out", "F", JsonOutFlag, "bench-report path",
          [](O &o, const V &v) { o.jsonOut = v.text; }},
         {"--timeout", "F", RunFlags, "per-run wall-clock budget in seconds",
-         [](O &o, const V &v) { o.timeoutSeconds = v.number<double>(); }},
+         [](O &o, const V &v) {
+             o.timeoutSeconds = v.number<double>();
+             if (o.timeoutSeconds < 0.0) {
+                 fatal("flag --timeout needs a non-negative number, got '",
+                       v.text, "'");
+             }
+         }},
         {"--retries", "N", RunFlags,
          "re-attempts after a failed/timed-out run",
          [](O &o, const V &v) { o.retries = v.number<unsigned>(); }},
@@ -212,6 +218,27 @@ exitUsageError(const FatalError &e)
     std::exit(2);
 }
 
+/**
+ * The checkpoint flags act only as a set (makeConfig copies them
+ * together), so reject each form that would be silently ignored.
+ */
+void
+checkCheckpointFlags(const BenchOptions &opts)
+{
+    if (opts.checkpointEveryEpochs > 0 && opts.checkpointDir.empty()) {
+        fatal("--checkpoint-every needs --checkpoint-dir"
+              " (it would be silently ignored)");
+    }
+    if (!opts.checkpointDir.empty() && opts.checkpointEveryEpochs == 0) {
+        fatal("--checkpoint-dir needs --checkpoint-every N with N > 0"
+              " (it would be silently ignored)");
+    }
+    if (opts.resume && opts.checkpointEveryEpochs == 0) {
+        fatal("--resume needs --checkpoint-every and --checkpoint-dir"
+              " (it would be silently ignored)");
+    }
+}
+
 /** Apply argv to `opts`; fatal() on the first bad flag or value. */
 void
 applyFlags(BenchOptions &opts, int argc, char **argv, const char *bench,
@@ -255,6 +282,7 @@ BenchOptions::parse(int argc, char **argv, const char *bench,
     BenchOptions opts;
     try {
         applyFlags(opts, argc, argv, bench, groups);
+        checkCheckpointFlags(opts);
         // Resolve the workload, mix, tenant and scheme names now, so a
         // bad one is a usage error too, not a fatal() out of main().
         (void)opts.selectedWorkloads();
@@ -496,9 +524,11 @@ runPlan(const run::RunPlan &plan, const BenchOptions &opts)
                      : report.runs[slowest].wallSeconds);
 
     if (!report.allOk()) {
-        fatal(report.interruptedCount() > 0 ? "run plan interrupted: "
-                                            : "run plan failed: ",
-              report.failureSummary());
+        std::fprintf(stderr, "fatal: run plan %s: %s\n",
+                     report.interruptedCount() > 0 ? "interrupted"
+                                                   : "failed",
+                     report.failureSummary().c_str());
+        std::exit(1);
     }
     return report;
 }

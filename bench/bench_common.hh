@@ -132,9 +132,10 @@ struct BenchOptions
      * benchFlagTable() in bench_common.cc), accepting only the flags
      * of `groups` (a union of BenchFlagGroup values). An unknown or
      * undeclared flag, a missing value, a numeric value that is not
-     * wholly a number, or a name that --workloads, --mix, --tenants or
-     * --schemes cannot resolve is a usage error: its fatal() message
-     * is printed and the process exits with status 2.
+     * wholly a number, a negative --timeout, a checkpoint flag without
+     * the others it needs, or a name that --workloads, --mix,
+     * --tenants or --schemes cannot resolve is a usage error: its
+     * fatal() message is printed and the process exits with status 2.
      * --help prints the flags `bench` accepts and exits.
      */
     static BenchOptions parse(int argc, char **argv, const char *bench,
@@ -248,7 +249,9 @@ run::RunPlan buildMatrixPlan(
 /**
  * Execute a plan with the options' runner policy and print the
  * plan-level summary (runs, jobs, wall seconds, slowest run) to
- * stderr. fatal() with every failed run id if any run did not finish.
+ * stderr. A plan that fails validation exits with status 2; one where
+ * any run did not finish prints one "fatal:" line naming every such
+ * run and exits with status 1.
  */
 run::RunReport runPlan(const run::RunPlan &plan,
                        const BenchOptions &opts);

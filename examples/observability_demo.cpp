@@ -77,10 +77,9 @@ main(int argc, char **argv)
                 r.lifetimeYears);
 
     const obs::TraceSink *sink = system.traceSink();
-    std::printf("%s: %llu trace events (%llu dropped)\n",
+    std::printf("%s: %llu trace events\n",
                 (stem + ".trace.jsonl").c_str(),
-                (unsigned long long)(sink ? sink->recorded() : 0),
-                (unsigned long long)(sink ? sink->dropped() : 0));
+                (unsigned long long)(sink ? sink->recorded() : 0));
 
     std::printf("%s: %llu lines of Perfetto timeline "
                 "(open in ui.perfetto.dev)\n",

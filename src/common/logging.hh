@@ -15,8 +15,6 @@
 #ifndef RRM_COMMON_LOGGING_HH
 #define RRM_COMMON_LOGGING_HH
 
-#include <cstdint>
-#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -33,21 +31,6 @@ class FatalError : public std::runtime_error
     {}
 };
 
-/** Severity of a routed log message. */
-enum class LogSeverity : int
-{
-    Info = 0, ///< inform(): plain status output
-    Warn = 1, ///< warn(): questionable but survivable
-};
-
-/**
- * Pluggable destination for warn()/inform() messages. The message
- * has no trailing newline and no severity prefix; the sink decides
- * presentation. The default sink writes "info: ..." to stdout and
- * "warn: ..." to stderr, as the simulator always has.
- */
-using LogSink = std::function<void(LogSeverity, const std::string &)>;
-
 namespace log_detail
 {
 
@@ -61,34 +44,14 @@ concat(Args &&...args)
     return os.str();
 }
 
+/** Write "warn: <msg>\n" to stderr in one write. */
 void emitWarn(const std::string &msg);
+
+/** Write "info: <msg>\n" to stdout in one write. */
 void emitInform(const std::string &msg);
 
 /** True if `category` has not warned before (and mark it). */
 bool shouldWarnOnce(const std::string &category);
-
-/** Forget every warn_once() category (tests). */
-void resetWarnOnce();
-
-/** Count of warnings emitted so far (inspectable from tests). */
-std::uint64_t warnCount();
-
-/** Silence / restore warn+inform output (used by tests and sweeps). */
-void setQuiet(bool quiet);
-
-/**
- * Install a log sink for warn()/inform() output; an empty function
- * restores the default stderr/stdout sink. setQuiet() and the
- * severity filter apply before the sink sees anything; warnCount()
- * counts every warn() call regardless.
- */
-void setLogSink(LogSink sink);
-
-/**
- * Drop messages below `min` before they reach the sink
- * (Warn silences inform(); warnCount() still counts warn() calls).
- */
-void setMinSeverity(LogSeverity min);
 
 } // namespace log_detail
 

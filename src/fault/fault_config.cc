@@ -26,6 +26,13 @@ FaultConfig::collectErrors(std::vector<std::string> &errors,
         effectiveStallPeriodSeconds() <= refreshStallSeconds)
         errors.push_back("fault refresh stall period must exceed the "
                          "stall duration");
+    if (refreshStallPeriodSeconds > 0.0 && refreshStallSeconds == 0.0)
+        errors.push_back("fault refresh stall period set without a stall "
+                         "(the period would be silently ignored)");
+    if (strict && !retentionTracking && transientWriteFailureRate == 0.0)
+        errors.push_back("fault strict mode set without retention tracking "
+                         "or transient faults (strict would be silently "
+                         "ignored)");
     if (fallback) {
         if (fallbackLowWatermark >= fallbackHighWatermark)
             errors.push_back("fault fallback low watermark must be "

@@ -71,7 +71,10 @@ struct FaultConfig
      */
     double retentionSlackSeconds = 0.0;
 
-    /** RRM_CHECK on any retention violation or unrecovered write. */
+    /**
+     * RRM_CHECK on any retention violation or unrecovered write; only
+     * valid with retention tracking or transient faults on.
+     */
     bool strict = false;
 
     // ----- transient write failures -----------------------------------
@@ -102,7 +105,7 @@ struct FaultConfig
      */
     double refreshStallSeconds = 0.0;
 
-    /** Stall period; 0 means 4x the stall duration. */
+    /** Stall period; 0 means 4x the stall duration. Needs a stall. */
     double refreshStallPeriodSeconds = 0.0;
 
     // ----- refresh-pressure fallback ----------------------------------

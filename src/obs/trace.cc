@@ -67,50 +67,17 @@ TeeTraceWriter::finish()
     b_->finish();
 }
 
-TraceSink::TraceSink(std::size_t capacity, std::uint32_t categories)
-    : capacity_(capacity), categoryMask_(categories)
+TraceSink::TraceSink(std::unique_ptr<TraceWriter> writer)
+    : writer_(std::move(writer))
 {
-    RRM_CHECK(capacity_ > 0, "trace ring needs a positive capacity");
-}
-
-void
-TraceSink::setWriter(std::unique_ptr<TraceWriter> writer)
-{
-    writer_ = std::move(writer);
-    flush();
+    RRM_CHECK(writer_, "trace sink needs a writer");
 }
 
 void
 TraceSink::record(const TraceEvent &ev)
 {
     ++recorded_;
-    if (writer_) {
-        writer_->write(ev);
-        return;
-    }
-    if (ring_.size() >= capacity_) {
-        ring_.pop_front();
-        ++dropped_;
-    }
-    ring_.push_back(ev);
-}
-
-void
-TraceSink::flush()
-{
-    if (!writer_)
-        return;
-    for (const TraceEvent &ev : ring_)
-        writer_->write(ev);
-    ring_.clear();
-}
-
-void
-TraceSink::finishWriter()
-{
-    flush();
-    if (writer_)
-        writer_->finish();
+    writer_->write(ev);
 }
 
 namespace

@@ -5,16 +5,11 @@
  * Components emit small, fixed-size numeric events through the
  * RRM_TRACE macro. Events carry a simulation tick, a category, a
  * static event name, and up to four (key, value) fields; they land in
- * a TraceSink, which either streams them to an attached TraceWriter
- * (JSONL, Perfetto, or both through a tee) or buffers them in a
- * bounded ring that keeps the most recent events and counts the
- * overwritten ones.
+ * a TraceSink, which counts each one and streams it to the writer the
+ * sink was built with (JSONL, Perfetto, or both through a tee).
  *
- * Cost model: with no sink attached the macro is one pointer test;
- * with a sink but the category masked off it is one pointer test plus
- * one bitmask test — field expressions are never evaluated. Compiling
- * with -DRRM_TRACE_DISABLED removes the macro body entirely so traced
- * hot paths carry zero overhead.
+ * Cost model: with no sink the macro is one pointer test, and its
+ * field expressions are not evaluated.
  *
  * Field values are doubles: every quantity traced here (addresses
  * below a few GiB, counters, queue depths) is exactly representable
@@ -26,7 +21,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -36,7 +30,7 @@
 namespace rrm::obs
 {
 
-/** Trace event categories; each is one bit in the sink's mask. */
+/** Trace event categories; every writer prints the category name. */
 enum class TraceCategory : std::uint32_t
 {
     RrmLifecycle = 0, ///< RRM entry register/alloc/promote/decay/evict
@@ -47,21 +41,10 @@ enum class TraceCategory : std::uint32_t
     NumCategories,
 };
 
-/** Bitmask bit of one category. */
-constexpr std::uint32_t
-traceBit(TraceCategory c)
-{
-    return 1u << static_cast<std::uint32_t>(c);
-}
-
-/** Mask enabling every category. */
-constexpr std::uint32_t traceAllCategories =
-    (1u << static_cast<std::uint32_t>(TraceCategory::NumCategories)) - 1;
-
 /** Stable lower-case name of a category (e.g. "rrm", "refresh"). */
 const char *traceCategoryName(TraceCategory c);
 
-/** One trace event. POD-sized; copied by value into the ring. */
+/** One trace event. POD-sized; passed by reference to the writer. */
 struct TraceEvent
 {
     /** One numeric field. A null key marks an unused slot. */
@@ -147,62 +130,27 @@ class JsonlTraceWriter : public TraceWriter
 };
 
 /**
- * Event collection point.
- *
- * Buffering model: while no writer is attached, record() appends to a
- * bounded ring that keeps the most recent `capacity` events; each
- * event the ring pushes out increments dropped(). Once a writer is
- * attached (setWriter), buffered events are flushed to it and
- * subsequent events stream through directly, so a long run with a
- * file writer never drops anything.
+ * Event collection point: counts every event and streams it to the
+ * writer the sink was built with. Nothing is buffered, so nothing is
+ * ever dropped.
  */
 class TraceSink
 {
   public:
-    explicit TraceSink(std::size_t capacity = 4096,
-                       std::uint32_t categories = traceAllCategories);
+    explicit TraceSink(std::unique_ptr<TraceWriter> writer);
 
-    /** True if events of this category are collected. */
-    bool
-    enabled(TraceCategory c) const
-    {
-        return (categoryMask_ & traceBit(c)) != 0;
-    }
-
-    std::uint32_t categoryMask() const { return categoryMask_; }
-    void setCategoryMask(std::uint32_t mask) { categoryMask_ = mask; }
-
-    /** Attach a writer (flushes the ring into it); null detaches. */
-    void setWriter(std::unique_ptr<TraceWriter> writer);
-
-    /** Record one event (callers should gate on enabled()). */
+    /** Count one event and write it. */
     void record(const TraceEvent &ev);
 
-    /** Drain buffered events to the writer, if one is attached. */
-    void flush();
+    /** Finalise the writer (e.g. the Perfetto JSON trailer). */
+    void finishWriter() { writer_->finish(); }
 
-    /** flush() then finalise the writer (Perfetto JSON trailer). */
-    void finishWriter();
-
-    /** Events accepted over the sink's lifetime. */
+    /** Events recorded over the sink's lifetime. */
     std::uint64_t recorded() const { return recorded_; }
 
-    /** Events pushed out of the ring before any writer saw them. */
-    std::uint64_t dropped() const { return dropped_; }
-
-    /** @{ Ring introspection (tests / post-run inspection). */
-    std::size_t capacity() const { return capacity_; }
-    std::size_t bufferedCount() const { return ring_.size(); }
-    const TraceEvent &buffered(std::size_t i) const { return ring_.at(i); }
-    /** @} */
-
   private:
-    std::size_t capacity_;
-    std::uint32_t categoryMask_;
-    std::deque<TraceEvent> ring_;
     std::unique_ptr<TraceWriter> writer_;
     std::uint64_t recorded_ = 0;
-    std::uint64_t dropped_ = 0;
 };
 
 /**
@@ -220,24 +168,17 @@ std::unique_ptr<TraceWriter> openTraceFile(const std::string &path);
         (key), static_cast<double>(val)                                     \
     }
 
-#ifndef RRM_TRACE_DISABLED
 /**
- * Emit a trace event into `sink` (a TraceSink*, may be null) if the
- * category is enabled. Field expressions are only evaluated when the
- * event is actually recorded.
+ * Emit a trace event into `sink` (a TraceSink*, may be null). Field
+ * expressions are only evaluated when the sink is non-null.
  */
 #define RRM_TRACE(sink, tick, category, name, ...)                          \
     do {                                                                    \
         ::rrm::obs::TraceSink *rrm_trace_sink_ = (sink);                    \
-        if (rrm_trace_sink_ && rrm_trace_sink_->enabled(category)) {        \
+        if (rrm_trace_sink_) {                                              \
             rrm_trace_sink_->record(::rrm::obs::makeTraceEvent(             \
                 (tick), (category), (name), ##__VA_ARGS__));                \
         }                                                                   \
     } while (0)
-#else
-#define RRM_TRACE(sink, tick, category, name, ...)                          \
-    do {                                                                    \
-    } while (0)
-#endif
 
 #endif // RRM_OBS_TRACE_HH

@@ -112,34 +112,6 @@ RunReport::okResults() const
     return out;
 }
 
-void
-RunReport::registerStats(stats::StatGroup &parent) const
-{
-    auto &g = parent.addChild("run");
-    g.addScalar("runs", "runs in the executed plan")
-        .set(static_cast<double>(runs.size()));
-    g.addScalar("completed", "runs that finished ok")
-        .set(static_cast<double>(completedCount()));
-    g.addScalar("failed", "runs that threw")
-        .set(static_cast<double>(failedCount()));
-    g.addScalar("cancelled", "runs cancelled by --fail-fast")
-        .set(static_cast<double>(cancelledCount()));
-    g.addScalar("timedOut", "runs that exceeded their timeout")
-        .set(static_cast<double>(timedOutCount()));
-    g.addScalar("interrupted", "runs stopped by SIGINT/SIGTERM")
-        .set(static_cast<double>(interruptedCount()));
-    g.addScalar("jobs", "worker threads used")
-        .set(static_cast<double>(jobs));
-    g.addScalar("wallSeconds", "host wall-clock of the whole plan")
-        .set(wallSeconds);
-    const std::size_t slowest = slowestRunIndex();
-    g.addScalar("slowestRunSeconds",
-                "host wall-clock of the slowest completed run")
-        .set(slowest == std::string::npos
-                 ? 0.0
-                 : runs[slowest].wallSeconds);
-}
-
 std::string
 RunReport::failureSummary() const
 {

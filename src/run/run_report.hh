@@ -14,10 +14,10 @@
 #define RRM_RUN_RUN_REPORT_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "stats/stats.hh"
 #include "system/results.hh"
 
 namespace rrm::run
@@ -110,13 +110,6 @@ struct RunReport
      * decide failure policy first; see allOk()).
      */
     std::vector<sys::SimResults> okResults() const;
-
-    /**
-     * Register the plan-level execution counters as a "run" child of
-     * `parent`: runs/completed/failed/cancelled/jobs plus the
-     * (nondeterministic) wallSeconds and slowestRunSeconds.
-     */
-    void registerStats(stats::StatGroup &parent) const;
 
     /** One-line failure summary, e.g. for fatal() ("" if allOk). */
     std::string failureSummary() const;

@@ -41,6 +41,10 @@ SystemConfig::validate() const
         errors.push_back("time scale must be >= 1");
     if (windowSeconds <= 0.0)
         errors.push_back("window must be positive");
+    else if (!(windowSeconds * static_cast<double>(tickPerSec) <
+               static_cast<double>(maxTick)))
+        errors.push_back("window must be shorter than the tick range "
+                         "(about 1.8e7 s)");
     if (warmupFraction < 0.0 || warmupFraction >= 1.0)
         errors.push_back("warmup fraction must be in [0, 1)");
 
@@ -52,6 +56,9 @@ SystemConfig::validate() const
     if (checkpointEveryEpochs > 0 && checkpointDir.empty())
         errors.push_back(
             "checkpointEveryEpochs > 0 requires a checkpointDir");
+    if (!checkpointDir.empty() && checkpointEveryEpochs == 0)
+        errors.push_back("checkpointDir requires checkpointEveryEpochs > 0"
+                         " (the directory would be silently ignored)");
     if (resumeFromCheckpoint && checkpointEveryEpochs == 0) {
         errors.push_back(
             "resumeFromCheckpoint requires checkpointEveryEpochs > 0 "
@@ -298,7 +305,6 @@ System::setupObservability()
     const obs::ObsOptions &o = config_.obs;
 
     if (!o.traceFile.empty() || !o.perfettoFile.empty()) {
-        traceSink_ = std::make_unique<obs::TraceSink>();
         std::unique_ptr<obs::TraceWriter> writer;
         if (!o.traceFile.empty())
             writer = obs::openTraceFile(o.traceFile);
@@ -309,7 +315,7 @@ System::setupObservability()
                                std::move(writer), std::move(perfetto))
                          : std::move(perfetto);
         }
-        traceSink_->setWriter(std::move(writer));
+        traceSink_ = std::make_unique<obs::TraceSink>(std::move(writer));
         controller_->setTraceSink(traceSink_.get());
         policy_->setTraceSink(traceSink_.get());
         if (faultMgr_)
@@ -891,7 +897,8 @@ System::writeRunRecord(std::ostream &os, const SimResults &r) const
         json.key("trace");
         json.beginObject();
         json.field("recorded", traceSink_->recorded());
-        json.field("dropped", traceSink_->dropped());
+        // The sink streams from its first event, so it never drops.
+        json.field("dropped", std::uint64_t{0});
         json.endObject();
     }
     json.endObject();

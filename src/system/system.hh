@@ -227,17 +227,6 @@ class System : public cpu::CorePort
     SimResults run();
 
     /**
-     * Quiesce (pause cores, drain the event queue of everything but
-     * re-armable periodic events) and publish one checkpoint to
-     * `path`, then resume. Used by tests; run() drives the periodic
-     * epoch-boundary checkpoints itself.
-     *
-     * @return false when the drain failed to reach quiescence within
-     *         its deterministic step cap (no file is written).
-     */
-    bool checkpointNow(const std::string &path);
-
-    /**
      * Epoch index of the checkpoint this run resumed from (0 = cold
      * start). Valid after run() begins.
      */

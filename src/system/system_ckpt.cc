@@ -412,19 +412,6 @@ System::quiesceCheckpoint(std::uint64_t epoch_index)
         core->unpause();
 }
 
-bool
-System::checkpointNow(const std::string &path)
-{
-    for (auto &core : cores_)
-        core->pause();
-    const bool ok = drainToQuiescence();
-    if (ok)
-        publishCheckpoint(nextEpochIndex_ - 1, path);
-    for (auto &core : cores_)
-        core->unpause();
-    return ok;
-}
-
 void
 System::emergencyCheckpoint()
 {

@@ -295,6 +295,11 @@ TEST_F(CkptResume, ConfigValidationRejectsInconsistentCheckpointing)
     cfg.checkpointEveryEpochs = 0;
     cfg.resumeFromCheckpoint = true; // resume without a cadence
     EXPECT_THROW(System{std::move(cfg)}, FatalError);
+
+    cfg = ckptConfig("lbm", Scheme::staticScheme(pcm::WriteMode::Sets7),
+                     dir, dir / "rec.json", false);
+    cfg.checkpointEveryEpochs = 0; // a directory but no cadence
+    EXPECT_THROW(System{std::move(cfg)}, FatalError);
 }
 
 // ---------------------------------------------------------------------

@@ -387,6 +387,21 @@ TEST_F(FaultTest, CollectErrorsCatchesBadKnobs)
     std::vector<std::string> errors;
     cfg.collectErrors(errors, 64);
     EXPECT_GE(errors.size(), 4u);
+
+    // A knob that modifies a fault model that is off would be silently
+    // ignored: strict mode alone, and a stall period with no stall.
+    FaultConfig strict_alone;
+    strict_alone.strict = true;
+    FaultConfig period_alone;
+    period_alone.refreshStallPeriodSeconds = 0.004;
+    for (const FaultConfig &lone : {strict_alone, period_alone}) {
+        std::vector<std::string> lone_errors;
+        lone.collectErrors(lone_errors, 64);
+        ASSERT_EQ(lone_errors.size(), 1u);
+        EXPECT_NE(lone_errors[0].find("would be silently ignored"),
+                  std::string::npos)
+            << lone_errors[0];
+    }
 }
 
 TEST_F(FaultTest, DefaultConfigIsDisabledAndValid)

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <sstream>
 #include <string>
-#include <utility>
+#include <thread>
 #include <vector>
 
 #include "common/logging.hh"
@@ -16,37 +19,10 @@ namespace rrm
 namespace
 {
 
-/**
- * Captures warn()/inform() output for one test and restores the
- * default sink, severity filter, and warn-once state afterwards.
- */
-class CapturedLog
-{
-  public:
-    CapturedLog()
-    {
-        log_detail::setLogSink(
-            [this](LogSeverity sev, const std::string &msg) {
-                messages_.emplace_back(sev, msg);
-            });
-    }
-
-    ~CapturedLog()
-    {
-        log_detail::setLogSink({});
-        log_detail::setMinSeverity(LogSeverity::Info);
-        log_detail::resetWarnOnce();
-    }
-
-    const std::vector<std::pair<LogSeverity, std::string>> &
-    messages() const
-    {
-        return messages_;
-    }
-
-  private:
-    std::vector<std::pair<LogSeverity, std::string>> messages_;
-};
+using testing::internal::CaptureStderr;
+using testing::internal::CaptureStdout;
+using testing::internal::GetCapturedStderr;
+using testing::internal::GetCapturedStdout;
 
 TEST(Logging, FatalThrowsFatalError)
 {
@@ -63,74 +39,62 @@ TEST(Logging, FatalMessageIsPrefixedAndConcatenated)
     }
 }
 
-TEST(Logging, WarnIncrementsCounter)
+TEST(Logging, WarnAndInformWriteOnePrefixedLine)
 {
-    log_detail::setQuiet(true);
-    const auto before = log_detail::warnCount();
-    warn("something odd: ", 7);
-    warn("again");
-    EXPECT_EQ(log_detail::warnCount(), before + 2);
-    log_detail::setQuiet(false);
-}
-
-TEST(Logging, SinkReceivesWarnAndInform)
-{
-    CapturedLog log;
+    CaptureStdout();
+    CaptureStderr();
     inform("status ", 1);
     warn("trouble ", 2);
-
-    ASSERT_EQ(log.messages().size(), 2u);
-    EXPECT_EQ(log.messages()[0].first, LogSeverity::Info);
-    EXPECT_EQ(log.messages()[0].second, "status 1");
-    EXPECT_EQ(log.messages()[1].first, LogSeverity::Warn);
-    EXPECT_EQ(log.messages()[1].second, "trouble 2");
+    const std::string err = GetCapturedStderr();
+    const std::string out = GetCapturedStdout();
+    EXPECT_EQ(out, "info: status 1\n");
+    EXPECT_EQ(err, "warn: trouble 2\n");
 }
 
-TEST(Logging, MinSeverityFiltersBeforeTheSink)
+TEST(Logging, ConcurrentWarnsKeepWholeLines)
 {
-    CapturedLog log;
-    log_detail::setMinSeverity(LogSeverity::Warn);
-    const auto before = log_detail::warnCount();
-    inform("dropped");
-    warn("kept");
-
-    ASSERT_EQ(log.messages().size(), 1u);
-    EXPECT_EQ(log.messages()[0].second, "kept");
-    // The counter still counts warns even when they are filtered out.
-    log_detail::setQuiet(true);
-    warn("quiet but counted");
-    log_detail::setQuiet(false);
-    EXPECT_EQ(log_detail::warnCount(), before + 2);
+    // Runner workers warn concurrently; each message must stay one
+    // unbroken line.
+    constexpr int threads = 4;
+    constexpr int perThread = 2000;
+    CaptureStderr();
+    {
+        std::atomic<bool> go{false};
+        std::vector<std::thread> pool;
+        for (int t = 0; t < threads; ++t) {
+            pool.emplace_back([t, &go] {
+                while (!go.load())
+                    std::this_thread::yield();
+                for (int i = 0; i < perThread; ++i)
+                    warn("worker ", t, " message ", i);
+            });
+        }
+        go.store(true);
+        for (auto &th : pool)
+            th.join();
+    }
+    std::vector<std::string> expected;
+    for (int t = 0; t < threads; ++t)
+        for (int i = 0; i < perThread; ++i)
+            expected.push_back("warn: worker " + std::to_string(t) +
+                               " message " + std::to_string(i));
+    std::vector<std::string> lines;
+    std::istringstream captured(GetCapturedStderr());
+    for (std::string line; std::getline(captured, line);)
+        lines.push_back(line);
+    std::sort(expected.begin(), expected.end());
+    std::sort(lines.begin(), lines.end());
+    EXPECT_TRUE(lines == expected) << "lines were split or lost";
 }
 
 TEST(Logging, WarnOnceEmitsOncePerCategory)
 {
-    CapturedLog log;
+    CaptureStderr();
     warn_once("featureX", "approximate model");
     warn_once("featureX", "approximate model");
     warn_once("featureY", "other note");
-
-    ASSERT_EQ(log.messages().size(), 2u);
-    EXPECT_EQ(log.messages()[0].second, "featureX: approximate model");
-    EXPECT_EQ(log.messages()[1].second, "featureY: other note");
-}
-
-TEST(Logging, ResetWarnOnceForgetsCategories)
-{
-    CapturedLog log;
-    warn_once("cat", "first");
-    log_detail::resetWarnOnce();
-    warn_once("cat", "second");
-    ASSERT_EQ(log.messages().size(), 2u);
-    EXPECT_EQ(log.messages()[1].second, "cat: second");
-}
-
-TEST(Logging, EmptySinkRestoresDefaultWithoutCrashing)
-{
-    log_detail::setLogSink({});
-    log_detail::setQuiet(true);
-    EXPECT_NO_THROW(warn("to the default sink"));
-    log_detail::setQuiet(false);
+    EXPECT_EQ(GetCapturedStderr(), "warn: featureX: approximate model\n"
+                                   "warn: featureY: other note\n");
 }
 
 } // namespace

@@ -111,14 +111,12 @@ TEST(Perfetto, DestructorFinishesUnfinishedStreams)
     EXPECT_EQ(text.substr(text.size() - 4), "\n]}\n");
 }
 
-TEST(Perfetto, SinkFinishWriterFlushesRingAndWritesTrailer)
+TEST(Perfetto, SinkFinishWriterWritesTrailer)
 {
     std::ostringstream os;
-    TraceSink sink(/*capacity=*/16);
-    // Buffered before a writer exists; attached writer gets the ring.
+    TraceSink sink(std::make_unique<PerfettoTraceWriter>(os));
     sink.record(ev(5, TraceCategory::Fault, "lineRetired",
                    {"block", 1.0}, {"spare", 2.0}));
-    sink.setWriter(std::make_unique<PerfettoTraceWriter>(os));
     sink.finishWriter();
     const std::string text = os.str();
     EXPECT_NE(text.find("\"lineRetired\""), std::string::npos);

@@ -338,20 +338,5 @@ TEST(Runner, ProgressCallbackReportsEveryExecutedRun)
     EXPECT_EQ(indices, (std::set<std::size_t>{0, 1, 2, 3}));
 }
 
-TEST(RunReport, RegistersPlanLevelStats)
-{
-    RunnerOptions opts;
-    opts.jobs = 1;
-    const RunReport report = Runner(opts).execute(smallPlan());
-
-    stats::StatGroup root("root");
-    report.registerStats(root);
-    EXPECT_NE(root.find("run.runs"), nullptr);
-    EXPECT_NE(root.find("run.completed"), nullptr);
-    EXPECT_NE(root.find("run.failed"), nullptr);
-    EXPECT_NE(root.find("run.jobs"), nullptr);
-    EXPECT_NE(root.find("run.wallSeconds"), nullptr);
-}
-
 } // namespace
 } // namespace rrm::run

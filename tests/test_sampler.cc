@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
+#include <vector>
 
 #include "ckpt/ckpt.hh"
 #include "common/check.hh"
@@ -17,6 +19,7 @@
 #include "rrm/region_monitor.hh"
 #include "sim/event_queue.hh"
 #include "stats/stats.hh"
+#include "test_collecting_writer.hh"
 
 using namespace rrm;
 using namespace rrm::obs;
@@ -152,12 +155,14 @@ TEST(Sampler, ReportsEachSampleToTheTraceSink)
     EventQueue queue;
     Sampler sampler(queue, 100);
     sampler.addColumn("x", [] { return 1.0; });
-    TraceSink sink(16);
+    std::vector<TraceEvent> seen;
+    TraceSink sink(std::make_unique<test::CollectingWriter>(seen));
     sampler.setTraceSink(&sink);
     sampler.sampleNow();
     sampler.sampleNow();
     ASSERT_EQ(sink.recorded(), 2u);
-    EXPECT_EQ(sink.buffered(1).category, TraceCategory::Sampler);
+    ASSERT_EQ(seen.size(), 2u);
+    EXPECT_EQ(seen[1].category, TraceCategory::Sampler);
 }
 
 /**

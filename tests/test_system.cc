@@ -9,8 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "common/math_util.hh"
 #include "system/system.hh"
+#include "test_temp_dir.hh"
 
 namespace rrm::sys
 {
@@ -35,6 +42,43 @@ runQuick(const std::string &workload, Scheme scheme)
 {
     System system(quickConfig(workload, scheme));
     return system.run();
+}
+
+std::string
+slurp(const std::filesystem::path &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    EXPECT_TRUE(is.good()) << "cannot open " << path;
+    std::ostringstream ss;
+    ss << is.rdbuf();
+    return ss.str();
+}
+
+/** A run record's "results" and "stats" blocks, as written. */
+std::string
+resultsAndStats(const std::string &record)
+{
+    const std::size_t begin = record.find("\n  \"results\": ");
+    std::size_t end = record.find(",\n  \"trace\": ");
+    if (end == std::string::npos)
+        end = record.rfind("\n}");
+    if (begin == std::string::npos || end == std::string::npos ||
+        end < begin)
+        return "";
+    return record.substr(begin, end - begin);
+}
+
+/** A count in a run record's "trace" block. */
+std::uint64_t
+traceCount(const std::string &record, const std::string &key)
+{
+    const std::string quoted = "\"" + key + "\": ";
+    const std::size_t at =
+        record.find(quoted, record.find("\n  \"trace\": "));
+    EXPECT_NE(at, std::string::npos) << "no trace." << key;
+    return at == std::string::npos
+               ? 0
+               : std::stoull(record.substr(at + quoted.size()));
 }
 
 TEST(SystemIntegration, RunCompletesAndPopulatesResults)
@@ -233,6 +277,10 @@ TEST(SystemIntegration, ConfigValidationRejectsNonsense)
     cfg = quickConfig("lbm", Scheme::rrmScheme());
     cfg.warmupFraction = 1.0;
     EXPECT_THROW(System{std::move(cfg)}, FatalError);
+
+    cfg = quickConfig("lbm", Scheme::rrmScheme());
+    cfg.windowSeconds = 1e27; // past the 64-bit tick range
+    EXPECT_THROW(System{std::move(cfg)}, FatalError);
 }
 
 TEST(SystemIntegration, ConfigValidationAggregatesEveryProblem)
@@ -319,6 +367,43 @@ TEST(SystemIntegration, ConfigValidationKeepsWorkloadsOutOfTheSparePool)
                              "65536-byte spare pool"),
               std::string::npos)
         << errors[0];
+}
+
+TEST(SystemIntegration, TraceFilesMatchTheRecordAndLeaveTheRunAlone)
+{
+    const test::TempDir dir("system_trace");
+    SystemConfig plain_cfg = quickConfig("GemsFDTD", Scheme::rrmScheme());
+    plain_cfg.windowSeconds = 0.001;
+    SystemConfig traced_cfg = plain_cfg;
+    plain_cfg.obs.runRecordFile = (dir / "plain.json").string();
+    traced_cfg.obs.runRecordFile = (dir / "traced.json").string();
+    traced_cfg.obs.traceFile = (dir / "run.jsonl").string();
+    traced_cfg.obs.perfettoFile = (dir / "run.perfetto.json").string();
+
+    System traced(std::move(traced_cfg));
+    traced.run();
+    ASSERT_NE(traced.traceSink(), nullptr);
+    const std::uint64_t recorded = traced.traceSink()->recorded();
+    EXPECT_GT(recorded, 0u);
+
+    const std::string record = slurp(dir / "traced.json");
+    EXPECT_EQ(traceCount(record, "recorded"), recorded);
+    EXPECT_EQ(traceCount(record, "dropped"), 0u);
+    const std::string jsonl = slurp(dir / "run.jsonl");
+    EXPECT_EQ(static_cast<std::uint64_t>(
+                  std::count(jsonl.begin(), jsonl.end(), '\n')),
+              recorded);
+    const std::string perfetto = slurp(dir / "run.perfetto.json");
+    ASSERT_GE(perfetto.size(), 4u);
+    EXPECT_EQ(perfetto.substr(perfetto.size() - 4), "\n]}\n");
+
+    // Tracing must never perturb a run.
+    System plain(std::move(plain_cfg));
+    plain.run();
+    EXPECT_EQ(plain.traceSink(), nullptr);
+    const std::string traced_body = resultsAndStats(record);
+    EXPECT_FALSE(traced_body.empty());
+    EXPECT_EQ(traced_body, resultsAndStats(slurp(dir / "plain.json")));
 }
 
 TEST(SystemIntegration, CountOnlyRefreshTimingStillCountsWear)

@@ -1,8 +1,8 @@
 /**
  * @file
- * TraceSink / TraceWriter / RRM_TRACE behaviour: ring buffering with
- * drop accounting, category filtering, writer formats, attach-time
- * flushing, and the macro's evaluation guarantees.
+ * TraceSink / TraceWriter / RRM_TRACE behaviour: the sink counts and
+ * streams every event to its writer, writer formats, and the macro's
+ * evaluation guarantee.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,9 @@
 #include <sstream>
 #include <vector>
 
+#include "common/check.hh"
 #include "obs/trace.hh"
+#include "test_collecting_writer.hh"
 
 using namespace rrm;
 using namespace rrm::obs;
@@ -25,18 +27,6 @@ event(Tick tick, double value)
     return makeTraceEvent(tick, TraceCategory::RrmLifecycle, "ev",
                           RRM_TF("v", value));
 }
-
-/** Writer that collects events into a vector. */
-class CollectingWriter : public TraceWriter
-{
-  public:
-    explicit CollectingWriter(std::vector<TraceEvent> &out) : out_(out) {}
-
-    void write(const TraceEvent &ev) override { out_.push_back(ev); }
-
-  private:
-    std::vector<TraceEvent> &out_;
-};
 
 } // namespace
 
@@ -64,72 +54,28 @@ TEST(TraceCategories, Names)
     EXPECT_STREQ(traceCategoryName(TraceCategory::Fault), "fault");
 }
 
-TEST(TraceSink, RingKeepsMostRecentAndCountsDrops)
+TEST(TraceSink, NeedsAWriter)
 {
-    TraceSink sink(4);
-    for (int i = 0; i < 10; ++i)
-        sink.record(event(i, i));
-
-    EXPECT_EQ(sink.recorded(), 10u);
-    EXPECT_EQ(sink.dropped(), 6u);
-    ASSERT_EQ(sink.bufferedCount(), 4u);
-    // The four most recent events survive, oldest first.
-    for (std::size_t i = 0; i < 4; ++i)
-        EXPECT_EQ(sink.buffered(i).tick, 6u + i);
+    EXPECT_THROW(TraceSink(nullptr), check::CheckError);
 }
 
-TEST(TraceSink, AttachingAWriterFlushesTheRingThenStreams)
+TEST(TraceMacro, EvaluatesFieldsOnlyWithASink)
 {
     std::vector<TraceEvent> seen;
-    TraceSink sink(8);
-    sink.record(event(1, 1.0));
-    sink.record(event(2, 2.0));
-    EXPECT_EQ(sink.bufferedCount(), 2u);
-
-    sink.setWriter(std::make_unique<CollectingWriter>(seen));
-    ASSERT_EQ(seen.size(), 2u);
-    EXPECT_EQ(sink.bufferedCount(), 0u);
-
-    // Subsequent events stream straight through without buffering.
-    sink.record(event(3, 3.0));
-    ASSERT_EQ(seen.size(), 3u);
-    EXPECT_EQ(seen[2].tick, 3u);
-    EXPECT_EQ(sink.bufferedCount(), 0u);
-    EXPECT_EQ(sink.dropped(), 0u);
-}
-
-TEST(TraceSink, CategoryMaskGatesEnabled)
-{
-    TraceSink sink(8, traceBit(TraceCategory::Refresh));
-    EXPECT_TRUE(sink.enabled(TraceCategory::Refresh));
-    EXPECT_FALSE(sink.enabled(TraceCategory::Queue));
-    EXPECT_FALSE(sink.enabled(TraceCategory::RrmLifecycle));
-
-    sink.setCategoryMask(traceAllCategories);
-    EXPECT_TRUE(sink.enabled(TraceCategory::Queue));
-}
-
-TEST(TraceMacro, SkipsDisabledCategoriesAndNullSinks)
-{
-    TraceSink sink(8, traceBit(TraceCategory::Refresh));
+    TraceSink sink(std::make_unique<test::CollectingWriter>(seen));
     int evaluations = 0;
     const auto costly = [&] {
         ++evaluations;
         return 1.0;
     };
 
-    // Masked-off category: fields must not be evaluated.
-    RRM_TRACE(&sink, 0, TraceCategory::Queue, "q",
-              RRM_TF("v", costly()));
-    EXPECT_EQ(evaluations, 0);
-    EXPECT_EQ(sink.recorded(), 0u);
-
-    // Enabled category records and evaluates once.
+    // A live sink records and evaluates once.
     RRM_TRACE(&sink, 5, TraceCategory::Refresh, "r",
               RRM_TF("v", costly()));
     EXPECT_EQ(evaluations, 1);
     EXPECT_EQ(sink.recorded(), 1u);
-    EXPECT_EQ(sink.buffered(0).tick, 5u);
+    ASSERT_EQ(seen.size(), 1u);
+    EXPECT_EQ(seen[0].tick, 5u);
 
     // Null sink: nothing evaluated, nothing recorded.
     TraceSink *null_sink = nullptr;
@@ -153,10 +99,11 @@ TEST(TraceWriters, JsonlFormat)
 TEST(TraceSink, StreamingToAWriterNeverDrops)
 {
     std::vector<TraceEvent> seen;
-    TraceSink sink(2); // tiny ring would drop heavily if buffering
-    sink.setWriter(std::make_unique<CollectingWriter>(seen));
+    TraceSink sink(std::make_unique<test::CollectingWriter>(seen));
     for (int i = 0; i < 100; ++i)
         sink.record(event(i, i));
-    EXPECT_EQ(seen.size(), 100u);
-    EXPECT_EQ(sink.dropped(), 0u);
+    EXPECT_EQ(sink.recorded(), 100u);
+    ASSERT_EQ(seen.size(), 100u);
+    for (std::size_t i = 0; i < seen.size(); ++i)
+        EXPECT_EQ(seen[i].tick, i);
 }
