@@ -22,10 +22,10 @@
 using namespace rrm;
 
 int
-main(int argc, char **argv)
+benchMain(int argc, char **argv)
 {
     bench::BenchOptions opts = bench::BenchOptions::parse(
-        argc, argv, "bench_ablation", bench::PlanFlags);
+        argc, argv, "bench_ablation", bench::RunFlags);
     if (opts.workloads.empty())
         opts.workloads = {"libquantum", "GemsFDTD"};
     const auto workloads = opts.selectedWorkloads();

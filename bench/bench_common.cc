@@ -157,36 +157,12 @@ benchFlagTable()
         {"--resume", nullptr, RunFlags,
          "resume each run from its newest valid checkpoint",
          [](O &o, const V &) { o.resume = true; }},
-        {"--fault-retention", nullptr, FaultRateFlags,
-         "track retention deadlines of short-retention writes",
+        {"--fault-retention", nullptr, RunFlags,
+         "count missed retention deadlines of short-retention writes",
          [](O &o, const V &) { o.fault.retentionTracking = true; }},
         {"--fault-strict", nullptr, RunFlags,
          "treat a retention violation as a check failure",
          [](O &o, const V &) { o.fault.strict = true; }},
-        {"--fault-rate", "F", FaultRateFlags,
-         "transient write-failure probability",
-         [](O &o, const V &v) {
-             o.fault.transientWriteFailureRate = v.number<double>();
-         }},
-        {"--fault-seed", "N", RunFlags, "fault-injector RNG seed",
-         [](O &o, const V &v) {
-             o.fault.seed = v.number<std::uint64_t>();
-         }},
-        {"--fault-wear-threshold", "N", RunFlags,
-         "region write count per stuck-at fault chance (0 = off)",
-         [](O &o, const V &v) {
-             o.fault.stuckAtWearThreshold = v.number<std::uint64_t>();
-         }},
-        {"--fault-stall-ms", "F", RunFlags,
-         "periodic refresh-queue stall length in milliseconds",
-         [](O &o, const V &v) {
-             o.fault.refreshStallSeconds = v.number<double>() / 1e3;
-         }},
-        {"--fault-stall-period-ms", "F", RunFlags,
-         "refresh-stall period in milliseconds (0 = 4x length)",
-         [](O &o, const V &v) {
-             o.fault.refreshStallPeriodSeconds = v.number<double>() / 1e3;
-         }},
     };
     return table;
 }
@@ -239,6 +215,44 @@ checkCheckpointFlags(const BenchOptions &opts)
     }
 }
 
+/**
+ * Every output a run writes lands in a directory that exists, so a bad
+ * path fails before any simulation rather than after all of it. The
+ * checkpoint root is created here; makeConfig() adds one subdirectory
+ * per run.
+ */
+void
+checkOutputPaths(const BenchOptions &opts)
+{
+    namespace fs = std::filesystem;
+    const auto check_dir = [](const char *flag, const std::string &path) {
+        if (path.empty())
+            return;
+        const fs::path dir = fs::path(path).parent_path();
+        std::error_code ec;
+        if (!dir.empty() && !fs::is_directory(dir, ec)) {
+            fatal("flag ", flag, ": directory '", dir.string(),
+                  "' does not exist");
+        }
+    };
+    check_dir("--json-out", opts.jsonOut);
+    std::error_code ec;
+    if (fs::is_directory(opts.jsonOut, ec))
+        fatal("flag --json-out: '", opts.jsonOut, "' is a directory");
+    check_dir("--stats-json", opts.statsJsonStem);
+    check_dir("--sample-csv", opts.sampleCsvStem);
+    check_dir("--trace-jsonl", opts.traceJsonlStem);
+    check_dir("--perfetto-out", opts.perfettoStem);
+    check_dir("--telemetry", opts.telemetryStem);
+    if (!opts.checkpointDir.empty()) {
+        fs::create_directories(opts.checkpointDir, ec);
+        if (ec) {
+            fatal("flag --checkpoint-dir: cannot create directory '",
+                  opts.checkpointDir, "': ", ec.message());
+        }
+    }
+}
+
 /** Apply argv to `opts`; fatal() on the first bad flag or value. */
 void
 applyFlags(BenchOptions &opts, int argc, char **argv, const char *bench,
@@ -283,6 +297,7 @@ BenchOptions::parse(int argc, char **argv, const char *bench,
     try {
         applyFlags(opts, argc, argv, bench, groups);
         checkCheckpointFlags(opts);
+        checkOutputPaths(opts);
         // Resolve the workload, mix, tenant and scheme names now, so a
         // bad one is a usage error too, not a fatal() out of main().
         (void)opts.selectedWorkloads();
@@ -627,3 +642,14 @@ writeBenchReport(const std::string &path,
 }
 
 } // namespace rrm::bench
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return benchMain(argc, argv);
+    } catch (const rrm::FatalError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 1;
+    }
+}

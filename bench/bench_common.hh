@@ -6,6 +6,11 @@
  * run::Runner, and table formatting. Every bench binary regenerates
  * one (or one family of) paper table/figure — see DESIGN.md section 5
  * for the index — by building a RunPlan and formatting the RunReport.
+ *
+ * Every bench defines benchMain() instead of main(): the main() in
+ * bench_common.cc runs it and turns a FatalError that escapes it (an
+ * output file that cannot be written, say) into one "fatal:" line
+ * and exit status 1.
  */
 
 #ifndef RRM_BENCH_BENCH_COMMON_HH
@@ -33,18 +38,14 @@ enum BenchFlagGroup : unsigned
 {
     NoFlags = 0,
     /**
-     * Everything makeConfig() and the runner consume: window, scale,
-     * seed, workload and mix selection, runner policy, per-run
-     * outputs, checkpoints, and the --fault-* knobs other than the
-     * two below.
+     * Everything makeConfig() and the runner consume, which every
+     * plan-running bench honours: window, scale, seed, workload and
+     * mix selection, runner policy, per-run outputs, checkpoints, and
+     * the retention check.
      */
     RunFlags = 1u << 0,
-    /** --fault-retention / --fault-rate (the fault sweep sets both). */
-    FaultRateFlags = 1u << 1,
-    SchemesFlag = 1u << 2, ///< --schemes, read via selectedSchemes()
-    JsonOutFlag = 1u << 3, ///< --json-out, for benches writing a report
-    /** What every plan-running bench honours. */
-    PlanFlags = RunFlags | FaultRateFlags,
+    SchemesFlag = 1u << 1, ///< --schemes, read via selectedSchemes()
+    JsonOutFlag = 1u << 2, ///< --json-out, for benches writing a report
 };
 
 /** Options common to all reproduction benches. */
@@ -121,9 +122,9 @@ struct BenchOptions
     /** @} */
 
     /**
-     * Fault-injection knobs (--fault-*), copied into every run's
-     * SystemConfig. All-defaults means the fault layer is absent and
-     * bench outputs are byte-identical to builds without it.
+     * The retention check (--fault-retention, --fault-strict), copied
+     * into every run's SystemConfig. Off, bench outputs are
+     * byte-identical to builds without it.
      */
     fault::FaultConfig fault;
 
@@ -133,10 +134,13 @@ struct BenchOptions
      * of `groups` (a union of BenchFlagGroup values). An unknown or
      * undeclared flag, a missing value, a numeric value that is not
      * wholly a number, a negative --timeout, a checkpoint flag without
-     * the others it needs, or a name that --workloads, --mix,
-     * --tenants or --schemes cannot resolve is a usage error: its
-     * fatal() message is printed and the process exits with status 2.
-     * --help prints the flags `bench` accepts and exits.
+     * the others it needs, a name that --workloads, --mix, --tenants
+     * or --schemes cannot resolve, an output path whose directory does
+     * not exist, a --json-out that is a directory, or a checkpoint
+     * directory that cannot be created is a usage error: its fatal()
+     * message is printed and the process exits with status 2, before
+     * any run starts. --help prints the flags `bench` accepts and
+     * exits.
      */
     static BenchOptions parse(int argc, char **argv, const char *bench,
                               unsigned groups);
@@ -294,5 +298,8 @@ void writeBenchReport(
     const std::vector<std::vector<sys::SimResults>> &results);
 
 } // namespace rrm::bench
+
+/** The bench's entry point; main() is in bench_common.cc. */
+int benchMain(int argc, char **argv);
 
 #endif // RRM_BENCH_BENCH_COMMON_HH

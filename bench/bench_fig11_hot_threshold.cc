@@ -17,10 +17,10 @@
 using namespace rrm;
 
 int
-main(int argc, char **argv)
+benchMain(int argc, char **argv)
 {
     const bench::BenchOptions opts = bench::BenchOptions::parse(
-        argc, argv, "bench_fig11_hot_threshold", bench::PlanFlags);
+        argc, argv, "bench_fig11_hot_threshold", bench::RunFlags);
     const auto workloads = opts.selectedWorkloads();
     const unsigned thresholds[] = {8, 16, 32, 64};
 

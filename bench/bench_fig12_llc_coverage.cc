@@ -18,10 +18,10 @@
 using namespace rrm;
 
 int
-main(int argc, char **argv)
+benchMain(int argc, char **argv)
 {
     const bench::BenchOptions opts = bench::BenchOptions::parse(
-        argc, argv, "bench_fig12_llc_coverage", bench::PlanFlags);
+        argc, argv, "bench_fig12_llc_coverage", bench::RunFlags);
     const auto workloads = opts.selectedWorkloads();
     const unsigned set_counts[] = {128, 256, 512, 1024};
     const char *labels[] = {"2x", "4x", "8x", "16x"};

@@ -22,10 +22,10 @@
 using namespace rrm;
 
 int
-main(int argc, char **argv)
+benchMain(int argc, char **argv)
 {
     const bench::BenchOptions opts = bench::BenchOptions::parse(
-        argc, argv, "bench_fig2_3_4_static", bench::PlanFlags);
+        argc, argv, "bench_fig2_3_4_static", bench::RunFlags);
     const auto workloads = opts.selectedWorkloads();
     const auto schemes = sys::staticSchemes();
 

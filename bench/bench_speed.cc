@@ -24,10 +24,10 @@
 using namespace rrm;
 
 int
-main(int argc, char **argv)
+benchMain(int argc, char **argv)
 {
     const bench::BenchOptions opts = bench::BenchOptions::parse(
-        argc, argv, "bench_speed", bench::PlanFlags | bench::JsonOutFlag);
+        argc, argv, "bench_speed", bench::RunFlags | bench::JsonOutFlag);
     const auto workloads = opts.selectedWorkloads();
     const std::vector<sys::Scheme> schemes = {
         sys::Scheme::staticScheme(pcm::WriteMode::Sets7),

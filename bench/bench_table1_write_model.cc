@@ -15,7 +15,7 @@
 using namespace rrm;
 
 int
-main(int argc, char **argv)
+benchMain(int argc, char **argv)
 {
     (void)bench::BenchOptions::parse(
         argc, argv, "bench_table1_write_model", bench::NoFlags);

@@ -35,10 +35,10 @@ struct ProfileCapture
 } // namespace
 
 int
-main(int argc, char **argv)
+benchMain(int argc, char **argv)
 {
     bench::BenchOptions opts = bench::BenchOptions::parse(
-        argc, argv, "bench_table3_write_intervals", bench::PlanFlags);
+        argc, argv, "bench_table3_write_intervals", bench::RunFlags);
     if (opts.workloads.empty())
         opts.workloads = {"GemsFDTD"};
     const auto workloads = opts.selectedWorkloads();

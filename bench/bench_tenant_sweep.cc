@@ -79,11 +79,11 @@ soloWorkload(trace::Benchmark b)
 } // namespace
 
 int
-main(int argc, char **argv)
+benchMain(int argc, char **argv)
 {
     const bench::BenchOptions opts = bench::BenchOptions::parse(
         argc, argv, "bench_tenant_sweep",
-        bench::PlanFlags | bench::SchemesFlag | bench::JsonOutFlag);
+        bench::RunFlags | bench::SchemesFlag | bench::JsonOutFlag);
 
     const std::vector<trace::Workload> mixes =
         (opts.mixes.empty() && opts.workloads.empty())

@@ -20,8 +20,8 @@
  *
  * The event queue is deliberately NOT a section. Checkpoints are
  * taken only at quiescent points where the queue holds nothing but
- * re-armable periodic events (sampler, RRM refresh/decay, fault
- * stall/governor, retention sweep); restore re-schedules those from
+ * re-armable periodic events (sampler, RRM refresh/decay) and the
+ * retention sweep; restore re-schedules those from
  * the saved next-fire ticks. See DESIGN.md section 16 for the
  * quiescent-point contract.
  *
@@ -58,7 +58,7 @@ std::uint32_t crc32(const void *data, std::size_t size,
                     std::uint32_t seed = 0);
 
 /** Current .rckpt format version. */
-constexpr std::uint32_t formatVersion = 7;
+constexpr std::uint32_t formatVersion = 8;
 
 /** Section id: four printable characters packed little-endian. */
 constexpr std::uint32_t

@@ -6,20 +6,29 @@
 #include "retention_tracker.hh"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "ckpt/ckpt.hh"
 #include "common/check.hh"
-#include "fault/fault_config.hh"
 
 namespace rrm::fault
 {
 
-RetentionTracker::RetentionTracker(double time_scale, double slack_seconds)
-    : timeScale_(time_scale), slackTicks_(secondsToTicks(slack_seconds))
+RetentionTracker::RetentionTracker(double time_scale, bool strict,
+                                   const memctrl::MemoryParams &memory,
+                                   EventQueue &queue)
+    : timeScale_(time_scale), strict_(strict), addressMap_(memory),
+      queue_(queue)
 {
     RRM_CHECK(timeScale_ > 0.0, "retention tracker time scale must "
                                 "be > 0");
+}
+
+RetentionTracker::~RetentionTracker()
+{
+    if (sweepArmed_)
+        queue_.cancel(sweepEvent_);
 }
 
 bool
@@ -31,42 +40,22 @@ RetentionTracker::tracks(pcm::WriteMode mode) const
 Tick
 RetentionTracker::retentionTicks(pcm::WriteMode mode) const
 {
-    return secondsToTicks(pcm::retentionSeconds(mode) / timeScale_) +
-           slackTicks_;
-}
-
-void
-RetentionTracker::stamp(Addr block, pcm::WriteMode mode, Tick now)
-{
-    const Tick deadline = now + retentionTicks(mode);
-    deadlines_[block] = deadline;
-    heap_.push(HeapEntry{deadline, block});
-    ++stamps_;
+    return secondsToTicks(pcm::retentionSeconds(mode) / timeScale_);
 }
 
 void
 RetentionTracker::recordWrite(Addr block, pcm::WriteMode mode, Tick now)
 {
-    if (tracks(mode))
-        stamp(block, mode, now);
-    else
+    if (tracks(mode)) {
+        const Tick deadline = now + retentionTicks(mode);
+        deadlines_[block] = deadline;
+        heap_.push(HeapEntry{deadline, block});
+        if (statStamps_)
+            ++*statStamps_;
+    } else {
         deadlines_.erase(block);
-}
-
-void
-RetentionTracker::recordRefresh(Addr block, pcm::WriteMode mode,
-                                Tick now)
-{
-    // A refresh rewrites the block's data, so the deadline semantics
-    // match a demand write: short-retention refreshes restart the
-    // clock, long-retention rewrites drop the obligation.
-    recordWrite(block, mode, now);
-}
-
-void
-RetentionTracker::clear(Addr block)
-{
-    deadlines_.erase(block);
+    }
+    armSweep();
 }
 
 void
@@ -93,10 +82,20 @@ RetentionTracker::sweep(Tick now)
             break;
         heap_.pop();
         deadlines_.erase(top.block);
-        ++violations_;
         ++raised;
-        if (onViolation_)
-            onViolation_(top.block, top.deadline, now);
+        if (statViolations_)
+            ++*statViolations_;
+        if (statViolationsByChannel_)
+            statViolationsByChannel_->add(
+                addressMap_.decode(top.block).channel);
+        RRM_TRACE(traceSink_, now, obs::TraceCategory::Fault,
+                  "retentionViolation", RRM_TF("block", top.block),
+                  RRM_TF("deadline", top.deadline),
+                  RRM_TF("lateTicks", now - top.deadline));
+        if (strict_) {
+            RRM_CHECK(false, "retention violation on block ", top.block,
+                      ": deadline ", top.deadline, " missed at ", now);
+        }
     }
     return raised;
 }
@@ -111,16 +110,67 @@ RetentionTracker::nextDeadline()
 }
 
 void
-RetentionTracker::setViolationCallback(ViolationCallback cb)
+RetentionTracker::armSweep()
 {
-    onViolation_ = std::move(cb);
+    const auto next = nextDeadline();
+    if (!next) {
+        if (sweepArmed_) {
+            queue_.cancel(sweepEvent_);
+            sweepArmed_ = false;
+        }
+        return;
+    }
+    // Fire one tick past the deadline: a refresh landing exactly on
+    // the deadline is still in time.
+    const Tick when = *next + 1;
+    if (sweepArmed_) {
+        if (sweepAt_ == when)
+            return;
+        queue_.cancel(sweepEvent_);
+    }
+    scheduleSweep(when);
+}
+
+void
+RetentionTracker::scheduleSweep(Tick when)
+{
+    sweepEvent_ = queue_.schedule(when, [this] {
+        sweepArmed_ = false;
+        sweep(queue_.now());
+        armSweep();
+    });
+    sweepAt_ = when;
+    sweepArmed_ = true;
+}
+
+void
+RetentionTracker::regStats(stats::StatGroup &root)
+{
+    stats::StatGroup &g = root.addChild("fault");
+    statStamps_ = &g.addScalar("retentionStamps",
+                               "short-retention deadlines stamped");
+    statViolations_ = &g.addScalar(
+        "retentionViolations", "blocks whose refresh deadline expired");
+    const unsigned channels = addressMap_.params().numChannels;
+    std::vector<std::string> bins;
+    bins.reserve(channels);
+    for (unsigned c = 0; c < channels; ++c)
+        bins.push_back("ch" + std::to_string(c));
+    statViolationsByChannel_ = &g.addVector(
+        "retentionViolationsByChannel",
+        "retention violations per memory channel", std::move(bins));
+    g.addFormula("retentionViolationRate",
+                 "violations per stamped deadline", [this] {
+                     const double stamps = statStamps_->value();
+                     return stamps > 0.0
+                                ? statViolations_->value() / stamps
+                                : 0.0;
+                 });
 }
 
 void
 RetentionTracker::saveCkpt(ckpt::ChunkWriter &w) const
 {
-    w.u64(stamps_);
-    w.u64(violations_);
     // rrm-lint: allow(det-unordered-iter) drained into a vector and
     // sorted before anything order-dependent happens.
     std::vector<std::pair<Addr, Tick>> sorted(deadlines_.begin(),
@@ -131,13 +181,16 @@ RetentionTracker::saveCkpt(ckpt::ChunkWriter &w) const
         w.u64(block);
         w.u64(deadline);
     }
+    w.b(sweepArmed_);
+    if (sweepArmed_)
+        w.u64(sweepAt_);
 }
 
 void
 RetentionTracker::restoreCkpt(ckpt::ChunkReader &r)
 {
-    stamps_ = r.u64();
-    violations_ = r.u64();
+    RRM_CHECK(!sweepArmed_, "restoreCkpt() on a tracker with an armed "
+                            "sweep");
     deadlines_.clear();
     heap_ = {};
     const std::uint64_t n = r.u64();
@@ -158,6 +211,8 @@ RetentionTracker::restoreCkpt(ckpt::ChunkReader &r)
                 std::to_string(block) + " twice");
         heap_.push(HeapEntry{deadline, block});
     }
+    if (r.b())
+        scheduleSweep(r.u64());
 }
 
 void
@@ -167,6 +222,8 @@ RetentionTracker::audit() const
     // heap may additionally hold stale (superseded) entries.
     RRM_AUDIT(heap_.size() >= deadlines_.size(),
               "retention heap lost live deadlines");
+    RRM_AUDIT(deadlines_.empty() || sweepArmed_,
+              "live retention deadlines with no sweep armed");
 }
 
 } // namespace rrm::fault

@@ -321,17 +321,6 @@ Channel::writeCheck(unsigned bank_idx)
 }
 
 void
-Channel::holdRefreshes(Tick until)
-{
-    if (until <= refreshHoldUntil_)
-        return;
-    quietUntil_ = 0;
-    refreshHoldUntil_ = until;
-    if (!refreshQ_.empty())
-        scheduleRetry(until);
-}
-
-void
 Channel::scheduleRetry(Tick when)
 {
     if (retryPending_ && retryAt_ <= when)
@@ -408,14 +397,9 @@ Channel::schedulePass(Scan &scan)
     if (writeDrainMode_ && writeQ_.size() <= params_.writeLowWatermark)
         writeDrainMode_ = false;
 
-    // 1. RRM refreshes: highest priority, FCFS with bank skipping —
-    // unless an injected stall holds refresh issue.
-    if (now >= refreshHoldUntil_) {
-        if (tryIssueWrite(refreshQ_, scan, true))
-            return true;
-    } else if (!refreshQ_.empty()) {
-        scan.earliest = std::min(scan.earliest, refreshHoldUntil_);
-    }
+    // 1. RRM refreshes: highest priority, FCFS with bank skipping.
+    if (tryIssueWrite(refreshQ_, scan, true))
+        return true;
 
     // 2. Reads (FR-FCFS), unless draining writes.
     if (!writeDrainMode_ && !readQ_.empty()) {
@@ -453,10 +437,9 @@ Channel::quietWindowHolds() const
     // Each request a scan now would try waits past now iff their
     // earliest issue tick is quietEarliest_ (> now in the window).
     const Tick now = queue_.now();
-    const bool held = now < refreshHoldUntil_;
     Tick horizon = maxTick;
-    Tick e = held && !refreshQ_.empty() ? refreshHoldUntil_ : maxTick;
-    for (std::size_t i = 0; !held && i < refreshQ_.size(); ++i) {
+    Tick e = maxTick;
+    for (std::size_t i = 0; i < refreshQ_.size(); ++i) {
         e = std::min(e, writeIssueTick(banks_[refreshQ_.key(i).bank],
                                        true, now, horizon));
     }
@@ -584,7 +567,6 @@ Channel::saveCkpt(ckpt::ChunkWriter &w) const
         w.u64(t);
     w.u64(activateIdx_);
     w.b(writeDrainMode_);
-    w.u64(refreshHoldUntil_);
     w.u32(static_cast<std::uint32_t>(banks_.size()));
     for (const Bank &bank : banks_) {
         RRM_CHECK(!bank.writing, name_, ": checkpoint with a bank mid-write");
@@ -620,7 +602,6 @@ Channel::restoreCkpt(ckpt::ChunkReader &r)
                               " outside a ring of " +
                               std::to_string(history));
     writeDrainMode_ = r.b();
-    refreshHoldUntil_ = r.u64();
     quietUntil_ = 0;
     const std::uint32_t n = r.u32();
     if (n != banks_.size())

@@ -65,15 +65,6 @@ class Channel : public Auditable
         return writeQ_.size() >= params_.writeQueueCap;
     }
 
-    /**
-     * Fault injection: suspend refresh issue until `until` (demand
-     * reads/writes are unaffected). Extends but never shortens an
-     * active hold; refreshes still enqueue while held.
-     */
-    void holdRefreshes(Tick until);
-
-    Tick refreshHoldUntil() const { return refreshHoldUntil_; }
-
     /** Completion hook for all requests on this channel. */
     void setCompletionHook(CompletionHook hook)
     {
@@ -287,7 +278,6 @@ class Channel : public Auditable
     std::size_t activateIdx_ = 0;       ///< oldest entry once full
 
     bool writeDrainMode_ = false;
-    Tick refreshHoldUntil_ = 0;
 
     bool retryPending_ = false;
     Tick retryAt_ = 0;
@@ -297,8 +287,8 @@ class Channel : public Auditable
      * The quiet window [t, quietUntil_) left by a scan at t that found
      * nothing to issue before quietEarliest_: inside it, a scan would
      * find the same (DESIGN.md section 15). Closed (0) by any issue,
-     * write or refresh arrival, write completion, refresh hold,
-     * restore, and a first read outside drain mode.
+     * write or refresh arrival, write completion, restore, and a
+     * first read outside drain mode.
      */
     Tick quietUntil_ = 0;
     Tick quietEarliest_ = maxTick;

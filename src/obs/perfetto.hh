@@ -18,9 +18,9 @@
  *    the sampling cadence by the System's sample hook);
  *  - decay epochs: consecutive sampler "sample" events bound "epoch"
  *    slices on a dedicated track (one slice per settled decay epoch);
- *  - everything else (RRM lifecycle, refresh drains, fault retries):
- *    thread-scoped instants on one track per trace category, args
- *    carrying the event fields.
+ *  - everything else (RRM lifecycle, refresh drains, retention
+ *    violations): thread-scoped instants on one track per trace
+ *    category, args carrying the event fields.
  *
  * Timestamps are microseconds of simulated time, so two seeded runs
  * export byte-identical traces. The trailer is written by finish()

@@ -37,7 +37,7 @@ enum class TraceCategory : std::uint32_t
     Refresh,          ///< refresh issue and completion
     Queue,            ///< controller queue occupancy changes
     Sampler,          ///< sampler self-reporting
-    Fault,            ///< fault injection, violations, degradation
+    Fault,            ///< retention violations
     NumCategories,
 };
 

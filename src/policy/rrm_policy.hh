@@ -59,23 +59,6 @@ class RrmPolicy : public WritePolicy
         monitor_->setRefreshCallback(std::move(cb));
     }
 
-    bool supportsPressureFallback() const override { return true; }
-
-    void setPressureFallback(bool active) override
-    {
-        monitor_->setPressureFallback(active);
-    }
-
-    bool pressureFallback() const override
-    {
-        return monitor_->pressureFallback();
-    }
-
-    void setQueueSaturationProbe(SaturationProbe probe) override
-    {
-        monitor_->setQueueSaturationProbe(std::move(probe));
-    }
-
     void regStats(stats::StatGroup &root) override
     {
         monitor_->regStats(root);

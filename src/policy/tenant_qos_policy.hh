@@ -169,26 +169,6 @@ class TenantQosPolicy final : public WritePolicy
         inner_->setRefreshCallback(std::move(cb));
     }
 
-    bool supportsPressureFallback() const override
-    {
-        return inner_->supportsPressureFallback();
-    }
-
-    void setPressureFallback(bool active) override
-    {
-        inner_->setPressureFallback(active);
-    }
-
-    bool pressureFallback() const override
-    {
-        return inner_->pressureFallback();
-    }
-
-    void setQueueSaturationProbe(SaturationProbe probe) override
-    {
-        inner_->setQueueSaturationProbe(std::move(probe));
-    }
-
     void setPressureProbe(PressureProbe probe) override
     {
         inner_->setPressureProbe(std::move(probe));

@@ -6,10 +6,10 @@
  * which WriteMode a demand write goes out in (and the lookup latency
  * that decision costs), which refreshes are emitted and in which
  * mode, how regions transition between hot and cold, and how the
- * policy degrades under refresh-queue pressure. The System is pure
+ * policy reacts to refresh-queue pressure. The System is pure
  * assembly + event loop: it routes LLC write registrations, write-
- * mode queries, and degradation signals through this interface and
- * never branches on the scheme again.
+ * mode queries, and the refresh-pressure signal through this
+ * interface and never branches on the scheme again.
  *
  * The paper's evaluation is two points in this policy space —
  * Static-N-SETs (StaticPolicy) and the Region Retention Monitor
@@ -49,9 +49,6 @@ class WritePolicy
   public:
     /** Refresh-request sink (WritePath side of the System). */
     using RefreshCallback = monitor::RegionMonitor::RefreshCallback;
-
-    /** True when the refresh path is saturated (demotion hazard). */
-    using SaturationProbe = std::function<bool()>;
 
     /**
      * Refresh-path pressure in [0, 1]: deepest refresh-queue
@@ -108,21 +105,7 @@ class WritePolicy
     /** Sink for the policy's selective/demotion refresh requests. */
     virtual void setRefreshCallback(RefreshCallback cb) { (void)cb; }
 
-    // ---- Degradation / pressure hooks ----
-
-    /** True when the policy can shed refresh load on demand. */
-    virtual bool supportsPressureFallback() const { return false; }
-
-    /** Fault-layer governor: force the degraded (slow-write) state. */
-    virtual void setPressureFallback(bool active) { (void)active; }
-
-    virtual bool pressureFallback() const { return false; }
-
-    /** Saturation probe consulted on retention-critical demotions. */
-    virtual void setQueueSaturationProbe(SaturationProbe probe)
-    {
-        (void)probe;
-    }
+    // ---- Pressure hook ----
 
     /** Continuous refresh-pressure signal (adaptive feedback). */
     virtual void setPressureProbe(PressureProbe probe) { (void)probe; }

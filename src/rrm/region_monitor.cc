@@ -163,9 +163,7 @@ RegionMonitor::registerLlcWrite(Addr addr, bool was_dirty)
         }
     }
 
-    // Under refresh-pressure fallback no new short-retention
-    // obligations are created: blocks keep going out as slow writes.
-    if (entry->hot && !pressureFallback_) {
+    if (entry->hot) {
         const std::uint64_t block =
             (addr % config_.regionBytes) / blockBytes;
         entry->shortRetentionVector.set(block);
@@ -175,11 +173,6 @@ RegionMonitor::registerLlcWrite(Addr addr, bool was_dirty)
 pcm::WriteMode
 RegionMonitor::writeModeFor(Addr block_addr) const
 {
-    if (pressureFallback_) {
-        if (statSlowDecisions_)
-            ++*statSlowDecisions_;
-        return config_.slowMode;
-    }
     const Entry *entry = find(regionIdOf(block_addr));
     if (entry) {
         const std::uint64_t block =
@@ -210,20 +203,6 @@ RegionMonitor::emitRefresh(Addr block_addr, pcm::WriteMode mode,
 void
 RegionMonitor::demote(Entry &entry, bool from_eviction)
 {
-    // A demotion's slow refreshes are retention-critical: when the
-    // refresh path is already saturated they queue behind a full
-    // refresh queue, so surface the hazard for fallback policies.
-    if (saturationProbe_ && entry.shortRetentionVector.any() &&
-        saturationProbe_()) {
-        if (statDemotionsUnderPressure_)
-            ++*statDemotionsUnderPressure_;
-        RRM_TRACE(traceSink_, queue_.now(),
-                  obs::TraceCategory::Refresh, "demoteUnderPressure",
-                  RRM_TF("region", entry.regionId),
-                  RRM_TF("vectorBits",
-                         entry.shortRetentionVector.popcount()),
-                  RRM_TF("fromEviction", from_eviction));
-    }
     const Addr region_base = entry.regionId * config_.regionBytes;
     entry.shortRetentionVector.forEachSet([&](std::size_t block) {
         emitRefresh(region_base + block * blockBytes,
@@ -317,33 +296,6 @@ RegionMonitor::setHotThreshold(unsigned threshold)
                       RRM_TF("region", e.regionId),
                       RRM_TF("counter", e.dirtyWriteCounter));
         }
-    }
-}
-
-void
-RegionMonitor::setPressureFallback(bool active)
-{
-    if (active == pressureFallback_)
-        return;
-    pressureFallback_ = active;
-    RRM_TRACE(traceSink_, queue_.now(),
-              obs::TraceCategory::RrmLifecycle, "pressureFallback",
-              RRM_TF("active", active),
-              RRM_TF("hotEntries", hotEntryCount()));
-    if (active)
-        demoteAllHot();
-}
-
-void
-RegionMonitor::demoteAllHot()
-{
-    for (auto &entry : entries_) {
-        if (!entry.valid || !entry.hot)
-            continue;
-        demote(entry, false);
-        // Halve the counter (as a decay wrap would) so the region can
-        // earn promotion again instead of wedging at the threshold.
-        entry.dirtyWriteCounter /= 2;
     }
 }
 
@@ -483,7 +435,6 @@ void
 RegionMonitor::saveCkpt(ckpt::ChunkWriter &w) const
 {
     w.u32(config_.hotThreshold);
-    w.b(pressureFallback_);
     w.u64(lruClock_);
     w.u64(registrationLookups_);
     w.u64(registrationHits_);
@@ -515,7 +466,6 @@ RegionMonitor::restoreCkpt(ckpt::ChunkReader &r)
     // refreshes, but the saved entry table is already consistent with
     // the saved threshold.
     config_.hotThreshold = r.u32();
-    pressureFallback_ = r.b();
     lruClock_ = r.u64();
     registrationLookups_ = r.u64();
     registrationHits_ = r.u64();
@@ -650,11 +600,6 @@ RegionMonitor::regStats(stats::StatGroup &group)
         "evictionFlushes", "evictions that flushed live vector bits");
     statPromotions_ = &g.addScalar("promotions", "entries turned hot");
     statDemotions_ = &g.addScalar("demotions", "hot entries decayed");
-    if (saturationProbe_) {
-        statDemotionsUnderPressure_ = &g.addScalar(
-            "demotionsUnderPressure",
-            "demotions issued while the refresh path was saturated");
-    }
     statFastDecisions_ =
         &g.addScalar("fastWrites", "memory writes sent as fast mode");
     statSlowDecisions_ =

@@ -106,20 +106,6 @@ class RegionMonitor : public Auditable
     /** Memory Write Mode Decision (paper Section IV-E). */
     pcm::WriteMode writeModeFor(Addr block_addr) const;
 
-    /**
-     * Refresh-pressure fallback (fault layer degradation policy).
-     * While active, every write-mode decision returns the slow mode
-     * and registrations stop accruing vector bits; entering demotes
-     * all hot entries so their existing fast blocks get a final slow
-     * rewrite instead of relying on a congested refresh path.
-     */
-    void setPressureFallback(bool active);
-
-    bool pressureFallback() const { return pressureFallback_; }
-
-    /** Demote every hot entry (slow-refreshing its vector bits). */
-    void demoteAllHot();
-
     /** The current promotion threshold (runtime-adjustable). */
     unsigned hotThreshold() const { return config_.hotThreshold; }
 
@@ -160,18 +146,6 @@ class RegionMonitor : public Auditable
     }
     /** @} */
 
-    /**
-     * Probe consulted on each demotion: true when the refresh path is
-     * saturated, making the demotion's slow refreshes likely to queue
-     * behind a full refresh queue. Demotions under pressure are
-     * counted and traced so fallback policies are observable. Set
-     * before regStats so the stat is registered.
-     */
-    void setQueueSaturationProbe(std::function<bool()> probe)
-    {
-        saturationProbe_ = std::move(probe);
-    }
-
     /** Lookup latency to charge on the write path. */
     Tick accessLatency() const { return config_.accessLatency; }
 
@@ -195,11 +169,11 @@ class RegionMonitor : public Auditable
 
     /**
      * @{ Checkpoint the entry table, LRU clock, registration
-     * counters, pressure-fallback flag, the runtime hot threshold,
-     * and — when the periodic interrupts are armed — their next-fire
-     * ticks. restoreCkpt re-arms the interrupts at the saved ticks
-     * (refresh first, then decay, matching start()'s arm order); the
-     * monitor must not have been start()ed before restoring.
+     * counters, the runtime hot threshold, and — when the periodic
+     * interrupts are armed — their next-fire ticks. restoreCkpt
+     * re-arms the interrupts at the saved ticks (refresh first, then
+     * decay, matching start()'s arm order); the monitor must not have
+     * been start()ed before restoring.
      */
     void saveCkpt(ckpt::ChunkWriter &w) const;
     void restoreCkpt(ckpt::ChunkReader &r);
@@ -266,8 +240,6 @@ class RegionMonitor : public Auditable
     std::uint64_t registrationLookups_ = 0;
     std::uint64_t registrationHits_ = 0;
     std::uint64_t registrationHotHits_ = 0;
-    std::function<bool()> saturationProbe_;
-    bool pressureFallback_ = false;
     obs::TraceSink *traceSink_ = nullptr;
     std::unique_ptr<PeriodicTask> refreshTask_;
     std::unique_ptr<PeriodicTask> decayTask_;
@@ -280,7 +252,6 @@ class RegionMonitor : public Auditable
     stats::Scalar *statEvictionFlushes_ = nullptr;
     stats::Scalar *statPromotions_ = nullptr;
     stats::Scalar *statDemotions_ = nullptr;
-    stats::Scalar *statDemotionsUnderPressure_ = nullptr;
     stats::Scalar *statFastDecisions_ = nullptr;
     stats::Scalar *statSlowDecisions_ = nullptr;
     stats::Scalar *statFastRefreshes_ = nullptr;

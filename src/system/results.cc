@@ -83,17 +83,6 @@ SimResults::toJson(obs::JsonWriter &json) const
         json.beginObject();
         json.field("retentionStamps", fault.retentionStamps);
         json.field("retentionViolations", fault.retentionViolations);
-        json.field("transientWriteFaults", fault.transientWriteFaults);
-        json.field("writeRetries", fault.writeRetries);
-        json.field("writesUnrecovered", fault.writesUnrecovered);
-        json.field("stuckAtFaults", fault.stuckAtFaults);
-        json.field("stuckAtRepaired", fault.stuckAtRepaired);
-        json.field("linesRetired", fault.linesRetired);
-        json.field("spareExhausted", fault.spareExhausted);
-        json.field("refreshDropped", fault.refreshDropped);
-        json.field("refreshStalls", fault.refreshStalls);
-        json.field("fallbackEntries", fault.fallbackEntries);
-        json.field("fallbackExits", fault.fallbackExits);
         json.endObject();
     }
 

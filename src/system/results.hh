@@ -83,23 +83,12 @@ struct SimResults
         return demandWriteRate + rrmRefreshRate + globalRefreshRate;
     }
 
-    // ---- Fault layer (populated only when fault injection is on) ----
+    // ---- Retention check (populated only when it is on) ----
     struct FaultResults
     {
         bool enabled = false;
         std::uint64_t retentionStamps = 0;
         std::uint64_t retentionViolations = 0;
-        std::uint64_t transientWriteFaults = 0;
-        std::uint64_t writeRetries = 0;
-        std::uint64_t writesUnrecovered = 0;
-        std::uint64_t stuckAtFaults = 0;
-        std::uint64_t stuckAtRepaired = 0;
-        std::uint64_t linesRetired = 0;
-        std::uint64_t spareExhausted = 0;
-        std::uint64_t refreshDropped = 0;
-        std::uint64_t refreshStalls = 0;
-        std::uint64_t fallbackEntries = 0;
-        std::uint64_t fallbackExits = 0;
     };
     FaultResults fault;
 

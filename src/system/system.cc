@@ -50,7 +50,7 @@ SystemConfig::validate() const
 
     scheme.collectConfigErrors(rrm, adaptive, qos, timeScale, errors);
 
-    fault.collectErrors(errors, memory.refreshQueueCap);
+    fault.collectErrors(errors);
     if (wallTimeoutSeconds < 0.0)
         errors.push_back("wall-clock timeout must be >= 0");
     if (checkpointEveryEpochs > 0 && checkpointDir.empty())
@@ -89,22 +89,6 @@ SystemConfig::validate() const
                              " bytes exceeds the " +
                              std::to_string(slice) +
                              "-byte per-core slice");
-        }
-        // Retired lines move onto spare blocks that alias the top of
-        // memory (fault::LineRetirement). A workload line there could
-        // retire onto itself or into a cycle, so stuck-at faults need
-        // the last core, the highest in memory, to stop short of it.
-        const std::uint64_t pool = fault::spareBlocks * blockBytes;
-        const auto &last = profileOf(cores - 1);
-        if (fault.stuckAtWearThreshold > 0 &&
-            last.footprintBytes() <= slice &&
-            (cores - 1) * slice + last.footprintBytes() + pool >
-                memory.memoryBytes) {
-            errors.push_back("benchmark " + std::string(last.name) +
-                             " on core " + std::to_string(cores - 1) +
-                             " reaches the " + std::to_string(pool) +
-                             "-byte spare pool at the top of memory,"
-                             " which stuck-at faults retire lines into");
         }
     }
     return errors;
@@ -156,10 +140,8 @@ System::System(SystemConfig config)
     controller_->setCompletionHook(
         [this](const memctrl::Request &req, Tick when) {
             if (req.kind == memctrl::ReqKind::RrmRefresh) {
-                if (faultMgr_) {
-                    faultMgr_->onRefreshCompleted(req.addr, req.mode,
-                                                  when);
-                }
+                if (retention_)
+                    retention_->recordWrite(req.addr, req.mode, when);
                 if (!tenantRefreshOutstanding_.empty()) {
                     auto &n = tenantRefreshOutstanding_
                         [tenantLayout_.tenantOfAddr(req.addr)];
@@ -167,9 +149,8 @@ System::System(SystemConfig config)
                         --n;
                 }
                 writePath_->drainRefreshOverflow();
-            } else if (req.kind == memctrl::ReqKind::Write &&
-                       faultMgr_) {
-                faultMgr_->onWriteCompleted(req.addr, req.mode, when);
+            } else if (req.kind == memctrl::ReqKind::Write && retention_) {
+                retention_->recordWrite(req.addr, req.mode, when);
             }
         });
 
@@ -192,20 +173,10 @@ System::System(SystemConfig config)
         });
     policy_->setPressureProbe([this] { return refreshPressure(); });
 
-    if (config_.fault.enabled()) {
-        faultMgr_ = std::make_unique<fault::FaultManager>(
-            config_.fault, config_.memory, config_.timeScale,
-            config_.seed, queue_, *controller_, policy_.get());
-        faultMgr_->setRewriteCallback(
-            [this](Addr addr, pcm::WriteMode mode) {
-                retryFaultedWrite(addr, mode);
-            });
-        writePath_->setRefreshDroppedCallback(
-            [this](Addr addr) { faultMgr_->onRefreshDropped(addr); });
-        if (policy_->supportsPressureFallback()) {
-            policy_->setQueueSaturationProbe(
-                [this] { return refreshPathSaturated(); });
-        }
+    if (config_.fault.retentionTracking) {
+        retention_ = std::make_unique<fault::RetentionTracker>(
+            config_.timeScale, config_.fault.strict, config_.memory,
+            queue_);
     }
 
     if (config_.profileRegionWrites) {
@@ -225,8 +196,8 @@ System::System(SystemConfig config)
     hierarchy_->regStats(statRoot_);
     controller_->regStats(statRoot_);
     policy_->regStats(statRoot_);
-    if (faultMgr_)
-        faultMgr_->regStats(statRoot_);
+    if (retention_)
+        retention_->regStats(statRoot_);
 
     auto &g = statRoot_.addChild("sys");
     statFillRefusals_ =
@@ -318,8 +289,8 @@ System::setupObservability()
         traceSink_ = std::make_unique<obs::TraceSink>(std::move(writer));
         controller_->setTraceSink(traceSink_.get());
         policy_->setTraceSink(traceSink_.get());
-        if (faultMgr_)
-            faultMgr_->setTraceSink(traceSink_.get());
+        if (retention_)
+            retention_->setTraceSink(traceSink_.get());
     }
 
     if (!o.telemetryJsonFile.empty()) {
@@ -371,13 +342,9 @@ System::setupObservability()
     sampler_->addColumn("writebackBuffer", [this] {
         return static_cast<double>(writePath_->writebackDepth());
     });
-    if (faultMgr_) {
+    if (retention_) {
         sampler_->addColumn("retentionTracked", [this] {
-            return static_cast<double>(
-                faultMgr_->retention().trackedCount());
-        });
-        sampler_->addColumn("fallbackActive", [this] {
-            return faultMgr_->fallbackActive() ? 1.0 : 0.0;
+            return static_cast<double>(retention_->trackedCount());
         });
     }
 
@@ -450,11 +417,8 @@ void
 System::tryEnqueueRead(unsigned core, Addr line)
 {
     RRM_CHECK(line < config_.memory.memoryBytes, "bad read line");
-    // The controller sees the translated (retirement-remapped)
-    // address; the fill callback keeps the logical line.
-    const Addr phys = faultMgr_ ? faultMgr_->translate(line) : line;
     const bool ok = controller_->enqueueRead(
-        phys, [this, core, line](Tick) { onReadComplete(core, line); });
+        line, [this, core, line](Tick) { onReadComplete(core, line); });
     if (!ok) {
         // Per-channel read queue momentarily full; retry shortly.
         queue_.scheduleAfter(100_ns, [this, core, line] {
@@ -512,29 +476,8 @@ System::issueMemoryWrite(Addr addr, Tick when)
     const pcm::WriteMode mode = policy_->writeModeFor(addr);
     when += policy_->accessLatency();
 
-    const Addr phys = faultMgr_ ? faultMgr_->translate(addr) : addr;
-    accountWrite(phys, addr, mode);
-    if (profiler_)
-        profiler_->recordWrite(addr, when);
-
-    if (when <= queue_.now()) {
-        writePath_->queueWriteback(phys, mode);
-    } else {
-        ++pendingWritebackEvents_;
-        queue_.schedule(when, [this, phys, mode] {
-            --pendingWritebackEvents_;
-            writePath_->queueWriteback(phys, mode);
-        });
-    }
-}
-
-void
-System::accountWrite(Addr phys, Addr tenant_addr, pcm::WriteMode mode)
-{
-    if (faultMgr_)
-        faultMgr_->recordWrite(phys);
     meas_.demandWriteEnergy += energy_.blockWriteEnergy(mode);
-    TenantCounters *tc = tenantCountersForAddr(tenant_addr);
+    TenantCounters *tc = tenantCountersForAddr(addr);
     if (policy_->isFastMode(mode)) {
         ++meas_.fastWrites;
         if (tc)
@@ -544,25 +487,24 @@ System::accountWrite(Addr phys, Addr tenant_addr, pcm::WriteMode mode)
         if (tc)
             ++tc->slowWrites;
     }
-}
+    if (profiler_)
+        profiler_->recordWrite(addr, when);
 
-void
-System::retryFaultedWrite(Addr addr, pcm::WriteMode mode)
-{
-    // Rewrite of a transiently-failed write: same physical block and
-    // mode, accounted like any write.
-    accountWrite(addr, addr, mode);
-    writePath_->queueWriteback(addr, mode);
+    if (when <= queue_.now()) {
+        writePath_->queueWriteback(addr, mode);
+    } else {
+        ++pendingWritebackEvents_;
+        queue_.schedule(when, [this, addr, mode] {
+            --pendingWritebackEvents_;
+            writePath_->queueWriteback(addr, mode);
+        });
+    }
 }
 
 void
 System::onPolicyRefresh(const monitor::RefreshRequest &req)
 {
     RRM_CHECK(req.blockAddr < config_.memory.memoryBytes, "bad refresh addr");
-    const Addr phys =
-        faultMgr_ ? faultMgr_->translate(req.blockAddr) : req.blockAddr;
-    if (faultMgr_)
-        faultMgr_->recordWrite(phys);
     meas_.refreshEnergy += energy_.blockRefreshEnergy(req.mode);
     TenantCounters *tc = tenantCountersForAddr(req.blockAddr);
     if (policy_->isFastMode(req.mode)) {
@@ -590,31 +532,19 @@ System::onPolicyRefresh(const monitor::RefreshRequest &req)
     if (!timing_visible) {
         // Invisible refreshes never queue, so their retention
         // obligation is satisfied the moment they are accounted.
-        if (faultMgr_)
-            faultMgr_->onRefreshAccounted(phys, req.mode, queue_.now());
+        if (retention_)
+            retention_->recordWrite(req.blockAddr, req.mode,
+                                    queue_.now());
         return;
     }
 
     if (telemetry_)
         telemetry_->recordRefreshPressure(refreshPressure());
     if (!tenantRefreshOutstanding_.empty()) {
-        ++tenantRefreshOutstanding_[tenantLayout_.tenantOfAddr(phys)];
+        ++tenantRefreshOutstanding_[tenantLayout_.tenantOfAddr(
+            req.blockAddr)];
     }
-    writePath_->submitRefresh(phys, req.mode);
-}
-
-bool
-System::refreshPathSaturated() const
-{
-    if (writePath_->refreshOverflowPending())
-        return true;
-    for (unsigned c = 0; c < controller_->numChannels(); ++c) {
-        if (controller_->channel(c).refreshQueueSize() >=
-            config_.fault.fallbackHighWatermark) {
-            return true;
-        }
-    }
-    return false;
+    writePath_->submitRefresh(req.blockAddr, req.mode);
 }
 
 double
@@ -646,8 +576,6 @@ void
 System::resetMeasurement()
 {
     statRoot_.reset();
-    if (faultMgr_)
-        faultMgr_->resetWearCounts();
     meas_.reset();
     for (auto &core : cores_)
         core->resetInstructionCount();
@@ -667,8 +595,8 @@ System::runAudits()
     violations += runAudit(*writePath_);
     if (const auto *mon = policy_->monitor())
         violations += runAudit(*mon);
-    if (faultMgr_)
-        violations += runAudit(*faultMgr_);
+    if (retention_)
+        violations += runAudit(*retention_);
     if (violations && statAuditViolations_)
         *statAuditViolations_ += static_cast<double>(violations);
     return violations;
@@ -727,8 +655,6 @@ System::run()
         for (auto &core : cores_)
             core->start();
         policy_->start();
-        if (faultMgr_)
-            faultMgr_->start();
         if (sampler_)
             sampler_->start();
     }
@@ -846,30 +772,11 @@ System::writeConfigJson(obs::JsonWriter &json) const
     cache_knobs("l2", config_.hierarchy.l2, defaults.hierarchy.l2);
     cache_knobs("llc", config_.hierarchy.llc, defaults.hierarchy.llc);
     json.field("auditEveryEvents", config_.auditEveryEvents);
-    if (config_.fault.enabled()) {
+    if (config_.fault.retentionTracking) {
         json.key("fault");
         json.beginObject();
         json.field("retentionTracking", config_.fault.retentionTracking);
-        json.field("retentionSlackSeconds",
-                   config_.fault.retentionSlackSeconds);
         json.field("strict", config_.fault.strict);
-        json.field("transientWriteFailureRate",
-                   config_.fault.transientWriteFailureRate);
-        json.field("stuckAtWearThreshold",
-                   config_.fault.stuckAtWearThreshold);
-        json.field("stuckAtRate", config_.fault.stuckAtRate);
-        json.field("repairBudgetPerLine",
-                   config_.fault.repairBudgetPerLine);
-        json.field("refreshStallSeconds",
-                   config_.fault.refreshStallSeconds);
-        json.field("refreshStallPeriodSeconds",
-                   config_.fault.refreshStallPeriodSeconds);
-        json.field("fallback", config_.fault.fallback);
-        json.field("fallbackHighWatermark",
-                   config_.fault.fallbackHighWatermark);
-        json.field("fallbackLowWatermark",
-                   config_.fault.fallbackLowWatermark);
-        json.field("seed", config_.fault.seed);
         json.endObject();
     }
     policy_->writeConfigJson(json);
@@ -1004,7 +911,7 @@ System::collectResults(Tick measure_start, Tick measure_end)
         r.rrmHotEntriesAtEnd = mon->hotEntryCount();
     }
 
-    if (faultMgr_) {
+    if (retention_) {
         auto scalar = [&](const char *name) -> std::uint64_t {
             const auto *s = dynamic_cast<const stats::Scalar *>(
                 statRoot_.find(std::string("fault.") + name));
@@ -1013,17 +920,6 @@ System::collectResults(Tick measure_start, Tick measure_end)
         r.fault.enabled = true;
         r.fault.retentionStamps = scalar("retentionStamps");
         r.fault.retentionViolations = scalar("retentionViolations");
-        r.fault.transientWriteFaults = scalar("transientWriteFaults");
-        r.fault.writeRetries = scalar("writeRetries");
-        r.fault.writesUnrecovered = scalar("writesUnrecovered");
-        r.fault.stuckAtFaults = scalar("stuckAtFaults");
-        r.fault.stuckAtRepaired = scalar("stuckAtRepaired");
-        r.fault.linesRetired = scalar("linesRetired");
-        r.fault.spareExhausted = scalar("spareExhausted");
-        r.fault.refreshDropped = scalar("refreshDropped");
-        r.fault.refreshStalls = scalar("refreshStalls");
-        r.fault.fallbackEntries = scalar("fallbackEntries");
-        r.fault.fallbackExits = scalar("fallbackExits");
     }
 
     return r;

@@ -20,7 +20,8 @@
 #include <vector>
 
 #include "cpu/core_model.hh"
-#include "fault/fault_manager.hh"
+#include "fault/fault_config.hh"
+#include "fault/retention_tracker.hh"
 #include "memctrl/controller.hh"
 #include "obs/obs_config.hh"
 #include "obs/sampler.hh"
@@ -128,9 +129,9 @@ struct SystemConfig
     bool profileRegionWrites = false;
 
     /**
-     * Fault-injection and graceful-degradation knobs. Disabled by
-     * default; the System then contains no FaultManager and all
-     * outputs are byte-identical to a build without the fault layer.
+     * The retention check. Off by default; the System then contains
+     * no RetentionTracker and all outputs are byte-identical to a
+     * build without it. On, it observes and changes nothing else.
      */
     fault::FaultConfig fault;
 
@@ -177,8 +178,8 @@ struct SystemConfig
      * Deep-audit cadence: after every `auditEveryEvents` executed
      * events, run the audit() of every Auditable component (event
      * queue, cache hierarchy, memory controller, RRM, write path,
-     * fault layer). 0 disables periodic audits. Violations follow
-     * the global check::FailurePolicy and are exported via the
+     * retention tracker). 0 disables periodic audits. Violations
+     * follow the global check::FailurePolicy and are exported via the
      * "checks" and "sys.audit*" stats.
      */
     std::uint64_t auditEveryEvents = 0;
@@ -258,10 +259,10 @@ class System : public cpu::CorePort
     /** The staging queues between LLC/policy and the controller. */
     const WritePath &writePath() const { return *writePath_; }
 
-    /** The fault layer (nullptr unless config.fault.enabled()). */
-    const fault::FaultManager *faultManager() const
+    /** The retention check (nullptr unless fault.retentionTracking). */
+    const fault::RetentionTracker *retentionTracker() const
     {
-        return faultMgr_.get();
+        return retention_.get();
     }
 
     const SystemConfig &config() const { return config_; }
@@ -306,15 +307,7 @@ class System : public cpu::CorePort
     void onReadComplete(unsigned core, Addr line);
     void issueMemoryWrite(Addr addr, Tick when);
 
-    /**
-     * Account one demand write or rewrite issued at `phys`: energy,
-     * the fast/slow split, the tenant owning `tenant_addr` and the
-     * stuck-at wear count.
-     */
-    void accountWrite(Addr phys, Addr tenant_addr, pcm::WriteMode mode);
     void onPolicyRefresh(const monitor::RefreshRequest &req);
-    void retryFaultedWrite(Addr addr, pcm::WriteMode mode);
-    bool refreshPathSaturated() const;
     double refreshPressure() const;
 
     /** @{ Per-tenant accounting; null on single-tenant workloads. */
@@ -378,7 +371,7 @@ class System : public cpu::CorePort
     std::unique_ptr<memctrl::Controller> controller_;
     std::unique_ptr<WritePath> writePath_;
     std::unique_ptr<policy::WritePolicy> policy_;
-    std::unique_ptr<fault::FaultManager> faultMgr_;
+    std::unique_ptr<fault::RetentionTracker> retention_;
     std::vector<std::unique_ptr<cpu::CoreModel>> cores_;
 
     pcm::EnergyModel energy_;

@@ -5,10 +5,10 @@
  * The simulator never serializes its event queue. Instead a
  * checkpoint is taken only at a *quiescent point*: cores paused, the
  * queue stepped until every transient obligation (outstanding fills,
- * in-flight channel requests, staged writebacks, pending fault
- * rewrites, read-retry backoffs) has drained, so the only events left
- * are the re-armable periodic tasks (RRM refresh/decay, fault stall
- * and governor, sampler) plus the cores' swallowed advance events.
+ * in-flight channel requests, staged writebacks, read-retry backoffs)
+ * has drained, so the only events left are the re-armable periodic
+ * tasks (RRM refresh/decay, sampler), the retention sweep, and the
+ * cores' swallowed advance events.
  * Restore re-creates those from config at their saved next-fire
  * ticks; the event-queue section carries just the clock, the next
  * sequence number, and the executed-event count (the uniform-shift
@@ -122,11 +122,7 @@ System::ckptQuiescent() const
         return false;
     if (!writePath_->quiescent())
         return false;
-    if (!controller_->quiescent())
-        return false;
-    if (faultMgr_ && faultMgr_->pendingRewriteEvents() != 0)
-        return false;
-    return true;
+    return controller_->quiescent();
 }
 
 bool
@@ -200,9 +196,9 @@ System::saveCkptSections(ckpt::CkptWriter &file) const
         policy_->saveCkpt(w);
         file.section(secPolicy, w);
     }
-    if (faultMgr_) {
+    if (retention_) {
         ckpt::ChunkWriter w;
-        faultMgr_->saveCkpt(w);
+        retention_->saveCkpt(w);
         file.section(secFault, w);
     }
     {
@@ -240,7 +236,7 @@ System::ckptCompatError(const ckpt::CkptReader &reader) const
     std::vector<std::uint32_t> required = {
         secQueue,      secSystem, secCores, secCaches,
         secController, secPolicy, secStats};
-    if (faultMgr_)
+    if (retention_)
         required.push_back(secFault);
     if (sampler_)
         required.push_back(secSampler);
@@ -304,9 +300,9 @@ System::restoreCkptSections(const ckpt::CkptReader &reader)
         policy_->restoreCkpt(r); // re-arms monitor refresh/decay
         r.expectDone();
     }
-    if (faultMgr_) {
+    if (retention_) {
         auto r = reader.section(secFault);
-        faultMgr_->restoreCkpt(r); // re-arms stall/governor/sweep
+        retention_->restoreCkpt(r); // re-arms the deadline sweep
         r.expectDone();
     }
     {

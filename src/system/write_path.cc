@@ -54,8 +54,6 @@ WritePath::submitRefresh(Addr addr, pcm::WriteMode mode)
             refreshOverflow_.size());
     if (statRefreshOverflows_)
         ++*statRefreshOverflows_;
-    if (refreshDropped_)
-        refreshDropped_(addr);
     warn_once("sys.refreshOverflow",
               "refresh queue full; refresh deferred to the "
               "overflow queue (block ", addr, ")");

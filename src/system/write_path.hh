@@ -62,12 +62,6 @@ class WritePath : public Auditable
     /** Register this component's stats into the System's group. */
     void regStats(stats::StatGroup &sys_group);
 
-    /** Notified once per refresh deferred to the overflow queue. */
-    void setRefreshDroppedCallback(std::function<void(Addr)> cb)
-    {
-        refreshDropped_ = std::move(cb);
-    }
-
     /**
      * Attach hot-path occupancy telemetry (obs::Telemetry owns the
      * sinks). Null (the default) keeps the path cost at one pointer
@@ -98,8 +92,8 @@ class WritePath : public Auditable
 
     /**
      * Hand a timing-visible refresh to the controller; on a full
-     * refresh queue it is deferred (stat + dropped-callback + armed
-     * retry) rather than lost.
+     * refresh queue it is deferred (stat + armed retry) rather than
+     * lost.
      */
     void submitRefresh(Addr addr, pcm::WriteMode mode);
 
@@ -192,7 +186,6 @@ class WritePath : public Auditable
     DrainQueue refreshOverflow_;
     bool refreshRetryPending_ = false;
 
-    std::function<void(Addr)> refreshDropped_;
     const obs::WritePathTelemetry *telemetry_ = nullptr;
 
     stats::Scalar *statWritebackBlocked_ = nullptr;

@@ -26,15 +26,13 @@ namespace rrm::memctrl
 namespace
 {
 
-/** One scheduled input: enqueue a request, or extend the refresh hold. */
+/** One scheduled input: a request to enqueue. */
 struct Input
 {
     Tick at = 0;
     ReqKind kind = ReqKind::Read;
     Addr addr = 0;
     pcm::WriteMode mode = pcm::WriteMode::Sets7;
-    bool hold = false; ///< holdRefreshes(holdUntil) instead of a request
-    Tick holdUntil = 0;
 };
 
 /**
@@ -98,11 +96,6 @@ runChannel(const Scenario &s)
     for (std::size_t i = 0; i < s.inputs.size(); ++i) {
         queue.schedule(s.inputs[i].at, [&s, &ch, &out, i] {
             const Input &in = s.inputs[i];
-            if (in.hold) {
-                ch.holdRefreshes(in.holdUntil);
-                out.accepted[i] = 1;
-                return;
-            }
             Request req;
             req.kind = in.kind;
             req.addr = in.addr;
@@ -200,16 +193,6 @@ class RefChannel
         q.push_back({in.kind, loc.bank, loc.rowId, in.mode, q_.now(), id});
         schedule();
         return true;
-    }
-
-    void
-    holdRefreshes(Tick until)
-    {
-        if (until <= holdUntil_)
-            return;
-        holdUntil_ = until;
-        if (!refreshes_.empty())
-            retry(until);
     }
 
     void
@@ -423,14 +406,9 @@ class RefChannel
         if (drain_ && writes_.size() <= p_.writeLowWatermark)
             drain_ = false;
 
-        if (now < holdUntil_) {
-            if (!refreshes_.empty())
-                earliest = std::min(earliest, holdUntil_);
-        } else {
-            for (std::size_t i = 0; i < refreshes_.size(); ++i)
-                if (tryWrite(refreshes_, i, now, earliest))
-                    return true;
-        }
+        for (std::size_t i = 0; i < refreshes_.size(); ++i)
+            if (tryWrite(refreshes_, i, now, earliest))
+                return true;
 
         if (!drain_ && !reads_.empty()) {
             for (std::size_t i = 0; i < reads_.size(); ++i) {
@@ -492,7 +470,6 @@ class RefChannel
     std::vector<Tick> activates_;
     Tick busFreeAt_ = 0;
     bool drain_ = false;
-    Tick holdUntil_ = 0;
     bool retryPending_ = false;
     Tick retryAt_ = 0;
     EventHandle retryEvent_;
@@ -508,13 +485,7 @@ runReference(const Scenario &s, RefChannel::Seen *seen = nullptr)
     RefChannel ref(s.params, queue, out);
     for (std::size_t i = 0; i < s.inputs.size(); ++i) {
         queue.schedule(s.inputs[i].at, [&s, &ref, &out, i] {
-            const Input &in = s.inputs[i];
-            if (in.hold) {
-                ref.holdRefreshes(in.holdUntil);
-                out.accepted[i] = 1;
-                return;
-            }
-            out.accepted[i] = ref.enqueue(in, i);
+            out.accepted[i] = ref.enqueue(s.inputs[i], i);
         });
     }
     queue.run();
@@ -570,7 +541,6 @@ struct Shape
     unsigned rows = 8;    ///< rows per bank
     unsigned readPct = 55;
     unsigned writePct = 40; ///< the rest are refreshes
-    unsigned holdPct = 0;   ///< inputs that extend the refresh hold
     Tick maxGap = 100_ns;
     /** Arrivals on the bus-cycle grid make same-tick coincidences likely. */
     Tick grid = 2500_ps;
@@ -587,17 +557,11 @@ randomTraffic(std::uint64_t seed, const Shape &shape,
         t += rng.uniform(shape.maxGap / shape.grid + 1) * shape.grid;
         Input in;
         in.at = t;
-        const unsigned roll = static_cast<unsigned>(rng.uniform(100));
-        if (roll < shape.holdPct) {
-            in.hold = true;
-            in.holdUntil = t + rng.uniform(40) * 100_ns;
-        } else {
-            const unsigned kind = static_cast<unsigned>(rng.uniform(100));
-            in.kind = kind < shape.readPct ? ReqKind::Read
-                      : kind < shape.readPct + shape.writePct
-                          ? ReqKind::Write
-                          : ReqKind::RrmRefresh;
-        }
+        const unsigned kind = static_cast<unsigned>(rng.uniform(100));
+        in.kind = kind < shape.readPct ? ReqKind::Read
+                  : kind < shape.readPct + shape.writePct
+                      ? ReqKind::Write
+                      : ReqKind::RrmRefresh;
         in.addr = addrOf(params, static_cast<unsigned>(
                                      rng.uniform(shape.banks)),
                          rng.uniform(shape.rows),
@@ -796,12 +760,11 @@ TEST(ChannelOracle, RowHitStopsAtTheFirstCandidate)
     EXPECT_GT(seen.rowHitStopped, 0u);
 }
 
-TEST(ChannelOracle, RefreshHolds)
+TEST(ChannelOracle, RefreshHeavyTraffic)
 {
     Shape shape;
     shape.readPct = 40;
     shape.writePct = 20;
-    shape.holdPct = 4;
     shape.banks = 6;
     for (const std::uint64_t seed : seeds) {
         SCOPED_TRACE("seed " + std::to_string(seed));
@@ -826,15 +789,14 @@ TEST(ChannelOracle, WritePausingOff)
 
 TEST(ChannelOracle, DenseTrafficOnFewBanks)
 {
-    // Everything at once on four banks: pauses, drains, holds, bus
-    // and tFAW pushes and same-tick completions all interleave.
+    // Everything at once on four banks: pauses, drains, bus and tFAW
+    // pushes and same-tick completions all interleave.
     Shape shape;
     shape.requests = 3000;
     shape.banks = 4;
     shape.rows = 2;
     shape.readPct = 50;
     shape.writePct = 40;
-    shape.holdPct = 1;
     shape.maxGap = 30_ns;
     for (const std::uint64_t seed : seeds) {
         SCOPED_TRACE("seed " + std::to_string(seed));

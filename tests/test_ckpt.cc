@@ -27,6 +27,7 @@
 #include "common/logging.hh"
 #include "run/runner.hh"
 #include "system/system.hh"
+#include "test_scoped_env.hh"
 #include "test_temp_dir.hh"
 
 namespace rrm::sys
@@ -92,7 +93,7 @@ epochCheckpoints(const fs::path &dir)
 SystemConfig
 ckptConfig(const std::string &workload, Scheme scheme,
            const fs::path &ckpt_dir, const fs::path &record,
-           bool faults)
+           bool retention)
 {
     SystemConfig cfg;
     cfg.workload = trace::workloadFromName(workload);
@@ -104,10 +105,7 @@ ckptConfig(const std::string &workload, Scheme scheme,
     cfg.checkpointEveryEpochs = 1;
     cfg.checkpointDir = ckpt_dir.string();
     cfg.obs.runRecordFile = record.string();
-    if (faults) {
-        cfg.fault.retentionTracking = true;
-        cfg.fault.transientWriteFailureRate = 1e-6;
-    }
+    cfg.fault.retentionTracking = retention;
     return cfg;
 }
 
@@ -177,14 +175,12 @@ expectResumesByteIdentical(const SystemConfig &cfg,
 class CkptResume : public ::testing::Test
 {
   protected:
-    void SetUp() override
-    {
-        // Pin the run-record timestamp (reproducible-builds
-        // convention) so records are comparable byte for byte.
-        ::setenv("SOURCE_DATE_EPOCH", "1700000000", 1);
-        clearInterruptRequest();
-    }
+    void SetUp() override { clearInterruptRequest(); }
     void TearDown() override { clearInterruptRequest(); }
+
+    // Pin the run-record timestamp (reproducible-builds convention)
+    // so records are comparable byte for byte.
+    const test::ScopedEnv epoch_{"SOURCE_DATE_EPOCH", "1700000000"};
 };
 
 // ---------------------------------------------------------------------
@@ -285,7 +281,7 @@ TEST_F(CkptResume, ConfigValidationRejectsInconsistentCheckpointing)
     const TempDir dir("ckpt_validate");
     SystemConfig cfg = ckptConfig(
         "lbm", Scheme::staticScheme(pcm::WriteMode::Sets7), dir,
-        dir / "rec.json", /*faults=*/false);
+        dir / "rec.json", /*retention=*/false);
 
     cfg.checkpointDir.clear(); // every > 0 but nowhere to publish
     EXPECT_THROW(System{std::move(cfg)}, FatalError);
@@ -304,7 +300,7 @@ TEST_F(CkptResume, ConfigValidationRejectsInconsistentCheckpointing)
 
 // ---------------------------------------------------------------------
 // Byte-identity: resume from each published epoch equals the
-// undisturbed reference, for every scheme family (with faults on).
+// undisturbed reference, for every scheme family, retention check on.
 // ---------------------------------------------------------------------
 
 struct SchemeCase
@@ -338,28 +334,30 @@ TEST_P(CkptResumePerScheme, ResumeFromEveryEpochIsByteIdentical)
     const TempDir ref_dir(std::string("ckpt_identity_ref_") + sc.label);
     expectResumesByteIdentical(
         ckptConfig("lbm", sc.scheme, ref_dir, ref_dir / "rec.json",
-                   /*faults=*/true),
+                   /*retention=*/true),
         sc.label);
 }
 
-TEST_F(CkptResume, ResumeWithRetiredLinesIsByteIdentical)
+TEST_F(CkptResume, ResumeWithRetentionViolationsIsByteIdentical)
 {
-    // One ECP pointer per line and a stuck-at draw every two writes
-    // to a wear region hand out every spare during warmup, so each
-    // checkpoint carries a full retirement map.
-    const TempDir ref_dir("ckpt_identity_ref_retired");
-    SystemConfig cfg = ckptConfig("lbm", Scheme::rrmScheme(), ref_dir,
-                                  ref_dir / "rec.json", /*faults=*/true);
-    cfg.fault.stuckAtWearThreshold = 2;
-    cfg.fault.repairBudgetPerLine = 1;
-    expectResumesByteIdentical(cfg, "retired");
+    // Scaled 3-SETs retention at 250x (8.04 ms) expires inside the
+    // window, so the later checkpoints carry live deadlines and an
+    // armed sweep that must fire on the same ticks after a resume.
+    const TempDir ref_dir("ckpt_identity_ref_violations");
+    SystemConfig cfg = ckptConfig(
+        "lbm", Scheme::staticScheme(pcm::WriteMode::Sets3), ref_dir,
+        ref_dir / "rec.json", /*retention=*/true);
+    cfg.timeScale = 250.0;
+    cfg.windowSeconds = 0.012;
+    cfg.checkpointEveryEpochs = 4;
+    expectResumesByteIdentical(cfg, "violations");
 
     const std::string record = slurp(ref_dir / "rec.json");
-    const std::string key = "\"spareExhausted\": ";
+    const std::string key = "\"retentionViolations\": ";
     const std::size_t at = record.find(key);
     ASSERT_NE(at, std::string::npos) << record;
     EXPECT_GT(std::stoull(record.substr(at + key.size())), 0u)
-        << "the spare pool never ran dry";
+        << "no deadline expired in the window";
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, CkptResumePerScheme,
@@ -374,7 +372,7 @@ TEST_F(CkptResume, FlippingOneByteInEachSectionInvalidatesTheFile)
     const TempDir dir("ckpt_flip_sections");
     const SystemConfig cfg =
         ckptConfig("lbm", Scheme::rrmScheme(), dir, dir / "rec.json",
-                   /*faults=*/true);
+                   /*retention=*/true);
     referenceRun(cfg);
     const std::vector<fs::path> ckpts = epochCheckpoints(dir);
     ASSERT_GE(ckpts.size(), 1u);
@@ -409,7 +407,7 @@ TEST_F(CkptResume, CorruptNewestFallsBackToPreviousCheckpoint)
     const TempDir ref_dir("ckpt_fallback_ref");
     const SystemConfig cfg =
         ckptConfig("lbm", Scheme::rrmScheme(), ref_dir,
-                   ref_dir / "rec.json", /*faults=*/true);
+                   ref_dir / "rec.json", /*retention=*/true);
     const std::string ref_record = referenceRun(cfg);
     const std::vector<fs::path> ckpts = epochCheckpoints(ref_dir);
     ASSERT_GE(ckpts.size(), 2u);
@@ -435,7 +433,7 @@ TEST_F(CkptResume, TruncatedNewestFallsBackToPreviousCheckpoint)
     const TempDir ref_dir("ckpt_truncate_ref");
     const SystemConfig cfg = ckptConfig(
         "lbm", Scheme::staticScheme(pcm::WriteMode::Sets7), ref_dir,
-        ref_dir / "rec.json", /*faults=*/false);
+        ref_dir / "rec.json", /*retention=*/false);
     const std::string ref_record = referenceRun(cfg);
     const std::vector<fs::path> ckpts = epochCheckpoints(ref_dir);
     ASSERT_GE(ckpts.size(), 2u);
@@ -457,7 +455,7 @@ TEST_F(CkptResume, AllCheckpointsCorruptMeansCleanColdStart)
     const TempDir ref_dir("ckpt_cold_ref");
     const SystemConfig cfg =
         ckptConfig("lbm", Scheme::rrmScheme(), ref_dir,
-                   ref_dir / "rec.json", /*faults=*/false);
+                   ref_dir / "rec.json", /*retention=*/false);
     const std::string ref_record = referenceRun(cfg);
     const std::vector<fs::path> ckpts = epochCheckpoints(ref_dir);
     ASSERT_GE(ckpts.size(), 1u);
@@ -477,7 +475,7 @@ TEST_F(CkptResume, FingerprintMismatchIsRejected)
     const TempDir ref_dir("ckpt_fp_ref");
     const SystemConfig cfg =
         ckptConfig("lbm", Scheme::rrmScheme(), ref_dir,
-                   ref_dir / "rec.json", /*faults=*/false);
+                   ref_dir / "rec.json", /*retention=*/false);
     referenceRun(cfg);
     ASSERT_GE(epochCheckpoints(ref_dir).size(), 1u);
 
@@ -513,24 +511,21 @@ TEST_F(CkptResume, FingerprintCoversEveryModelInput)
         const TempDir dir("ckpt_fp_pausing");
         SystemConfig cfg =
             ckptConfig("lbm", Scheme::rrmScheme(), dir, dir / "rec.json",
-                       /*faults=*/false);
+                       /*retention=*/false);
         cfg.windowSeconds = 0.012;
         SystemConfig other = cfg;
         other.memory.writePausing = false;
         EXPECT_EQ(resumeEpochUnder(cfg, other), 0u) << "writePausing";
     }
     {
-        const TempDir dir("ckpt_fp_stall");
+        const TempDir dir("ckpt_fp_strict");
         SystemConfig cfg =
             ckptConfig("lbm", Scheme::rrmScheme(), dir, dir / "rec.json",
-                       /*faults=*/false);
+                       /*retention=*/true);
         cfg.windowSeconds = 0.012;
-        cfg.fault.refreshStallSeconds = 0.0002;
-        cfg.fault.refreshStallPeriodSeconds = 0.001;
         SystemConfig other = cfg;
-        other.fault.refreshStallPeriodSeconds = 0.002;
-        EXPECT_EQ(resumeEpochUnder(cfg, other), 0u)
-            << "refreshStallPeriodSeconds";
+        other.fault.strict = true;
+        EXPECT_EQ(resumeEpochUnder(cfg, other), 0u) << "strict";
     }
 }
 
@@ -542,7 +537,7 @@ TEST_F(CkptResume, FingerprintCoversTheMachineKnobs)
         const TempDir dir(std::string("ckpt_fp_") + label);
         SystemConfig cfg =
             ckptConfig("lbm", Scheme::rrmScheme(), dir, dir / "rec.json",
-                       /*faults=*/false);
+                       /*retention=*/false);
         cfg.windowSeconds = 0.012;
         SystemConfig other = cfg;
         change(other);
@@ -558,7 +553,7 @@ TEST_F(CkptResume, FaultOffRrmCheckpointHoldsSevenSections)
 {
     const TempDir dir("ckpt_sections");
     SystemConfig cfg = ckptConfig("lbm", Scheme::rrmScheme(), dir,
-                                  dir / "rec.json", /*faults=*/false);
+                                  dir / "rec.json", /*retention=*/false);
     cfg.windowSeconds = 0.012;
     referenceRun(cfg);
     const std::vector<fs::path> ckpts = epochCheckpoints(dir);
@@ -580,7 +575,7 @@ TEST_F(CkptResume, ResumeIgnoresTheWallClockBudget)
     const TempDir ref_dir("ckpt_budget_ref");
     const SystemConfig cfg =
         ckptConfig("lbm", Scheme::rrmScheme(), ref_dir,
-                   ref_dir / "rec.json", /*faults=*/false);
+                   ref_dir / "rec.json", /*retention=*/false);
     ASSERT_EQ(cfg.wallTimeoutSeconds, 0.0);
     const std::string ref_record = referenceRun(cfg);
     const std::vector<fs::path> ckpts = epochCheckpoints(ref_dir);
@@ -606,7 +601,7 @@ TEST_F(CkptResume, KilledChildResumesByteIdentical)
     const TempDir ref_dir("ckpt_kill_ref");
     const SystemConfig cfg =
         ckptConfig("lbm", Scheme::rrmScheme(), ref_dir,
-                   ref_dir / "rec.json", /*faults=*/true);
+                   ref_dir / "rec.json", /*retention=*/true);
     const std::string ref_record = referenceRun(cfg);
     const std::size_t total = epochCheckpoints(ref_dir).size();
     ASSERT_GE(total, 3u);
@@ -667,7 +662,7 @@ TEST_F(CkptResume, InterruptWritesValidEmergencyCheckpoint)
     const TempDir dir("ckpt_interrupt");
     SystemConfig cfg =
         ckptConfig("lbm", Scheme::rrmScheme(), dir, dir / "rec.json",
-                   /*faults=*/false);
+                   /*retention=*/false);
 
     requestInterrupt();
     System system(std::move(cfg));
@@ -689,7 +684,7 @@ TEST_F(CkptResume, InterruptWritesValidEmergencyCheckpoint)
     // complete and produce a record.
     SystemConfig resume_cfg =
         ckptConfig("lbm", Scheme::rrmScheme(), dir,
-                   dir / "resumed.json", /*faults=*/false);
+                   dir / "resumed.json", /*retention=*/false);
     resume_cfg.resumeFromCheckpoint = true;
     System resumed(std::move(resume_cfg));
     const SimResults r = resumed.run();

@@ -378,7 +378,6 @@ ctrlPayload(const MemoryParams &p, std::uint32_t history,
             w.u64(100 * i);
         w.u64(idx);
         w.b(false); // write drain
-        w.u64(0);   // refresh hold
         w.u32(p.banksPerChannel);
         for (unsigned b = 0; b < p.banksPerChannel; ++b) {
             w.u64(0);                 // busy until

@@ -115,11 +115,11 @@ TEST(Perfetto, SinkFinishWriterWritesTrailer)
 {
     std::ostringstream os;
     TraceSink sink(std::make_unique<PerfettoTraceWriter>(os));
-    sink.record(ev(5, TraceCategory::Fault, "lineRetired",
-                   {"block", 1.0}, {"spare", 2.0}));
+    sink.record(ev(5, TraceCategory::Fault, "retentionViolation",
+                   {"block", 1.0}, {"deadline", 2.0}));
     sink.finishWriter();
     const std::string text = os.str();
-    EXPECT_NE(text.find("\"lineRetired\""), std::string::npos);
+    EXPECT_NE(text.find("\"retentionViolation\""), std::string::npos);
     EXPECT_NE(text.find("\"cat\":\"fault\""), std::string::npos);
     EXPECT_EQ(text.substr(text.size() - 4), "\n]}\n");
 }

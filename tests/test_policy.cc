@@ -49,7 +49,6 @@ TEST(PolicyFactory, StaticSchemeMakesStaticPolicy)
     EXPECT_EQ(p->accessLatency(), 0u);
     // "Fast writes" are a hybrid-scheme concept: static counts slow.
     EXPECT_FALSE(p->isFastMode(pcm::WriteMode::Sets3));
-    EXPECT_FALSE(p->supportsPressureFallback());
     EXPECT_EQ(p->monitor(), nullptr);
     EXPECT_EQ(p->preferredSampleInterval(), 0u);
 }
@@ -67,7 +66,6 @@ TEST(PolicyFactory, RrmSchemeMakesRrmPolicy)
     ASSERT_TRUE(p);
     EXPECT_EQ(p->kindName(), "rrm");
     ASSERT_NE(p->monitor(), nullptr);
-    EXPECT_TRUE(p->supportsPressureFallback());
     EXPECT_TRUE(p->isFastMode(cfg.fastMode));
     EXPECT_FALSE(p->isFastMode(cfg.slowMode));
     EXPECT_EQ(p->accessLatency(), cfg.accessLatency);
@@ -85,7 +83,6 @@ TEST(PolicyFactory, AdaptiveSchemeMakesAdaptivePolicy)
     ASSERT_TRUE(p);
     EXPECT_EQ(p->kindName(), "adaptive-rrm");
     EXPECT_NE(p->monitor(), nullptr);
-    EXPECT_TRUE(p->supportsPressureFallback());
 }
 
 TEST(PolicyFactory, EverySchemeBuildsAPolicy)

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "system/system.hh"
+#include "test_scoped_env.hh"
 
 #ifndef RRM_GOLDEN_DIR
 #error "RRM_GOLDEN_DIR must point at the checked-in golden directory"
@@ -94,13 +95,9 @@ goldenConfig(const std::string &scheme_name, const std::string &stem)
 class PolicyGolden : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        // Pin the run-record timestamp (belt and braces: the
-        // timestamp line is also stripped by normalize()).
-        setenv("SOURCE_DATE_EPOCH", "0", /*overwrite=*/0);
-    }
+    // Pin the run-record timestamp (belt and braces: the timestamp
+    // line is also stripped by normalize()).
+    const test::ScopedEnv epoch_{"SOURCE_DATE_EPOCH", "0"};
 
     void
     checkScheme(const std::string &scheme_name)

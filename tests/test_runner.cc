@@ -4,21 +4,24 @@
  * execution on 1..N workers, and the properties the bench layer
  * depends on — plan-order reports, byte-identical outputs across
  * worker counts (with SOURCE_DATE_EPOCH pinned), captured per-run
- * failures, fail-fast cancellation, and serialized progress
- * callbacks.
+ * failures, timeouts and retries, fail-fast cancellation, and
+ * serialized progress callbacks.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 
 #include "common/logging.hh"
 #include "run/runner.hh"
+#include "test_scoped_env.hh"
 
 namespace rrm::run
 {
@@ -183,7 +186,7 @@ TEST(Runner, SerialAndParallelOutputsAreByteIdentical)
 {
     // Pin the run-record timestamp (reproducible-builds convention)
     // so the only possible difference is real nondeterminism.
-    ::setenv("SOURCE_DATE_EPOCH", "0", 1);
+    const test::ScopedEnv epoch("SOURCE_DATE_EPOCH", "0");
     const fs::path base =
         fs::temp_directory_path() / "rrm_test_runner_det";
     fs::remove_all(base);
@@ -336,6 +339,92 @@ TEST(Runner, ProgressCallbackReportsEveryExecutedRun)
         indices.insert(p.index);
     }
     EXPECT_EQ(indices, (std::set<std::size_t>{0, 1, 2, 3}));
+}
+
+// ---- Runner timeouts and retries ----
+
+sys::SystemConfig
+tinyConfig(const char *workload)
+{
+    sys::SystemConfig cfg;
+    cfg.workload = trace::workloadFromName(workload);
+    cfg.scheme = sys::Scheme::staticScheme(pcm::WriteMode::Sets7);
+    cfg.timeScale = 50.0;
+    cfg.windowSeconds = 0.004;
+    cfg.warmupFraction = 0.25;
+    cfg.seed = 1;
+    return cfg;
+}
+
+TEST(Runner, TimedOutRunIsRecordedWithoutStallingThePlan)
+{
+    run::RunPlan plan;
+    sys::SystemConfig doomed = tinyConfig("lbm");
+    doomed.wallTimeoutSeconds = 1e-9;
+    plan.add(std::move(doomed), "doomed");
+    plan.add(tinyConfig("libquantum"), "healthy");
+
+    run::RunnerOptions opts;
+    opts.jobs = 1;
+    const run::RunReport report = run::Runner(opts).execute(plan);
+
+    ASSERT_EQ(report.runs.size(), 2u);
+    EXPECT_EQ(report.runs[0].status, run::RunStatus::TimedOut);
+    EXPECT_EQ(report.runs[0].attempts, 1u);
+    EXPECT_EQ(report.runs[1].status, run::RunStatus::Ok);
+    EXPECT_EQ(report.timedOutCount(), 1u);
+    EXPECT_NE(report.failureSummary().find("doomed timed-out"),
+              std::string::npos)
+        << report.failureSummary();
+    EXPECT_NE(report.runs[0].error.find("timeout"), std::string::npos);
+}
+
+TEST(Runner, RunnerTimeoutAppliesWhereConfigSetsNone)
+{
+    run::RunPlan plan;
+    plan.add(tinyConfig("lbm"), "run");
+    run::RunnerOptions opts;
+    opts.jobs = 1;
+    opts.timeoutSeconds = 1e-9;
+    const run::RunReport report = run::Runner(opts).execute(plan);
+    EXPECT_EQ(report.runs[0].status, run::RunStatus::TimedOut);
+}
+
+TEST(Runner, RetriesRecoverAFlakyRun)
+{
+    run::RunPlan plan;
+    auto attempts_seen = std::make_shared<std::atomic<int>>(0);
+    run::RunSpec &spec = plan.add(tinyConfig("lbm"), "flaky");
+    spec.postRun = [attempts_seen](const sys::System &,
+                                   const sys::SimResults &) {
+        if (attempts_seen->fetch_add(1) == 0)
+            throw std::runtime_error("injected first-attempt failure");
+    };
+
+    run::RunnerOptions opts;
+    opts.jobs = 1;
+    opts.retries = 1;
+    const run::RunReport report = run::Runner(opts).execute(plan);
+    EXPECT_EQ(report.runs[0].status, run::RunStatus::Ok);
+    EXPECT_EQ(report.runs[0].attempts, 2u);
+    EXPECT_TRUE(report.runs[0].error.empty());
+    EXPECT_TRUE(report.allOk());
+}
+
+TEST(Runner, RetriesExhaustToFailed)
+{
+    run::RunPlan plan;
+    run::RunSpec &spec = plan.add(tinyConfig("lbm"), "broken");
+    spec.postRun = [](const sys::System &, const sys::SimResults &) {
+        throw std::runtime_error("always fails");
+    };
+    run::RunnerOptions opts;
+    opts.jobs = 1;
+    opts.retries = 2;
+    const run::RunReport report = run::Runner(opts).execute(plan);
+    EXPECT_EQ(report.runs[0].status, run::RunStatus::Failed);
+    EXPECT_EQ(report.runs[0].attempts, 3u);
+    EXPECT_EQ(report.runs[0].error, "always fails");
 }
 
 } // namespace

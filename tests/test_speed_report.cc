@@ -16,6 +16,7 @@
 #include "run/runner.hh"
 #include "run/speed_report.hh"
 #include "system/system.hh"
+#include "test_scoped_env.hh"
 
 namespace rrm::run
 {
@@ -50,13 +51,9 @@ reportFor(unsigned jobs)
 class SpeedReport : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        // Pin the clock: wall metrics collapse to 0 and the report
-        // becomes a pure function of the plan.
-        setenv("SOURCE_DATE_EPOCH", "0", /*overwrite=*/0);
-    }
+    // Pin the clock: wall metrics collapse to 0 and the report
+    // becomes a pure function of the plan.
+    const test::ScopedEnv epoch_{"SOURCE_DATE_EPOCH", "0"};
 };
 
 TEST_F(SpeedReport, SchemaCarriesRunsAndTotals)

@@ -342,33 +342,6 @@ TEST(SystemIntegration, ConfigValidationNamesEachOverflowingBenchmarkOnce)
                              "per-core slice");
 }
 
-TEST(SystemIntegration, ConfigValidationKeepsWorkloadsOutOfTheSparePool)
-{
-    // Stuck-at faults retire lines onto spare blocks at the top of
-    // memory. A last core that fills its whole 2 GiB slice reaches
-    // them, so only a config with stuck-at faults on rejects it.
-    trace::PatternSpec spec{};
-    spec.kind = trace::PatternSpec::Kind::Chase;
-    spec.weight = 1.0;
-    spec.footprintBytes = 64_MiB;
-    const trace::BenchmarkProfile small{"small", 100.0, 0.0, {spec}};
-    spec.footprintBytes = 2_GiB;
-    const trace::BenchmarkProfile full{"full", 100.0, 0.0, {spec}};
-
-    SystemConfig cfg = quickConfig("lbm", Scheme::rrmScheme());
-    cfg.customProfiles = {&small, &small, &small, &full};
-    ASSERT_EQ(cfg.memory.memoryBytes / cfg.hierarchy.numCores, 2_GiB);
-    EXPECT_TRUE(cfg.validate().empty());
-
-    cfg.fault.stuckAtWearThreshold = 1000;
-    const std::vector<std::string> errors = cfg.validate();
-    ASSERT_EQ(errors.size(), 1u);
-    EXPECT_NE(errors[0].find("benchmark full on core 3 reaches the "
-                             "65536-byte spare pool"),
-              std::string::npos)
-        << errors[0];
-}
-
 TEST(SystemIntegration, TraceFilesMatchTheRecordAndLeaveTheRunAlone)
 {
     const test::TempDir dir("system_trace");
@@ -404,6 +377,55 @@ TEST(SystemIntegration, TraceFilesMatchTheRecordAndLeaveTheRunAlone)
     const std::string traced_body = resultsAndStats(record);
     EXPECT_FALSE(traced_body.empty());
     EXPECT_EQ(traced_body, resultsAndStats(slurp(dir / "plain.json")));
+}
+
+/** resultsAndStats() without the "fault" objects of both blocks. */
+std::string
+withoutFaultBlocks(std::string body)
+{
+    // Both sit four spaces deep: results.fault and the stats group.
+    const std::string key = ",\n    \"fault\": {";
+    const std::string close = "\n    }";
+    for (std::size_t at = body.find(key); at != std::string::npos;
+         at = body.find(key)) {
+        const std::size_t end = body.find(close, at);
+        if (end == std::string::npos)
+            return "unterminated fault block";
+        body.erase(at, end + close.size() - at);
+    }
+    return body;
+}
+
+TEST(SystemIntegration, RetentionTrackingLeavesTheRunAlone)
+{
+    // Detailed refresh timing at 250x puts every selective refresh on
+    // the bus, so the refresh queues fill: the check must only watch.
+    const test::TempDir dir("system_retention");
+    SystemConfig plain_cfg = quickConfig("GemsFDTD", Scheme::rrmScheme());
+    plain_cfg.timeScale = 250.0;
+    plain_cfg.refreshTiming = RefreshTimingMode::Detailed;
+    SystemConfig tracked_cfg = plain_cfg;
+    tracked_cfg.fault.retentionTracking = true;
+    plain_cfg.obs.runRecordFile = (dir / "plain.json").string();
+    tracked_cfg.obs.runRecordFile = (dir / "tracked.json").string();
+
+    System tracked(std::move(tracked_cfg));
+    const SimResults t = tracked.run();
+    System plain(std::move(plain_cfg));
+    const SimResults p = plain.run();
+    ASSERT_TRUE(t.fault.enabled);
+    EXPECT_GT(t.fault.retentionStamps, 0u);
+    EXPECT_EQ(t.fault.retentionViolations, 0u);
+    EXPECT_FALSE(p.fault.enabled);
+    EXPECT_EQ(t.eventsExecuted, p.eventsExecuted);
+
+    const std::string tracked_record = slurp(dir / "tracked.json");
+    ASSERT_NE(tracked_record.find("\"retentionViolationRate\""),
+              std::string::npos);
+    const std::string tracked_body =
+        withoutFaultBlocks(resultsAndStats(tracked_record));
+    ASSERT_FALSE(tracked_body.empty());
+    EXPECT_EQ(tracked_body, resultsAndStats(slurp(dir / "plain.json")));
 }
 
 TEST(SystemIntegration, CountOnlyRefreshTimingStillCountsWear)

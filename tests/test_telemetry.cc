@@ -17,6 +17,7 @@
 
 #include "obs/telemetry.hh"
 #include "system/system.hh"
+#include "test_scoped_env.hh"
 
 #ifndef RRM_GOLDEN_DIR
 #error "RRM_GOLDEN_DIR must point at the checked-in golden directory"
@@ -169,7 +170,7 @@ readFile(const std::string &path)
  */
 TEST(TelemetryGolden, RecordsAreByteIdenticalWithTelemetryOn)
 {
-    setenv("SOURCE_DATE_EPOCH", "0", /*overwrite=*/0);
+    const test::ScopedEnv epoch("SOURCE_DATE_EPOCH", "0");
 
     const std::string stem = "telemetry_golden.RRM";
     sys::SystemConfig cfg;

@@ -21,6 +21,7 @@
 #include "policy/tenant_qos_policy.hh"
 #include "system/fairness.hh"
 #include "system/system.hh"
+#include "test_scoped_env.hh"
 #include "test_temp_dir.hh"
 
 namespace rrm::sys
@@ -391,7 +392,7 @@ slurp(const fs::path &path)
 
 TEST(TenantCkpt, ResumeUnderRrmQosIsByteIdentical)
 {
-    ::setenv("SOURCE_DATE_EPOCH", "1700000000", 1);
+    const test::ScopedEnv epoch("SOURCE_DATE_EPOCH", "1700000000");
     const TempDir ref_dir("tenant_qos_ref");
     SystemConfig cfg = tenantQuickConfig(Scheme::rrmQosScheme());
     cfg.windowSeconds = 0.024;
@@ -432,7 +433,7 @@ TEST(TenantCkpt, ResumeUnderRrmQosIsByteIdentical)
 
 TEST(TenantCkpt, TenantGroupingIsPartOfTheFingerprint)
 {
-    ::setenv("SOURCE_DATE_EPOCH", "1700000000", 1);
+    const test::ScopedEnv epoch("SOURCE_DATE_EPOCH", "1700000000");
     const TempDir ref_dir("tenant_qos_fp");
     SystemConfig cfg = tenantQuickConfig(Scheme::rrmQosScheme());
     cfg.checkpointEveryEpochs = 1;

@@ -25,7 +25,7 @@ struct Fixture
     memctrl::MemoryParams params;
     std::unique_ptr<memctrl::Controller> controller;
     std::unique_ptr<WritePath> wp;
-    std::vector<Addr> dropped;
+    std::vector<Addr> refreshed; ///< completed refreshes, in order
 
     explicit Fixture(unsigned writeback_cap = 2)
     {
@@ -47,12 +47,11 @@ struct Fixture
         });
         controller->setCompletionHook(
             [this](const memctrl::Request &req, Tick) {
-                if (req.kind == memctrl::ReqKind::RrmRefresh)
+                if (req.kind == memctrl::ReqKind::RrmRefresh) {
+                    refreshed.push_back(req.addr);
                     wp->drainRefreshOverflow();
+                }
             });
-        wp->setRefreshDroppedCallback([this](Addr a) {
-            dropped.push_back(a);
-        });
     }
 
     /** Run the event loop until the controller has fully drained. */
@@ -126,28 +125,33 @@ TEST(WritePath, RefreshGoesStraightToTheController)
     Fixture f;
     f.wp->submitRefresh(0, pcm::WriteMode::Sets7);
     EXPECT_FALSE(f.wp->refreshOverflowPending());
-    EXPECT_TRUE(f.dropped.empty());
     EXPECT_FALSE(f.controller->idle());
 }
 
 TEST(WritePath, RefreshOverflowDefersAndRetriesUntilDelivered)
 {
     Fixture f;
+    stats::StatGroup g("sys");
+    f.wp->regStats(g);
     // Fill the two-entry refresh queue, then overflow twice.
     const Addr addr = fillRefreshQueue(f);
     f.wp->submitRefresh(addr, pcm::WriteMode::Sets7);
     f.wp->submitRefresh(addr + 64, pcm::WriteMode::Sets7);
 
     EXPECT_TRUE(f.wp->refreshOverflowPending());
-    ASSERT_EQ(f.dropped.size(), 2u);
-    EXPECT_EQ(f.dropped[0], addr);
-    EXPECT_EQ(f.dropped[1], addr + 64);
+    const auto *overflows =
+        dynamic_cast<const stats::Scalar *>(g.find("refreshOverflows"));
+    ASSERT_NE(overflows, nullptr);
+    EXPECT_EQ(overflows->value(), 2.0);
     f.wp->audit(); // overflow pending => retry must be armed
 
     // The retry timer / completion hook must deliver every deferred
-    // refresh: the obligation is deferred, never dropped.
+    // refresh, in order: the obligation is deferred, never dropped.
     f.settle();
     EXPECT_FALSE(f.wp->refreshOverflowPending());
+    ASSERT_GE(f.refreshed.size(), 2u);
+    EXPECT_EQ(f.refreshed[f.refreshed.size() - 2], addr);
+    EXPECT_EQ(f.refreshed.back(), addr + 64);
     f.wp->audit();
 }
 
