@@ -143,9 +143,6 @@ benchFlagTable()
                        v.text, "'");
              }
          }},
-        {"--retries", "N", RunFlags,
-         "re-attempts after a failed/timed-out run",
-         [](O &o, const V &v) { o.retries = v.number<unsigned>(); }},
         {"--checkpoint-every", "N", RunFlags,
          "publish a checkpoint every N decay epochs (0 = off)",
          [](O &o, const V &v) {
@@ -347,7 +344,6 @@ BenchOptions::runnerOptions(const run::RunPlan &plan) const
     ro.jobs = jobs;
     ro.failFast = failFast;
     ro.timeoutSeconds = timeoutSeconds;
-    ro.retries = retries;
     if (progress) {
         ro.onProgress = [&plan](const run::RunProgress &p) {
             std::fprintf(stderr,

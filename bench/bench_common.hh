@@ -105,9 +105,6 @@ struct BenchOptions
     /** Per-run wall-clock budget in seconds (--timeout); 0 = none. */
     double timeoutSeconds = 0.0;
 
-    /** Re-attempts after a failed/timed-out run (--retries). */
-    unsigned retries = 0;
-
     /**
      * @{ Crash-safe checkpointing (--checkpoint-every /
      * --checkpoint-dir / --resume). Every run checkpoints into its
@@ -156,9 +153,9 @@ struct BenchOptions
     selectedSchemes(const std::vector<sys::Scheme> &defaults) const;
 
     /**
-     * Runner policy from these options (jobs, fail-fast, timeout,
-     * retries); --progress names each run by its id in `plan`, which
-     * must outlive the runner.
+     * Runner policy from these options (jobs, fail-fast, timeout);
+     * --progress names each run by its id in `plan`, which must
+     * outlive the runner.
      */
     run::RunnerOptions runnerOptions(const run::RunPlan &plan) const;
 };

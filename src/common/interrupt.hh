@@ -6,9 +6,9 @@
  * stop with requestInterrupt(); the simulator polls
  * interruptRequested() between event batches and raises
  * sys::SimInterruptedError at the next poll, unwinding through the
- * normal error path so a final best-effort checkpoint can be written
- * before exit. The flag is a lone std::atomic<bool>, so
- * requestInterrupt() is async-signal-safe.
+ * normal error path so the run is recorded `interrupted`; its epoch
+ * checkpoints stay as they were. The flag is a lone std::atomic<bool>,
+ * so requestInterrupt() is async-signal-safe.
  */
 
 #ifndef RRM_COMMON_INTERRUPT_HH
@@ -28,8 +28,8 @@ void clearInterruptRequest();
 
 /**
  * Route SIGINT and SIGTERM to requestInterrupt(). Idempotent; call
- * once from main() before running simulations whose checkpoints
- * should survive a ^C.
+ * once from main() before running simulations that a ^C should stop
+ * with a complete report instead of killing outright.
  */
 void installInterruptHandlers();
 

@@ -31,18 +31,24 @@ namespace rrm::obs
 std::int64_t wallClockSeconds();
 
 /**
- * Monotonic host time in seconds, for measuring durations (run wall
- * time, events/sec, timeouts). Under SOURCE_DATE_EPOCH this returns
+ * Monotonic host time in seconds, for measuring reported durations
+ * (run wall time, events/sec). Under SOURCE_DATE_EPOCH this returns
  * 0.0 unconditionally, so every derived duration and rate collapses
  * to zero and seeded determinism harnesses stay byte-identical across
- * machines and --jobs settings (wall timeouts are then inert, which
- * pinned runs never rely on).
- *
- * This is the simulator's only monotonic-clock read — rrm-lint's
- * det-monotonic-clock rule flags every other
- * steady_clock/high_resolution_clock call site.
+ * machines and --jobs settings.
  */
 double monotonicSeconds();
+
+/**
+ * Monotonic host time in seconds, never pinned: for deadlines (the
+ * per-run wall-clock timeout), which must expire under
+ * SOURCE_DATE_EPOCH too. Nothing read from it may reach an output.
+ *
+ * This file holds the simulator's only monotonic-clock reads —
+ * rrm-lint's det-monotonic-clock rule flags every other
+ * steady_clock/high_resolution_clock call site.
+ */
+double steadySeconds();
 
 /** Schema version stamped into every exported run record. */
 constexpr int runRecordSchemaVersion = 1;

@@ -24,8 +24,6 @@ class AdaptiveRrmPolicy final : public RrmPolicy
                       const AdaptiveRrmConfig &adaptive,
                       EventQueue &queue);
 
-    std::string_view kindName() const override { return "adaptive-rrm"; }
-
     void setPressureProbe(PressureProbe probe) override
     {
         pressureProbe_ = std::move(probe);

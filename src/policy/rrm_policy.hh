@@ -26,10 +26,7 @@ class RrmPolicy : public WritePolicy
     RrmPolicy(const monitor::RrmConfig &config, EventQueue &queue);
     ~RrmPolicy() override;
 
-    std::string_view kindName() const override { return "rrm"; }
-
     void start() override { monitor_->start(); }
-    void stop() override { monitor_->stop(); }
 
     pcm::WriteMode
     writeModeFor(Addr block_addr) const override

@@ -20,8 +20,6 @@ class StaticPolicy final : public WritePolicy
   public:
     explicit StaticPolicy(pcm::WriteMode mode) : mode_(mode) {}
 
-    std::string_view kindName() const override { return "static"; }
-
     pcm::WriteMode
     writeModeFor(Addr block_addr) const override
     {

@@ -89,13 +89,6 @@ TenantQosPolicy::start()
         armEpochTask(queue_.now() + epochTicks_);
 }
 
-void
-TenantQosPolicy::stop()
-{
-    epochTask_.reset();
-    inner_->stop();
-}
-
 pcm::WriteMode
 TenantQosPolicy::writeModeFor(Addr block_addr) const
 {

@@ -149,10 +149,7 @@ class TenantQosPolicy final : public WritePolicy
                     const TenantLayout &layout, EventQueue &queue);
     ~TenantQosPolicy() override;
 
-    std::string_view kindName() const override { return "rrm-qos"; }
-
     void start() override;
-    void stop() override;
 
     pcm::WriteMode writeModeFor(Addr block_addr) const override;
     Tick accessLatency() const override { return inner_->accessLatency(); }

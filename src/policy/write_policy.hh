@@ -31,7 +31,6 @@
 #define RRM_POLICY_WRITE_POLICY_HH
 
 #include <functional>
-#include <string_view>
 
 #include "common/units.hh"
 #include "obs/json.hh"
@@ -62,13 +61,8 @@ class WritePolicy
     WritePolicy(const WritePolicy &) = delete;
     WritePolicy &operator=(const WritePolicy &) = delete;
 
-    /** Short lowercase family name ("static", "rrm", ...). */
-    virtual std::string_view kindName() const = 0;
-
-    /** @{ Lifecycle: arm / cancel any periodic policy interrupts. */
+    /** Lifecycle: arm any periodic policy interrupts. */
     virtual void start() {}
-    virtual void stop() {}
-    /** @} */
 
     // ---- Demand-write decisions ----
 

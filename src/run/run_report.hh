@@ -29,13 +29,12 @@ enum class RunStatus : std::uint8_t
     Ok = 0,
     Failed,    ///< the run threw; see RunResult::error
     Cancelled, ///< never started: --fail-fast after an earlier failure
-    TimedOut,  ///< exceeded its wall-clock timeout on every attempt
+    TimedOut,  ///< exceeded its wall-clock timeout
 
     /**
      * Stopped by a graceful-stop request (SIGINT/SIGTERM via
-     * common/interrupt.hh). The run wrote a best-effort final
-     * checkpoint first when checkpointing was configured; it is
-     * never retried.
+     * common/interrupt.hh). A --resume continues it from its newest
+     * epoch checkpoint when checkpointing was configured.
      */
     Interrupted,
 };
@@ -58,16 +57,10 @@ struct RunResult
     /** Valid only when status == Ok. */
     sys::SimResults results;
 
-    /** Attempts executed (0 = never started; > 1 means retried). */
-    unsigned attempts = 0;
-
-    /**
-     * Host wall-clock seconds of this run, across all attempts
-     * (nondeterministic).
-     */
+    /** Host wall-clock seconds of this run (nondeterministic). */
     double wallSeconds = 0.0;
 
-    /** Simulator events the winning attempt executed (0 unless Ok). */
+    /** Simulator events the run executed (0 unless Ok). */
     std::uint64_t eventsExecuted = 0;
 
     /**

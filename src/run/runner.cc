@@ -71,44 +71,21 @@ executeOne(Execution &ex, std::size_t index)
     sys::SystemConfig config = spec.config;
     if (config.wallTimeoutSeconds == 0.0)
         config.wallTimeoutSeconds = ex.options.timeoutSeconds;
-    const bool checkpointing = config.checkpointEveryEpochs > 0 &&
-                               !config.checkpointDir.empty();
-
-    const unsigned attempts = 1 + ex.options.retries;
-    for (unsigned attempt = 1; attempt <= attempts; ++attempt) {
-        // Stop retrying once a stop was requested; the last attempt's
-        // status (TimedOut/Failed) stands.
-        if (attempt > 1 && interruptRequested())
-            break;
-        slot.attempts = attempt;
-        // Re-attempts of a checkpointing run pick up from the newest
-        // valid checkpoint the failed attempt published (tryResume
-        // falls back older -> cold start on corruption), so a timed
-        // out long run does not repeat its completed hours.
-        if (attempt > 1 && checkpointing)
-            config.resumeFromCheckpoint = true;
-        try {
-            sys::System system(config);
-            slot.results = system.run();
-            if (spec.postRun)
-                spec.postRun(system, slot.results);
-            slot.status = RunStatus::Ok;
-            slot.error.clear();
-            break;
-        } catch (const sys::SimInterruptedError &e) {
-            // The System already drained and wrote its best-effort
-            // final checkpoint before unwinding. Never retried: the
-            // user asked the whole pool to stop.
-            slot.status = RunStatus::Interrupted;
-            slot.error = e.what();
-            break;
-        } catch (const sys::SimTimeoutError &e) {
-            slot.status = RunStatus::TimedOut;
-            slot.error = e.what();
-        } catch (const std::exception &e) {
-            slot.status = RunStatus::Failed;
-            slot.error = e.what();
-        }
+    try {
+        sys::System system(std::move(config));
+        slot.results = system.run();
+        if (spec.postRun)
+            spec.postRun(system, slot.results);
+        slot.status = RunStatus::Ok;
+    } catch (const sys::SimInterruptedError &e) {
+        slot.status = RunStatus::Interrupted;
+        slot.error = e.what();
+    } catch (const sys::SimTimeoutError &e) {
+        slot.status = RunStatus::TimedOut;
+        slot.error = e.what();
+    } catch (const std::exception &e) {
+        slot.status = RunStatus::Failed;
+        slot.error = e.what();
     }
     if (slot.status != RunStatus::Ok && ex.options.failFast)
         ex.aborted.store(true, std::memory_order_relaxed);

@@ -85,23 +85,10 @@ struct RunnerOptions
      * Per-run wall-clock budget in seconds, applied to every run whose
      * config does not already set SystemConfig::wallTimeoutSeconds.
      * A run over budget raises SimTimeoutError between event batches
-     * and is recorded TimedOut (after exhausting retries) without
-     * stalling the rest of the plan. 0 disables the runner-level
-     * timeout.
+     * and is recorded TimedOut without stalling the rest of the plan.
+     * 0 disables the runner-level timeout.
      */
     double timeoutSeconds = 0.0;
-
-    /**
-     * Re-attempts after a failed or timed-out run: each run executes
-     * at most `1 + retries` times on a fresh System; the first Ok
-     * attempt wins. The final status reflects the last attempt.
-     * When the run's config enables checkpointing, re-attempts set
-     * SystemConfig::resumeFromCheckpoint so they continue from the
-     * newest valid checkpoint (older on corruption, then cold)
-     * instead of repeating the completed portion. Interrupted runs
-     * (SIGINT/SIGTERM) are never retried.
-     */
-    unsigned retries = 0;
 
     /**
      * Called after every run finishes, serialized under the runner's

@@ -612,7 +612,7 @@ System::runSlice(Tick until)
                                     ? config_.auditEveryEvents
                                     : (std::uint64_t{1} << 20);
     for (;;) {
-        if (timed && obs::monotonicSeconds() >= runDeadline_) {
+        if (timed && obs::steadySeconds() >= runDeadline_) {
             throw SimTimeoutError(
                 "run exceeded its wall-clock timeout of " +
                 std::to_string(config_.wallTimeoutSeconds) + " s");
@@ -637,7 +637,7 @@ System::run()
 
     if (config_.wallTimeoutSeconds > 0.0) {
         runDeadline_ =
-            obs::monotonicSeconds() + config_.wallTimeoutSeconds;
+            obs::steadySeconds() + config_.wallTimeoutSeconds;
     }
 
     bool resumed = false;
@@ -659,21 +659,13 @@ System::run()
             sampler_->start();
     }
 
-    try {
-        if (!measuring_) {
-            runCkptSlice(warmup_end);
-            resetMeasurement();
-            measureStart_ = queue_.now();
-            measuring_ = true;
-        }
-        runCkptSlice(end);
-    } catch (const SimTimeoutError &) {
-        emergencyCheckpoint();
-        throw;
-    } catch (const SimInterruptedError &) {
-        emergencyCheckpoint();
-        throw;
+    if (!measuring_) {
+        runCkptSlice(warmup_end);
+        resetMeasurement();
+        measureStart_ = queue_.now();
+        measuring_ = true;
     }
+    runCkptSlice(end);
 
     SimResults results = collectResults(measureStart_, end);
     writeObsOutputs(results);

@@ -61,8 +61,9 @@ class SimTimeoutError : public std::runtime_error
 /**
  * Thrown by System::run when a graceful stop was requested
  * (common/interrupt.hh — a SIGINT/SIGTERM handler or the embedding
- * application). Before it propagates, run() writes a final
- * best-effort checkpoint when checkpointing is configured.
+ * application). It unwinds straight out, like SimTimeoutError: the
+ * run's epoch checkpoints stay as they were, and a --resume restores
+ * the newest of them byte-identically.
  */
 class SimInterruptedError : public std::runtime_error
 {
@@ -350,9 +351,6 @@ class System : public cpu::CorePort
     /** Pause + drain + (maybe) publish the epoch file + unpause. */
     void quiesceCheckpoint(std::uint64_t epoch_index);
 
-    /** Best-effort final checkpoint on timeout / interrupt. */
-    void emergencyCheckpoint();
-
     /** runSlice with epoch-boundary quiesces interleaved. */
     void runCkptSlice(Tick until);
 
@@ -390,8 +388,8 @@ class System : public cpu::CorePort
     // event's capture is state no checkpoint section covers).
     unsigned pendingWritebackEvents_ = 0;
 
-    // Wall-clock deadline for run(), in obs::monotonicSeconds()
-    // terms (wallTimeoutSeconds > 0).
+    // Wall-clock deadline for run(), in obs::steadySeconds() terms
+    // (wallTimeoutSeconds > 0).
     double runDeadline_ = 0.0;
 
     // Rate-correction rotation counter.

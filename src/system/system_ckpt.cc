@@ -28,6 +28,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <regex>
 #include <sstream>
 #include <vector>
 
@@ -409,30 +410,6 @@ System::quiesceCheckpoint(std::uint64_t epoch_index)
 }
 
 void
-System::emergencyCheckpoint()
-{
-    if (!ckptEnabled())
-        return;
-    // The run is unwinding through SimTimeoutError / Interrupted;
-    // cores stay paused afterwards — nothing runs again.
-    for (auto &core : cores_)
-        core->pause();
-    if (!drainToQuiescence()) {
-        warn("could not quiesce for a final checkpoint; none written");
-        return;
-    }
-    const std::uint64_t epoch = nextEpochIndex_ - 1;
-    char name[40];
-    std::snprintf(name, sizeof name, "ckpt-%08llu-final.rckpt",
-                  static_cast<unsigned long long>(epoch));
-    try {
-        publishCheckpoint(epoch, config_.checkpointDir + "/" + name);
-    } catch (const FatalError &e) {
-        warn("failed to write the final checkpoint: ", e.what());
-    }
-}
-
-void
 System::runCkptSlice(Tick until)
 {
     if (!ckptEnabled() || ckptEpochTicks_ == 0) {
@@ -462,11 +439,15 @@ bool
 System::tryResume()
 {
     namespace fs = std::filesystem;
+    // Epoch files only (checkpointPath() names): zero-padded, so
+    // descending lexical order is newest first.
+    static const std::regex epochFile(R"(ckpt-\d{8}\.rckpt)");
     std::vector<std::string> files;
     try {
         for (const auto &entry :
              fs::directory_iterator(config_.checkpointDir)) {
-            if (entry.path().extension() == ".rckpt")
+            if (std::regex_match(entry.path().filename().string(),
+                                 epochFile))
                 files.push_back(entry.path().string());
         }
     } catch (const fs::filesystem_error &e) {
@@ -476,57 +457,36 @@ System::tryResume()
     }
     if (files.empty())
         return false;
-    std::sort(files.begin(), files.end());
+    std::sort(files.rbegin(), files.rend());
 
-    // Validate every candidate up front (the CkptReader constructor
-    // checks all CRCs), then restore the newest usable one. Corrupt,
-    // truncated, version-mismatched or incompatible files are warned
-    // about once and skipped — fallback instead of failure.
-    struct Candidate
-    {
-        std::unique_ptr<ckpt::CkptReader> reader;
-        std::string path;
-    };
-    std::vector<Candidate> usable;
+    // Restore the newest file that opens (the CkptReader constructor
+    // checks every CRC) and fits this config. Corrupt, truncated,
+    // version-mismatched or incompatible files are warned about once
+    // and skipped for the next older one, so only one file is held in
+    // memory at a time.
     for (const std::string &path : files) {
+        std::unique_ptr<ckpt::CkptReader> reader;
         try {
-            auto reader = std::make_unique<ckpt::CkptReader>(path);
+            reader = std::make_unique<ckpt::CkptReader>(path);
             const std::string why = ckptCompatError(*reader);
             if (!why.empty())
                 throw ckpt::CkptError(why);
-            usable.push_back({std::move(reader), path});
         } catch (const ckpt::CkptError &e) {
             warn_once("ckpt.reject." + path, "ignoring checkpoint ",
                       path, ": ", e.what());
+            continue;
         }
+        // Errors past this point left the system partially restored
+        // and must propagate: the data was CRC-intact and compatible,
+        // so a section-level mismatch is a bug, not recoverable
+        // corruption.
+        restoreCkptSections(*reader);
+        resumedFromEpoch_ = reader->header().epochIndex;
+        return true;
     }
-    if (usable.empty()) {
-        warn("no usable checkpoint in ", config_.checkpointDir,
-             "; starting cold");
-        return false;
-    }
-
-    std::sort(usable.begin(), usable.end(),
-              [](const Candidate &a, const Candidate &b) {
-                  const ckpt::CkptHeader &ha = a.reader->header();
-                  const ckpt::CkptHeader &hb = b.reader->header();
-                  if (ha.tick != hb.tick)
-                      return ha.tick > hb.tick;
-                  if (ha.epochIndex != hb.epochIndex)
-                      return ha.epochIndex > hb.epochIndex;
-                  // Same tick and epoch: prefer the periodic file
-                  // over its "-final" sibling ('.' sorts after '-'),
-                  // keeping the byte-identity guarantee.
-                  return a.path > b.path;
-              });
-
-    // Errors past this point left the system partially restored and
-    // must propagate: the data was CRC-intact and compatible, so a
-    // section-level mismatch is a bug, not recoverable corruption.
-    const Candidate &best = usable.front();
-    restoreCkptSections(*best.reader);
-    resumedFromEpoch_ = best.reader->header().epochIndex;
-    return true;
+    warn("no usable checkpoint in ", config_.checkpointDir,
+         "; starting cold");
+    return false;
 }
 
 } // namespace rrm::sys

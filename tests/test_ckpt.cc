@@ -6,17 +6,21 @@
  * run record as the same checkpoint-enabled run left undisturbed),
  * fallback from corrupted/truncated checkpoints to older ones, the
  * SIGKILL-mid-flight path (a forked child killed while simulating),
- * and the SIGINT emergency-checkpoint path. See DESIGN.md section 16.
+ * and a graceful stop (SIGINT) between checkpoints. See DESIGN.md
+ * section 16.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <sys/wait.h>
@@ -69,15 +73,13 @@ writeBytes(const fs::path &path, const std::vector<std::uint8_t> &data)
     ASSERT_TRUE(os) << "cannot write " << path;
 }
 
-/** Periodic epoch checkpoints in `dir`, oldest first (lexical order). */
+/** Epoch checkpoints in `dir`, oldest first (lexical order). */
 std::vector<fs::path>
 epochCheckpoints(const fs::path &dir)
 {
     std::vector<fs::path> files;
     for (const auto &entry : fs::directory_iterator(dir)) {
-        if (entry.path().extension() == ".rckpt" &&
-            entry.path().filename().string().find("-final") ==
-                std::string::npos)
+        if (entry.path().extension() == ".rckpt")
             files.push_back(entry.path());
     }
     std::sort(files.begin(), files.end());
@@ -470,6 +472,29 @@ TEST_F(CkptResume, AllCheckpointsCorruptMeansCleanColdStart)
     EXPECT_EQ(record, ref_record);
 }
 
+TEST_F(CkptResume, ResumeRestoresOnlyEpochFiles)
+{
+    const TempDir ref_dir("ckpt_names_ref");
+    const SystemConfig cfg = ckptConfig(
+        "lbm", Scheme::staticScheme(pcm::WriteMode::Sets7), ref_dir,
+        ref_dir / "rec.json", /*retention=*/false);
+    const std::string ref_record = referenceRun(cfg);
+    const std::vector<fs::path> ckpts = epochCheckpoints(ref_dir);
+    ASSERT_GE(ckpts.size(), 2u);
+
+    // A compatible, intact file under a name no epoch gets (a copy of
+    // epoch 1 that sorts first) is never restored.
+    const TempDir dir("ckpt_names");
+    for (const fs::path &p : ckpts)
+        fs::copy_file(p, dir / p.filename());
+    fs::copy_file(ckpts.front(), dir / "ckpt-99999999-copy.rckpt");
+
+    const auto [record, epoch] = resumeRun(cfg, dir, dir / "rec.json");
+    const ckpt::CkptReader newest(ckpts.back().string());
+    EXPECT_EQ(epoch, newest.header().epochIndex);
+    EXPECT_EQ(record, ref_record);
+}
+
 TEST_F(CkptResume, FingerprintMismatchIsRejected)
 {
     const TempDir ref_dir("ckpt_fp_ref");
@@ -654,42 +679,56 @@ TEST_F(CkptResume, KilledChildResumesByteIdentical)
 }
 
 // ---------------------------------------------------------------------
-// Graceful interrupt: emergency checkpoint + Runner statuses
+// Graceful interrupt: the epoch files stay, the resume is byte-identical
 // ---------------------------------------------------------------------
 
-TEST_F(CkptResume, InterruptWritesValidEmergencyCheckpoint)
+TEST_F(CkptResume, InterruptedRunResumesByteIdentical)
 {
-    const TempDir dir("ckpt_interrupt");
+    const TempDir ref_dir("ckpt_interrupt_ref");
     SystemConfig cfg =
-        ckptConfig("lbm", Scheme::rrmScheme(), dir, dir / "rec.json",
-                   /*retention=*/false);
+        ckptConfig("lbm", Scheme::rrmScheme(), ref_dir,
+                   ref_dir / "rec.json", /*retention=*/true);
+    // The run polls for a stop between event batches. An epoch here is
+    // about one default batch (2^20 events); audit batches of 2^16
+    // poll 16 times per epoch.
+    cfg.auditEveryEvents = std::uint64_t{1} << 16;
+    const std::string ref_record = referenceRun(cfg);
+    ASSERT_GE(epochCheckpoints(ref_dir).size(), 3u);
 
-    requestInterrupt();
-    System system(std::move(cfg));
-    EXPECT_THROW(system.run(), SimInterruptedError);
+    // Stop the same run once two epoch files exist, the way a SIGINT
+    // handler would. The extra millisecond lets the run pass the poll
+    // at the start of epoch 3, so the stop lands inside that epoch.
+    const TempDir dir("ckpt_interrupt");
+    SystemConfig stopped = cfg;
+    stopped.checkpointDir = dir.string();
+    stopped.obs.runRecordFile = (dir / "rec.json").string();
+    {
+        // Joined (after a stop request) on every path out of scope.
+        std::jthread watcher([&dir](const std::stop_token &done) {
+            while (!done.stop_requested() &&
+                   epochCheckpoints(dir).size() < 2)
+                std::this_thread::sleep_for(std::chrono::microseconds(200));
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            requestInterrupt();
+        });
+        System system(std::move(stopped));
+        EXPECT_THROW(system.run(), SimInterruptedError);
+    }
     clearInterruptRequest();
 
-    // A -final.rckpt must exist and validate cleanly.
-    std::vector<fs::path> finals;
+    // The stop wrote nothing: only epoch files, no record.
+    const std::regex epochFile(R"(ckpt-\d{8}\.rckpt)");
     for (const auto &entry : fs::directory_iterator(dir)) {
-        if (entry.path().filename().string().find("-final.rckpt") !=
-            std::string::npos)
-            finals.push_back(entry.path());
+        const std::string name = entry.path().filename().string();
+        EXPECT_TRUE(std::regex_match(name, epochFile))
+            << "unexpected file " << name;
     }
-    ASSERT_EQ(finals.size(), 1u);
-    EXPECT_EQ(ckpt::CkptReader::validateFile(finals[0].string()), "");
 
-    // An emergency checkpoint is best-effort (arbitrary quiesce
-    // point), so no byte-identity claim — but the resumed run must
-    // complete and produce a record.
-    SystemConfig resume_cfg =
-        ckptConfig("lbm", Scheme::rrmScheme(), dir,
-                   dir / "resumed.json", /*retention=*/false);
-    resume_cfg.resumeFromCheckpoint = true;
-    System resumed(std::move(resume_cfg));
-    const SimResults r = resumed.run();
-    EXPECT_GT(r.totalInstructions, 0u);
-    EXPECT_FALSE(slurp(dir / "resumed.json").empty());
+    const auto [record, epoch] =
+        resumeRun(cfg, dir, dir / "resumed.json");
+    EXPECT_GE(epoch, 2u);
+    EXPECT_EQ(record, ref_record)
+        << "resume after a graceful stop diverged";
 }
 
 TEST_F(CkptResume, RunnerCancelsCleanlyWhenInterruptedBeforeStart)

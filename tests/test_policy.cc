@@ -44,7 +44,7 @@ TEST(PolicyFactory, StaticSchemeMakesStaticPolicy)
     auto p = sys::Scheme::staticScheme(pcm::WriteMode::Sets5)
                  .makePolicy(smallRrmConfig(), acfg, qcfg, layout, queue);
     ASSERT_TRUE(p);
-    EXPECT_EQ(p->kindName(), "static");
+    EXPECT_NE(dynamic_cast<const policy::StaticPolicy *>(p.get()), nullptr);
     EXPECT_EQ(p->writeModeFor(0x1000), pcm::WriteMode::Sets5);
     EXPECT_EQ(p->accessLatency(), 0u);
     // "Fast writes" are a hybrid-scheme concept: static counts slow.
@@ -64,7 +64,9 @@ TEST(PolicyFactory, RrmSchemeMakesRrmPolicy)
         sys::Scheme::rrmScheme().makePolicy(cfg, acfg, qcfg, layout,
                                             queue);
     ASSERT_TRUE(p);
-    EXPECT_EQ(p->kindName(), "rrm");
+    EXPECT_NE(dynamic_cast<const policy::RrmPolicy *>(p.get()), nullptr);
+    EXPECT_EQ(dynamic_cast<const policy::AdaptiveRrmPolicy *>(p.get()),
+              nullptr);
     ASSERT_NE(p->monitor(), nullptr);
     EXPECT_TRUE(p->isFastMode(cfg.fastMode));
     EXPECT_FALSE(p->isFastMode(cfg.slowMode));
@@ -81,7 +83,8 @@ TEST(PolicyFactory, AdaptiveSchemeMakesAdaptivePolicy)
     auto p = sys::Scheme::adaptiveRrmScheme().makePolicy(
         smallRrmConfig(), acfg, qcfg, layout, queue);
     ASSERT_TRUE(p);
-    EXPECT_EQ(p->kindName(), "adaptive-rrm");
+    EXPECT_NE(dynamic_cast<const policy::AdaptiveRrmPolicy *>(p.get()),
+              nullptr);
     EXPECT_NE(p->monitor(), nullptr);
 }
 

@@ -4,18 +4,16 @@
  * execution on 1..N workers, and the properties the bench layer
  * depends on — plan-order reports, byte-identical outputs across
  * worker counts (with SOURCE_DATE_EPOCH pinned), captured per-run
- * failures, timeouts and retries, fail-fast cancellation, and
+ * failures and timeouts, fail-fast cancellation, and
  * serialized progress callbacks.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <set>
 #include <sstream>
 
@@ -341,7 +339,7 @@ TEST(Runner, ProgressCallbackReportsEveryExecutedRun)
     EXPECT_EQ(indices, (std::set<std::size_t>{0, 1, 2, 3}));
 }
 
-// ---- Runner timeouts and retries ----
+// ---- Runner timeouts ----
 
 sys::SystemConfig
 tinyConfig(const char *workload)
@@ -370,7 +368,6 @@ TEST(Runner, TimedOutRunIsRecordedWithoutStallingThePlan)
 
     ASSERT_EQ(report.runs.size(), 2u);
     EXPECT_EQ(report.runs[0].status, run::RunStatus::TimedOut);
-    EXPECT_EQ(report.runs[0].attempts, 1u);
     EXPECT_EQ(report.runs[1].status, run::RunStatus::Ok);
     EXPECT_EQ(report.timedOutCount(), 1u);
     EXPECT_NE(report.failureSummary().find("doomed timed-out"),
@@ -388,43 +385,6 @@ TEST(Runner, RunnerTimeoutAppliesWhereConfigSetsNone)
     opts.timeoutSeconds = 1e-9;
     const run::RunReport report = run::Runner(opts).execute(plan);
     EXPECT_EQ(report.runs[0].status, run::RunStatus::TimedOut);
-}
-
-TEST(Runner, RetriesRecoverAFlakyRun)
-{
-    run::RunPlan plan;
-    auto attempts_seen = std::make_shared<std::atomic<int>>(0);
-    run::RunSpec &spec = plan.add(tinyConfig("lbm"), "flaky");
-    spec.postRun = [attempts_seen](const sys::System &,
-                                   const sys::SimResults &) {
-        if (attempts_seen->fetch_add(1) == 0)
-            throw std::runtime_error("injected first-attempt failure");
-    };
-
-    run::RunnerOptions opts;
-    opts.jobs = 1;
-    opts.retries = 1;
-    const run::RunReport report = run::Runner(opts).execute(plan);
-    EXPECT_EQ(report.runs[0].status, run::RunStatus::Ok);
-    EXPECT_EQ(report.runs[0].attempts, 2u);
-    EXPECT_TRUE(report.runs[0].error.empty());
-    EXPECT_TRUE(report.allOk());
-}
-
-TEST(Runner, RetriesExhaustToFailed)
-{
-    run::RunPlan plan;
-    run::RunSpec &spec = plan.add(tinyConfig("lbm"), "broken");
-    spec.postRun = [](const sys::System &, const sys::SimResults &) {
-        throw std::runtime_error("always fails");
-    };
-    run::RunnerOptions opts;
-    opts.jobs = 1;
-    opts.retries = 2;
-    const run::RunReport report = run::Runner(opts).execute(plan);
-    EXPECT_EQ(report.runs[0].status, run::RunStatus::Failed);
-    EXPECT_EQ(report.runs[0].attempts, 3u);
-    EXPECT_EQ(report.runs[0].error, "always fails");
 }
 
 } // namespace
