@@ -1,9 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator's hot paths:
- * PRNG/Zipf sampling, trace generation, cache accesses, the core
- * model, RRM operations, the event queue, controller scheduling, and
- * the write path's staging queues.
+ * PRNG/Zipf sampling, trace generation, cache accesses and fills, the
+ * core model, RRM operations, the event queue, controller scheduling,
+ * the write path's staging queues, and System construction.
  * These bound the simulator's own throughput (simulated events per
  * host second), not any paper metric.
  */
@@ -11,14 +11,17 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <optional>
 #include <vector>
 
 #include "cache/hierarchy.hh"
 #include "common/random.hh"
 #include "cpu/core_model.hh"
 #include "memctrl/controller.hh"
+#include "obs/run_record.hh"
 #include "rrm/region_monitor.hh"
 #include "sim/event_queue.hh"
+#include "system/system.hh"
 #include "system/write_path.hh"
 #include "trace/generator.hh"
 
@@ -76,6 +79,40 @@ BM_CacheHierarchyAccess(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CacheHierarchyAccess);
+
+/**
+ * The LLC miss path with back-invalidation, on the paper's 4-core
+ * hierarchy. The cores take turns walking a footprint twice the LLC's
+ * size in line order, so under LRU every access misses the LLC and,
+ * once the LLC is full, every fill evicts; the next core then reads
+ * the same line (an LLC hit), so each victim is held by two cores.
+ * Items are fills.
+ */
+void
+BM_CacheHierarchyFill(benchmark::State &state)
+{
+    cache::CacheHierarchy hierarchy(cache::defaultHierarchyConfig());
+    const unsigned cores = hierarchy.config().numCores;
+    const std::uint64_t lines =
+        2 * hierarchy.config().llc.sizeBytes / blockBytes;
+    std::uint64_t i = 0;
+    const auto step = [&] {
+        const Addr addr = (i % lines) * blockBytes;
+        const auto core = static_cast<unsigned>(i % cores);
+        const bool is_write = i % 3 == 0;
+        if (hierarchy.access(core, addr, is_write).llcMiss)
+            benchmark::DoNotOptimize(hierarchy.fill(core, addr, is_write));
+        benchmark::DoNotOptimize(
+            hierarchy.access((core + 1) % cores, addr, false));
+        ++i;
+    };
+    for (std::uint64_t w = 0; w < lines / 2; ++w)
+        step(); // fill the LLC
+    for (auto _ : state)
+        step();
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CacheHierarchyFill);
 
 /** Memory stand-in: every fill completes a fixed 200 ns later. */
 struct FixedLatencyPort : cpu::CorePort
@@ -317,6 +354,35 @@ BM_WritePathDrain(benchmark::State &state)
     }
 }
 BENCHMARK(BM_WritePathDrain);
+
+/**
+ * What perfbench's setup_s times: building a System for 4 hmmer cores
+ * (its resident-hmmer config) from a fresh SystemConfig, under one
+ * scheme. Destruction is left out of the time, as it is there.
+ */
+void
+BM_SystemConstruction(benchmark::State &state, const sys::Scheme &scheme)
+{
+    std::optional<sys::System> system;
+    for (auto _ : state) {
+        const double t0 = obs::steadySeconds();
+        sys::SystemConfig cfg;
+        cfg.workload = trace::singleWorkload(trace::Benchmark::Hmmer);
+        cfg.hierarchy.numCores =
+            static_cast<unsigned>(cfg.workload.numCores());
+        cfg.scheme = scheme;
+        cfg.windowSeconds = 0.004;
+        cfg.seed = 1;
+        benchmark::DoNotOptimize(&system.emplace(std::move(cfg)));
+        state.SetIterationTime(obs::steadySeconds() - t0);
+        system.reset();
+    }
+}
+BENCHMARK_CAPTURE(BM_SystemConstruction, Static7Sets,
+                  sys::Scheme::staticScheme(pcm::WriteMode::Sets7))
+    ->UseManualTime();
+BENCHMARK_CAPTURE(BM_SystemConstruction, Rrm, sys::Scheme::rrmScheme())
+    ->UseManualTime();
 
 } // namespace
 

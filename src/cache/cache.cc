@@ -29,34 +29,39 @@ Cache::Cache(const CacheConfig &config)
 }
 
 unsigned
-Cache::victimWay(Way base) const
+Cache::victimWay(Way base, Tag tag) const
 {
+    const Tag *tags = tags_.data() + base;
     const std::uint64_t *stamps = stamps_.data() + base;
     unsigned w = 0;
-    for (unsigned v = 1; v < config_.assoc; ++v)
+    bool present = tags[0] == tag;
+    for (unsigned v = 1; v < config_.assoc; ++v) {
+        present |= tags[v] == tag;
         if (stamps[v] < stamps[w])
             w = v;
+    }
+    RRM_CHECK(!present, "allocate() of a present line in '", config_.name,
+              "'");
     return w;
 }
 
 Allocation
 Cache::allocate(Addr addr)
 {
-    RRM_CHECK(find(addr) == noWay, "allocate() of a present line in '",
-              config_.name, "'");
+    const Tag tag = tagOf(addr);
     const Way base = setBase(addr);
     Allocation out;
-    out.way = base + victimWay(base);
+    out.way = base + victimWay(base, tag);
     if (tags_[out.way] != freeTag) {
         out.victim.valid = true;
-        out.victim.addr = tags_[out.way] << lineShift;
+        out.victim.addr = Addr(tags_[out.way]) << lineShift;
         out.victim.dirty = dirty_[out.way] != 0;
         if (statEvictions_)
             ++*statEvictions_;
         if (out.victim.dirty && statDirtyEvictions_)
             ++*statDirtyEvictions_;
     }
-    tags_[out.way] = tagOf(addr);
+    tags_[out.way] = tag;
     stamps_[out.way] = ++replClock_;
     dirty_[out.way] = 0;
     return out;
@@ -79,7 +84,7 @@ std::uint64_t
 Cache::numValidLines() const
 {
     std::uint64_t n = 0;
-    for (const Addr tag : tags_)
+    for (const Tag tag : tags_)
         if (tag != freeTag)
             ++n;
     return n;
@@ -99,7 +104,7 @@ Cache::audit() const
                           " way ", w, ")");
                 continue;
             }
-            const Addr addr = tags_[way] << lineShift;
+            const Addr addr = Addr(tags_[way]) << lineShift;
             RRM_AUDIT(setIndex(addr) == set, "cache '", config_.name,
                       "': tag in set ", set, " indexes to set ",
                       setIndex(addr));
@@ -136,8 +141,9 @@ Cache::saveCkpt(ckpt::ChunkWriter &w) const
 {
     w.u64(replClock_);
     w.u32(static_cast<std::uint32_t>(tags_.size()));
+    // The format-8 layout: each tag is a u64, a free way all-ones.
     for (std::size_t i = 0; i < tags_.size(); ++i) {
-        w.u64(tags_[i]);
+        w.u64(tags_[i] == freeTag ? ~std::uint64_t(0) : tags_[i]);
         w.u64(stamps_[i]);
         w.b(dirty_[i] != 0);
     }
@@ -155,7 +161,16 @@ Cache::restoreCkpt(ckpt::ChunkReader &r)
             " lines but the checkpoint holds " + std::to_string(n) +
             " (geometry mismatch)");
     for (std::size_t i = 0; i < tags_.size(); ++i) {
-        tags_[i] = r.u64();
+        const std::uint64_t tag = r.u64();
+        if (tag == ~std::uint64_t(0)) {
+            tags_[i] = freeTag;
+        } else if (tag < freeTag) {
+            tags_[i] = static_cast<Tag>(tag);
+        } else {
+            throw ckpt::CkptError("cache '" + config_.name +
+                                  "' line tag " + std::to_string(tag) +
+                                  " is beyond the tag range");
+        }
         stamps_[i] = r.u64();
         dirty_[i] = r.b() ? 1 : 0;
     }

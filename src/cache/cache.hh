@@ -8,10 +8,12 @@
  * dirty marking, invalidation). It deliberately stores no data bytes —
  * the simulator tracks state, not contents.
  *
- * Storage is packed structure-of-arrays, set-major: one tag word per
- * line, with a free way marked by the all-ones tag (a line address
- * shifted right by at least one bit never is), plus parallel LRU-stamp
- * and dirty arrays. Lookups return a way handle, an index into those
+ * Storage is packed structure-of-arrays, set-major: one 32-bit tag per
+ * line, the line address (address / block size), plus parallel LRU-stamp
+ * and dirty arrays. A free way holds the all-ones tag. The 8 GiB memory
+ * has 2^27 lines, so every real line fits below it; a line address that
+ * does not fails a check in find() and allocate() instead of aliasing
+ * another line. Lookups return a way handle, an index into those
  * arrays, and the dirty operations act on the handle, so a caller
  * walks a set once per operation.
  */
@@ -92,17 +94,27 @@ class Cache : public Auditable
         return addr & ~static_cast<Addr>(blockBytes - 1);
     }
 
-    /** Handle of the line holding `addr`, or noWay. No side effects. */
+    /**
+     * Handle of the line holding `addr`, or noWay. No side effects.
+     * The set walk has no branch: at most one way matches (allocate()
+     * keeps a set's tags distinct, and tagOf() never yields freeTag),
+     * so OR-ing each way's (index + 1) under its match mask yields that
+     * way + 1, and the OR of the masks tells a hit from a miss.
+     */
     Way
     find(Addr addr) const
     {
-        const Addr tag = tagOf(addr);
+        const Tag tag = tagOf(addr);
         const Way base = setBase(addr);
-        const Addr *tags = tags_.data() + base;
-        for (unsigned w = 0; w < config_.assoc; ++w)
-            if (tags[w] == tag)
-                return base + w;
-        return noWay;
+        const Tag *tags = tags_.data() + base;
+        Way match = 0;
+        Way any = 0;
+        for (unsigned w = 0; w < config_.assoc; ++w) {
+            const Way m = -Way(tags[w] == tag);
+            match |= m & (w + 1);
+            any |= m;
+        }
+        return (base + match - 1) | ~any;
     }
 
     /**
@@ -161,9 +173,9 @@ class Cache : public Auditable
     void
     forEachValidLine(Fn &&fn) const
     {
-        for (const Addr tag : tags_)
+        for (const Tag tag : tags_)
             if (tag != freeTag)
-                fn(tag << lineShift);
+                fn(Addr(tag) << lineShift);
     }
 
     /** Register hit/miss/writeback statistics into a group. */
@@ -192,8 +204,11 @@ class Cache : public Auditable
     /** log2 of the line (block) size. */
     static constexpr unsigned lineShift = std::countr_zero(blockBytes);
 
-    /** Tag of a free way; no line's tag (addr >> lineShift) is. */
-    static constexpr Addr freeTag = ~Addr(0);
+    /** A line address: the tag of the line's way. */
+    using Tag = std::uint32_t;
+
+    /** Tag of a free way; tagOf() rejects any line address at or above. */
+    static constexpr Tag freeTag = ~Tag(0);
 
     std::uint64_t
     setIndex(Addr addr) const
@@ -208,22 +223,30 @@ class Cache : public Auditable
         return static_cast<Way>(setIndex(addr) * config_.assoc);
     }
 
-    Addr tagOf(Addr addr) const { return addr >> lineShift; }
+    Tag
+    tagOf(Addr addr) const
+    {
+        const Addr line = addr >> lineShift;
+        RRM_CHECK(line < freeTag, "address 0x", std::hex, addr, std::dec,
+                  " is beyond the tag range of '", config_.name, "'");
+        return static_cast<Tag>(line);
+    }
 
     /**
      * Replacement: the way of the set at `base` with the smallest
      * stamp, ties to the lowest way. Free ways carry stamp 0, so the
      * first free way wins; a full set gives up its least recently
      * used line. The single replacement decision point — a different
-     * policy replaces this function.
+     * policy replaces this function. The same walk checks that `tag`
+     * is not already in the set (allocate()'s precondition).
      */
-    unsigned victimWay(Way base) const;
+    unsigned victimWay(Way base, Tag tag) const;
 
     CacheConfig config_;
     std::uint64_t numSets_;
 
     /** @{ numSets_ * assoc entries each, set-major. */
-    std::vector<Addr> tags_;             ///< freeTag marks a free way
+    std::vector<Tag> tags_;              ///< freeTag marks a free way
     std::vector<std::uint64_t> stamps_;  ///< LRU clock at last use; 0 = free
     std::vector<std::uint8_t> dirty_;
     /** @} */

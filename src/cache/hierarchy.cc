@@ -5,6 +5,11 @@
 
 #include "hierarchy.hh"
 
+#include <algorithm>
+#include <bit>
+
+#include "ckpt/ckpt.hh"
+
 namespace rrm::cache
 {
 
@@ -37,6 +42,9 @@ CacheHierarchy::CacheHierarchy(const HierarchyConfig &config)
     : config_(config)
 {
     RRM_CHECK(config_.numCores >= 1, "need at least one core");
+    RRM_CHECK(config_.numCores <= 64,
+              "a sharer row holds at most 64 cores, got ",
+              config_.numCores);
     for (unsigned c = 0; c < config_.numCores; ++c) {
         CacheConfig l1 = config_.l1;
         CacheConfig l2 = config_.l2;
@@ -46,6 +54,37 @@ CacheHierarchy::CacheHierarchy(const HierarchyConfig &config)
         l2s_.push_back(std::make_unique<Cache>(l2));
     }
     llc_ = std::make_unique<Cache>(config_.llc);
+
+    rowShift_ = static_cast<unsigned>(
+        std::countr_zero(std::bit_ceil(config_.numCores)));
+    rowMask_ = ~std::uint64_t(0) >> (64 - (1u << rowShift_));
+    const std::uint64_t llc_lines = llc_->numSets() * config_.llc.assoc;
+    sharers_.assign(divCeil(llc_lines << rowShift_, 64), 0);
+}
+
+std::uint64_t
+CacheHierarchy::takeSharers(Way llc_way)
+{
+    const std::uint64_t bit = std::uint64_t(llc_way) << rowShift_;
+    std::uint64_t &word = sharers_[bit >> 6];
+    const unsigned shift = bit & 63;
+    const std::uint64_t row = (word >> shift) & rowMask_;
+    word &= ~(rowMask_ << shift);
+    return row;
+}
+
+void
+CacheHierarchy::addSharer(Way llc_way, unsigned core)
+{
+    const std::uint64_t bit = (std::uint64_t(llc_way) << rowShift_) + core;
+    sharers_[bit >> 6] |= std::uint64_t(1) << (bit & 63);
+}
+
+bool
+CacheHierarchy::isSharer(Way llc_way, unsigned core) const
+{
+    const std::uint64_t bit = (std::uint64_t(llc_way) << rowShift_) + core;
+    return (sharers_[bit >> 6] >> (bit & 63)) & 1;
 }
 
 HierarchyEvents
@@ -67,12 +106,13 @@ CacheHierarchy::access(unsigned core, Addr addr, bool is_write)
             ev.hitLevel = 2;
         } else {
             ev.latency += config_.llc.hitLatency;
-            if (llc_->lookup(addr) == noWay) {
+            const Way llc_way = llc_->lookup(addr);
+            if (llc_way == noWay) {
                 ev.llcMiss = true;
                 return ev;
             }
             ev.hitLevel = 3;
-            fillIntoL2(core, addr, ev);
+            fillIntoL2(core, addr, llc_way, ev);
         }
         way = fillIntoL1(core, addr);
     }
@@ -89,14 +129,17 @@ CacheHierarchy::fill(unsigned core, Addr addr, bool is_write)
 
     HierarchyEvents ev;
     // allocate() rejects a line already in the LLC.
-    const Victim victim = llc_->allocate(addr).victim;
+    const Allocation alloc = llc_->allocate(addr);
+    // The row belongs to the outgoing line; the new one starts empty.
+    std::uint64_t sharers = takeSharers(alloc.way);
+    const Victim &victim = alloc.victim;
     if (victim.valid) {
         // Back-invalidate upper-level copies to preserve inclusion; a
-        // dirtier upper copy upgrades the outgoing line. Any core may
-        // hold a copy (shared LLC hits fill other cores' L1/L2), so
-        // sweep them all.
+        // dirtier upper copy upgrades the outgoing line. Only the cores
+        // in the line's sharer row can hold one (L1 ⊆ L2).
         bool dirty = victim.dirty;
-        for (unsigned c = 0; c < config_.numCores; ++c) {
+        for (; sharers != 0; sharers &= sharers - 1) {
+            const auto c = static_cast<unsigned>(std::countr_zero(sharers));
             dirty |= l2s_[c]->invalidate(victim.addr);
             dirty |= l1s_[c]->invalidate(victim.addr);
         }
@@ -106,7 +149,7 @@ CacheHierarchy::fill(unsigned core, Addr addr, bool is_write)
         }
     }
 
-    fillIntoL2(core, addr, ev);
+    fillIntoL2(core, addr, alloc.way, ev);
     const Way way = fillIntoL1(core, addr);
     if (is_write)
         l1s_[core]->markDirty(way);
@@ -114,8 +157,10 @@ CacheHierarchy::fill(unsigned core, Addr addr, bool is_write)
 }
 
 void
-CacheHierarchy::fillIntoL2(unsigned core, Addr addr, HierarchyEvents &ev)
+CacheHierarchy::fillIntoL2(unsigned core, Addr addr, Way llc_way,
+                           HierarchyEvents &ev)
 {
+    addSharer(llc_way, core);
     const Victim victim = l2s_[core]->allocate(addr).victim;
     if (!victim.valid)
         return;
@@ -178,6 +223,19 @@ CacheHierarchy::restoreCkpt(ckpt::ChunkReader &r)
         l2s_[c]->restoreCkpt(r);
     }
     llc_->restoreCkpt(r);
+
+    std::fill(sharers_.begin(), sharers_.end(), 0);
+    for (unsigned c = 0; c < config_.numCores; ++c) {
+        l2s_[c]->forEachValidLine([&](Addr a) {
+            const Way llc_way = llc_->find(a);
+            if (llc_way == noWay)
+                throw ckpt::CkptError("checkpoint breaks inclusion: an "
+                                      "L2 line of core " +
+                                      std::to_string(c) +
+                                      " is absent from the LLC");
+            addSharer(llc_way, c);
+        });
+    }
 }
 
 void
@@ -194,9 +252,14 @@ CacheHierarchy::audit() const
                       " absent from L2");
         });
         l2s_[c]->forEachValidLine([&](Addr a) {
-            RRM_AUDIT(llc_->find(a) != noWay, "inclusion: L2 line 0x",
-                      std::hex, a, std::dec, " of core ", c,
-                      " absent from the LLC");
+            const Way llc_way = llc_->find(a);
+            RRM_AUDIT(llc_way != noWay, "inclusion: L2 line 0x", std::hex,
+                      a, std::dec, " of core ", c, " absent from the LLC");
+            if (llc_way != noWay) {
+                RRM_AUDIT(isSharer(llc_way, c), "L2 line 0x", std::hex, a,
+                          std::dec, " of core ", c,
+                          " missing from its LLC sharer row");
+            }
         });
     }
 }

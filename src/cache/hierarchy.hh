@@ -13,6 +13,10 @@
  *  - a **memory write** happens exactly when an LLC victim leaves the
  *    hierarchy dirty (merging any dirtier L1/L2 copies).
  *
+ * Each LLC line keeps a sharer row, one bit per core that filled the
+ * line into its L2 since the LLC allocated it, so an LLC victim
+ * back-invalidates only those cores.
+ *
  * Instruction fetch is not modelled: the SPEC-like workloads of the
  * paper have negligible I-side LLC traffic. The per-core L1 MSHRs are
  * cpu::CoreParams::maxOutstandingMisses, which the core model enforces
@@ -112,20 +116,40 @@ class CacheHierarchy : public Auditable
 
     /**
      * Invariants: each level's own array is consistent (see
-     * Cache::audit) and inclusion holds (L1 ⊆ L2 ⊆ LLC), so dirty
-     * upper copies have their backing line present below.
+     * Cache::audit), inclusion holds (L1 ⊆ L2 ⊆ LLC), so dirty upper
+     * copies have their backing line present below, and every L2
+     * line's core is in its LLC line's sharer row.
      */
     void audit() const override;
 
   private:
-    void fillIntoL2(unsigned core, Addr addr, HierarchyEvents &ev);
+    /** Fill `addr`, present in the LLC at `llc_way`, into core's L2. */
+    void fillIntoL2(unsigned core, Addr addr, Way llc_way,
+                    HierarchyEvents &ev);
     /** @return the new L1 line. */
     Way fillIntoL1(unsigned core, Addr addr);
+
+    /**
+     * @{ Sharer rows: bit_ceil(numCores) bits per LLC line, indexed by
+     * the line's handle and packed into 64-bit words (a row never
+     * straddles two). A row may name cores that have since dropped the
+     * line (an L2 eviction leaves the bit set); invalidating an absent
+     * line does nothing, so that superset is exact enough. Derived
+     * state: not checkpointed, rebuilt from the L2s on restore.
+     */
+    std::uint64_t takeSharers(Way llc_way);
+    void addSharer(Way llc_way, unsigned core);
+    bool isSharer(Way llc_way, unsigned core) const;
+    /** @} */
 
     HierarchyConfig config_;
     std::vector<std::unique_ptr<Cache>> l1s_;
     std::vector<std::unique_ptr<Cache>> l2s_;
     std::unique_ptr<Cache> llc_;
+
+    unsigned rowShift_;             ///< log2 of the bits per sharer row
+    std::uint64_t rowMask_;         ///< one row's bits, at bit 0
+    std::vector<std::uint64_t> sharers_;
 };
 
 } // namespace rrm::cache

@@ -1,34 +1,50 @@
 /**
  * @file
- * Fixed-capacity dynamic bit vector.
+ * Fixed-width bit-vector view over caller-owned 64-bit words.
  *
  * Models hardware bit-vector state such as the RRM entry's
  * short_retention_vector, whose width depends on the configured
  * Retention Region size (region bytes / 64-byte blocks: 32..256 bits).
- * std::vector<bool> is avoided deliberately (proxy-reference pitfalls,
- * no popcount access); this class stores words and exposes the
- * operations the RRM needs: set/clear/test, popcount, find-all-set.
+ * The owner keeps many vectors in one flat word array and hands out
+ * views, so a table of vectors costs no allocation per vector. The view
+ * exposes the operations the RRM needs: set/clear/test, popcount,
+ * find-all-set. std::vector<bool> is avoided deliberately
+ * (proxy-reference pitfalls, no popcount access).
  */
 
 #ifndef RRM_COMMON_BITVECTOR_HH
 #define RRM_COMMON_BITVECTOR_HH
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <type_traits>
 
 #include "check.hh"
 
 namespace rrm
 {
 
-/** Dynamic-width bit vector with word-level popcount and iteration. */
-class BitVector
+/**
+ * A view of `size()` bits stored in words[0 .. wordsFor(size())).
+ * Word is std::uint64_t (BitVector) or const std::uint64_t
+ * (ConstBitVector, read-only).
+ */
+template <typename Word>
+class BasicBitVector
 {
+    static_assert(std::is_same_v<std::remove_const_t<Word>, std::uint64_t>);
+
   public:
-    /** Create an all-zero vector of the given bit width. */
-    explicit BitVector(std::size_t num_bits = 0)
-        : numBits_(num_bits), words_((num_bits + 63) / 64, 0)
+    /** Number of words that hold `num_bits` bits. */
+    static constexpr std::size_t
+    wordsFor(std::size_t num_bits)
+    {
+        return (num_bits + 63) / 64;
+    }
+
+    BasicBitVector(Word *words, std::size_t num_bits)
+        : words_(words), numBits_(num_bits)
     {}
 
     std::size_t size() const { return numBits_; }
@@ -42,6 +58,7 @@ class BitVector
 
     void
     set(std::size_t i)
+        requires(!std::is_const_v<Word>)
     {
         checkIndex(i);
         words_[i >> 6] |= (1ULL << (i & 63));
@@ -49,6 +66,7 @@ class BitVector
 
     void
     clear(std::size_t i)
+        requires(!std::is_const_v<Word>)
     {
         checkIndex(i);
         words_[i >> 6] &= ~(1ULL << (i & 63));
@@ -57,9 +75,10 @@ class BitVector
     /** Clear every bit. */
     void
     reset()
+        requires(!std::is_const_v<Word>)
     {
-        for (auto &w : words_)
-            w = 0;
+        for (std::size_t wi = 0; wi < numWords(); ++wi)
+            words_[wi] = 0;
     }
 
     /** Number of set bits. */
@@ -67,8 +86,8 @@ class BitVector
     popcount() const
     {
         std::size_t n = 0;
-        for (auto w : words_)
-            n += static_cast<std::size_t>(std::popcount(w));
+        for (std::size_t wi = 0; wi < numWords(); ++wi)
+            n += static_cast<std::size_t>(std::popcount(words_[wi]));
         return n;
     }
 
@@ -76,8 +95,8 @@ class BitVector
     bool
     none() const
     {
-        for (auto w : words_)
-            if (w)
+        for (std::size_t wi = 0; wi < numWords(); ++wi)
+            if (words_[wi])
                 return false;
         return true;
     }
@@ -94,7 +113,7 @@ class BitVector
     void
     forEachSet(Fn &&fn) const
     {
-        for (std::size_t wi = 0; wi < words_.size(); ++wi) {
+        for (std::size_t wi = 0; wi < numWords(); ++wi) {
             std::uint64_t w = words_[wi];
             while (w) {
                 const int bit = std::countr_zero(w);
@@ -104,26 +123,9 @@ class BitVector
         }
     }
 
-    bool
-    operator==(const BitVector &other) const
-    {
-        return numBits_ == other.numBits_ && words_ == other.words_;
-    }
-
-    /** @{ Raw word access (checkpoint serialization). */
-    const std::vector<std::uint64_t> &words() const { return words_; }
-
-    void
-    setWords(const std::vector<std::uint64_t> &words)
-    {
-        RRM_CHECK(words.size() == words_.size(),
-                  "bit-vector word count mismatch: have ",
-                  words_.size(), ", got ", words.size());
-        words_ = words;
-    }
-    /** @} */
-
   private:
+    std::size_t numWords() const { return wordsFor(numBits_); }
+
     void
     checkIndex(std::size_t i) const
     {
@@ -131,9 +133,12 @@ class BitVector
                   numBits_, ")");
     }
 
+    Word *words_;
     std::size_t numBits_;
-    std::vector<std::uint64_t> words_;
 };
+
+using BitVector = BasicBitVector<std::uint64_t>;
+using ConstBitVector = BasicBitVector<const std::uint64_t>;
 
 } // namespace rrm
 

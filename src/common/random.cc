@@ -1,6 +1,7 @@
 /**
  * @file
- * xoshiro256** engine and Zipf rejection-inversion sampler.
+ * xoshiro256** engine, geometric sampler and Zipf rejection-inversion
+ * sampler.
  */
 
 #include "random.hh"
@@ -72,25 +73,18 @@ Random::chance(double p)
     return uniformDouble() < p;
 }
 
-std::uint64_t
-Random::geometric(double mean)
-{
-    RRM_CHECK(mean >= 1.0, "geometric() mean must be >= 1");
-    if (mean == 1.0)
-        return 1;
-    const double p = 1.0 / mean;
-    double u = uniformDouble();
-    // Avoid log(0).
-    if (u <= 0.0)
-        u = 0x1.0p-53;
-    const double v = std::ceil(std::log(u) / std::log1p(-p));
-    return v < 1.0 ? 1 : static_cast<std::uint64_t>(v);
-}
-
 Random
 Random::split()
 {
     return Random(next() ^ 0xd1b54a32d192ed03ULL);
+}
+
+GeometricSampler::GeometricSampler(double mean)
+    : mean_(mean)
+{
+    RRM_CHECK(mean >= 1.0, "GeometricSampler mean must be >= 1, got ",
+              mean);
+    logKeep_ = std::log1p(-1.0 / mean);
 }
 
 // --------------------------------------------------------------------

@@ -13,6 +13,7 @@
 #define RRM_COMMON_RANDOM_HH
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 
 #include "check.hh"
@@ -55,9 +56,6 @@ class Random
     /** Bernoulli trial: true with probability p (clamped to [0,1]). */
     bool chance(double p);
 
-    /** Geometric inter-arrival sample with the given mean (>= 1). */
-    std::uint64_t geometric(double mean);
-
     /**
      * Split off an independent child generator. Children seeded from
      * distinct parent draws produce decorrelated streams, which lets
@@ -83,6 +81,38 @@ class Random
 
   private:
     std::uint64_t state_[4];
+};
+
+/**
+ * Sampler for geometric inter-arrival gaps (values >= 1) with a fixed
+ * mean, by inversion: ceil(log(u) / log1p(-1/mean)) for one uniform
+ * u. The divisor is computed once here; each draw still divides by it
+ * (a multiply by its reciprocal rounds across an integer at some u, and
+ * so would change the streams built on these gaps).
+ */
+class GeometricSampler
+{
+  public:
+    /** @param mean Mean gap (>= 1; exactly 1 always draws 1). */
+    explicit GeometricSampler(double mean);
+
+    /** Draw one gap; consumes one value of `rng` unless mean is 1. */
+    std::uint64_t
+    sample(Random &rng) const
+    {
+        if (mean_ == 1.0)
+            return 1;
+        double u = rng.uniformDouble();
+        // Avoid log(0).
+        if (u <= 0.0)
+            u = 0x1.0p-53;
+        const double v = std::ceil(std::log(u) / logKeep_);
+        return v < 1.0 ? 1 : static_cast<std::uint64_t>(v);
+    }
+
+  private:
+    double mean_;
+    double logKeep_; ///< log1p(-1/mean): log of the per-step miss chance
 };
 
 /**

@@ -15,8 +15,8 @@ RegionMonitor::RegionMonitor(const RrmConfig &config, EventQueue &queue)
 {
     config_.check();
     entries_.resize(std::size_t(config_.numSets) * config_.assoc);
-    for (auto &e : entries_)
-        e.shortRetentionVector = BitVector(config_.blocksPerRegion());
+    wordsPerVector_ = BitVector::wordsFor(config_.blocksPerRegion());
+    vectorWords_.assign(entries_.size() * wordsPerVector_, 0);
 }
 
 RegionMonitor::~RegionMonitor()
@@ -44,6 +44,22 @@ RegionMonitor::stop()
 {
     refreshTask_.reset();
     decayTask_.reset();
+}
+
+BitVector
+RegionMonitor::vectorOf(const Entry &entry)
+{
+    const auto index = static_cast<std::size_t>(&entry - entries_.data());
+    return {vectorWords_.data() + index * wordsPerVector_,
+            config_.blocksPerRegion()};
+}
+
+ConstBitVector
+RegionMonitor::vectorOf(const Entry &entry) const
+{
+    const auto index = static_cast<std::size_t>(&entry - entries_.data());
+    return {vectorWords_.data() + index * wordsPerVector_,
+            config_.blocksPerRegion()};
 }
 
 std::uint64_t
@@ -97,9 +113,8 @@ RegionMonitor::allocate(std::uint64_t region_id)
                   obs::TraceCategory::RrmLifecycle, "evict",
                   RRM_TF("region", slot->regionId),
                   RRM_TF("hot", slot->hot),
-                  RRM_TF("vectorBits",
-                         slot->shortRetentionVector.popcount()));
-        if (slot->shortRetentionVector.any()) {
+                  RRM_TF("vectorBits", vectorOf(*slot).popcount()));
+        if (vectorOf(*slot).any()) {
             // Fast-written blocks lose their tracker: hand them back
             // to long retention before dropping the entry.
             if (statEvictionFlushes_)
@@ -113,7 +128,7 @@ RegionMonitor::allocate(std::uint64_t region_id)
     slot->hot = false;
     slot->dirtyWriteCounter = 0;
     slot->decayCounter = 0;
-    slot->shortRetentionVector.reset();
+    vectorOf(*slot).reset();
     slot->lruStamp = ++lruClock_;
     if (statAllocations_)
         ++*statAllocations_;
@@ -166,7 +181,7 @@ RegionMonitor::registerLlcWrite(Addr addr, bool was_dirty)
     if (entry->hot) {
         const std::uint64_t block =
             (addr % config_.regionBytes) / blockBytes;
-        entry->shortRetentionVector.set(block);
+        vectorOf(*entry).set(block);
     }
 }
 
@@ -177,7 +192,7 @@ RegionMonitor::writeModeFor(Addr block_addr) const
     if (entry) {
         const std::uint64_t block =
             (block_addr % config_.regionBytes) / blockBytes;
-        if (entry->shortRetentionVector.test(block)) {
+        if (vectorOf(*entry).test(block)) {
             if (statFastDecisions_)
                 ++*statFastDecisions_;
             return config_.fastMode;
@@ -204,13 +219,14 @@ void
 RegionMonitor::demote(Entry &entry, bool from_eviction)
 {
     const Addr region_base = entry.regionId * config_.regionBytes;
-    entry.shortRetentionVector.forEachSet([&](std::size_t block) {
+    BitVector vector = vectorOf(entry);
+    vector.forEachSet([&](std::size_t block) {
         emitRefresh(region_base + block * blockBytes,
                     config_.slowMode, true);
         if (statSlowRefreshes_)
             ++*statSlowRefreshes_;
     });
-    entry.shortRetentionVector.reset();
+    vector.reset();
     entry.hot = false;
     if (!from_eviction) {
         if (statDemotions_)
@@ -234,7 +250,7 @@ RegionMonitor::onShortRetentionInterrupt()
         if (!entry.valid || !entry.hot)
             continue;
         const Addr region_base = entry.regionId * config_.regionBytes;
-        entry.shortRetentionVector.forEachSet([&](std::size_t block) {
+        vectorOf(entry).forEachSet([&](std::size_t block) {
             emitRefresh(region_base + block * blockBytes,
                         config_.fastMode, false);
             if (statFastRefreshes_)
@@ -329,7 +345,7 @@ RegionMonitor::shortRetentionBit(Addr block_addr) const
         return false;
     const std::uint64_t block =
         (block_addr % config_.regionBytes) / blockBytes;
-    return e->shortRetentionVector.test(block);
+    return vectorOf(*e).test(block);
 }
 
 std::uint64_t
@@ -358,7 +374,7 @@ RegionMonitor::shortRetentionBlockCount() const
     std::uint64_t n = 0;
     for (const auto &e : entries_)
         if (e.valid)
-            n += e.shortRetentionVector.popcount();
+            n += vectorOf(e).popcount();
     return n;
 }
 
@@ -370,18 +386,12 @@ RegionMonitor::audit() const
         const Entry *base = &entries_[set * config_.assoc];
         for (unsigned w = 0; w < config_.assoc; ++w) {
             const Entry &e = base[w];
-            RRM_AUDIT(e.shortRetentionVector.size() ==
-                          config_.blocksPerRegion(),
-                      "entry (set ", set, " way ", w,
-                      ") vector width ", e.shortRetentionVector.size(),
-                      " != blocks per region ",
-                      config_.blocksPerRegion());
+            const ConstBitVector vector = vectorOf(e);
             if (!e.valid) {
                 RRM_AUDIT(!e.hot, "invalid entry (set ", set, " way ",
                           w, ") is marked hot");
-                RRM_AUDIT(e.shortRetentionVector.none(),
-                          "invalid entry (set ", set, " way ", w,
-                          ") still holds vector bits");
+                RRM_AUDIT(vector.none(), "invalid entry (set ", set,
+                          " way ", w, ") still holds vector bits");
                 continue;
             }
 
@@ -400,8 +410,7 @@ RegionMonitor::audit() const
                           " below half the promotion threshold — hot "
                           "without ever reaching hot_threshold?");
             } else {
-                RRM_AUDIT(e.shortRetentionVector.none(), "region ",
-                          e.regionId,
+                RRM_AUDIT(vector.none(), "region ", e.regionId,
                           " holds vector bits while not hot");
             }
             RRM_AUDIT(e.decayCounter < config_.decayTicksPerInterval,
@@ -411,7 +420,7 @@ RegionMonitor::audit() const
             RRM_AUDIT(e.lruStamp <= lruClock_, "region ", e.regionId,
                       " LRU stamp ", e.lruStamp,
                       " ahead of the LRU clock ", lruClock_);
-            vector_bits += e.shortRetentionVector.popcount();
+            vector_bits += vector.popcount();
 
             for (unsigned v = w + 1; v < config_.assoc; ++v) {
                 if (!base[v].valid)
@@ -445,6 +454,7 @@ RegionMonitor::saveCkpt(ckpt::ChunkWriter &w) const
         w.u64(decayTask_->nextFireAt());
     }
     w.u32(static_cast<std::uint32_t>(entries_.size()));
+    const std::uint64_t *words = vectorWords_.data();
     for (const Entry &e : entries_) {
         w.u64(e.regionId);
         w.u64(e.lruStamp);
@@ -452,8 +462,8 @@ RegionMonitor::saveCkpt(ckpt::ChunkWriter &w) const
         w.u32(e.decayCounter);
         w.b(e.valid);
         w.b(e.hot);
-        for (const std::uint64_t word : e.shortRetentionVector.words())
-            w.u64(word);
+        for (std::size_t i = 0; i < wordsPerVector_; ++i)
+            w.u64(*words++);
     }
 }
 
@@ -483,9 +493,7 @@ RegionMonitor::restoreCkpt(ckpt::ChunkReader &r)
             "RRM has " + std::to_string(entries_.size()) +
             " entries but the checkpoint holds " + std::to_string(n) +
             " (geometry mismatch)");
-    const std::size_t vector_words =
-        (config_.blocksPerRegion() + 63) / 64;
-    std::vector<std::uint64_t> words(vector_words);
+    std::uint64_t *words = vectorWords_.data();
     for (Entry &e : entries_) {
         e.regionId = r.u64();
         e.lruStamp = r.u64();
@@ -493,9 +501,8 @@ RegionMonitor::restoreCkpt(ckpt::ChunkReader &r)
         e.decayCounter = r.u32();
         e.valid = r.b();
         e.hot = r.b();
-        for (std::uint64_t &word : words)
-            word = r.u64();
-        e.shortRetentionVector.setWords(words);
+        for (std::size_t i = 0; i < wordsPerVector_; ++i)
+            *words++ = r.u64();
     }
     if (armed) {
         // Re-arm in ascending last-arm order (next fire minus period):
@@ -564,10 +571,10 @@ void
 RegionMonitorTestAccess::corruptVectorBit(RegionMonitor &rrm,
                                           Addr block_addr)
 {
-    RegionMonitor::Entry &e = entryFor(rrm, block_addr);
+    const RegionMonitor::Entry &e = entryFor(rrm, block_addr);
     const std::uint64_t block =
         (block_addr % rrm.config_.regionBytes) / blockBytes;
-    e.shortRetentionVector.set(block);
+    rrm.vectorOf(e).set(block);
 }
 
 void

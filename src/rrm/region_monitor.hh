@@ -38,6 +38,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "common/auditable.hh"
@@ -188,8 +189,7 @@ class RegionMonitor : public Auditable
      *  - a hot entry's counter is at least hot_threshold/2 (set to
      *    the threshold at promotion, halved at most once per decay
      *    wrap while still hot);
-     *  - only hot entries carry short_retention_vector bits, and
-     *    every vector has exactly blocksPerRegion() bits;
+     *  - only hot entries carry short_retention_vector bits;
      *  - shortRetentionBlockCount() equals the recomputed popcount
      *    over all vectors;
      *  - each entry lives in the set its region id indexes, region
@@ -202,16 +202,22 @@ class RegionMonitor : public Auditable
   private:
     friend struct RegionMonitorTestAccess;
 
+    /** One entry; its short_retention_vector lives in vectorWords_. */
     struct Entry
     {
         Addr regionId = 0;
         std::uint64_t lruStamp = 0;
-        BitVector shortRetentionVector;
         unsigned dirtyWriteCounter = 0;
         unsigned decayCounter = 0;
         bool valid = false;
         bool hot = false;
     };
+    static_assert(std::is_trivially_copyable_v<Entry>);
+
+    /** @{ The short_retention_vector of `entry` (an entries_ element). */
+    BitVector vectorOf(const Entry &entry);
+    ConstBitVector vectorOf(const Entry &entry) const;
+    /** @} */
 
     std::uint64_t regionIdOf(Addr addr) const;
     std::uint64_t setOf(std::uint64_t region_id) const;
@@ -233,6 +239,9 @@ class RegionMonitor : public Auditable
     RrmConfig config_;
     EventQueue &queue_;
     std::vector<Entry> entries_; ///< numSets * assoc, set-major
+    std::size_t wordsPerVector_; ///< words of one entry's vector
+    /** Every entry's short_retention_vector, in entries_ order. */
+    std::vector<std::uint64_t> vectorWords_;
     std::uint64_t lruClock_ = 0;
 
     RefreshCallback refreshCallback_;

@@ -11,15 +11,29 @@
 namespace rrm::trace
 {
 
-TraceGenerator::TraceGenerator(const BenchmarkProfile &profile,
-                               std::uint64_t seed)
-    : profile_(profile), rng_(seed)
+namespace
 {
-    RRM_CHECK(!profile.patterns.empty(),
-              "profile '", profile.name, "' has no patterns");
+
+/** Mean instructions per memory instruction, the gap's one included. */
+double
+instrPerMemOp(const BenchmarkProfile &profile)
+{
     RRM_CHECK(profile.memOpsPerKiloInstr > 0.0 &&
                   profile.memOpsPerKiloInstr <= 1000.0,
               "memory intensity out of range");
+    return (1000.0 - profile.memOpsPerKiloInstr) /
+               profile.memOpsPerKiloInstr +
+           1.0;
+}
+
+} // namespace
+
+TraceGenerator::TraceGenerator(const BenchmarkProfile &profile,
+                               std::uint64_t seed)
+    : profile_(profile), rng_(seed), gap_(instrPerMemOp(profile))
+{
+    RRM_CHECK(!profile.patterns.empty(),
+              "profile '", profile.name, "' has no patterns");
 
     double total_weight = 0.0;
     Addr base = 0;
@@ -38,9 +52,6 @@ TraceGenerator::TraceGenerator(const BenchmarkProfile &profile,
     for (auto &c : components_)
         c.cumulativeWeight /= total_weight;
     components_.back().cumulativeWeight = 1.0;
-
-    meanGap_ =
-        (1000.0 - profile.memOpsPerKiloInstr) / profile.memOpsPerKiloInstr;
 }
 
 TraceRecord
@@ -63,8 +74,8 @@ TraceGenerator::next()
     rec.type = type;
     // Geometric gap with the profile's mean; gaps of zero model
     // back-to-back memory instructions.
-    rec.gapInstructions = static_cast<std::uint32_t>(
-        rng_.geometric(meanGap_ + 1.0) - 1);
+    rec.gapInstructions =
+        static_cast<std::uint32_t>(gap_.sample(rng_) - 1);
     return rec;
 }
 

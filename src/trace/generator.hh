@@ -38,9 +38,6 @@ class TraceGenerator
 
     const BenchmarkProfile &profile() const { return profile_; }
 
-    /** Mean non-memory instructions between memory instructions. */
-    double meanGapInstructions() const { return meanGap_; }
-
   private:
     struct Component
     {
@@ -53,7 +50,8 @@ class TraceGenerator
     Random rng_;
     std::vector<Component> components_;
     std::uint64_t footprint_ = 0;
-    double meanGap_ = 0.0;
+    /** Memory instruction plus the gap before the next: mean >= 1. */
+    GeometricSampler gap_;
 };
 
 } // namespace rrm::trace

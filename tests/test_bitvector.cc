@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the fixed-width BitVector.
+ * Tests for the fixed-width BitVector view.
  */
 
 #include <gtest/gtest.h>
@@ -15,12 +15,24 @@ namespace rrm
 namespace
 {
 
+/** Zeroed words for one vector of `bits` bits, and a view of them. */
+struct Backed
+{
+    explicit Backed(std::size_t bits)
+        : words(BitVector::wordsFor(bits), 0), v(words.data(), bits)
+    {}
+
+    std::vector<std::uint64_t> words;
+    BitVector v;
+};
+
 class BitVectorWidths : public ::testing::TestWithParam<std::size_t>
 {};
 
 TEST_P(BitVectorWidths, StartsAllClear)
 {
-    BitVector v(GetParam());
+    Backed backed(GetParam());
+    BitVector &v = backed.v;
     EXPECT_EQ(v.size(), GetParam());
     EXPECT_TRUE(v.none());
     EXPECT_FALSE(v.any());
@@ -31,7 +43,8 @@ TEST_P(BitVectorWidths, StartsAllClear)
 
 TEST_P(BitVectorWidths, SetTestClearRoundTrip)
 {
-    BitVector v(GetParam());
+    Backed backed(GetParam());
+    BitVector &v = backed.v;
     if (v.size() == 0)
         return;
     const std::size_t probes[] = {0, v.size() / 2, v.size() - 1};
@@ -47,7 +60,8 @@ TEST_P(BitVectorWidths, SetTestClearRoundTrip)
 
 TEST_P(BitVectorWidths, PopcountTracksSets)
 {
-    BitVector v(GetParam());
+    Backed backed(GetParam());
+    BitVector &v = backed.v;
     std::size_t expected = 0;
     for (std::size_t i = 0; i < v.size(); i += 3) {
         v.set(i);
@@ -63,7 +77,8 @@ TEST_P(BitVectorWidths, PopcountTracksSets)
 
 TEST_P(BitVectorWidths, ForEachSetVisitsInOrder)
 {
-    BitVector v(GetParam());
+    Backed backed(GetParam());
+    BitVector &v = backed.v;
     std::vector<std::size_t> want;
     for (std::size_t i = 1; i < v.size(); i *= 2) {
         v.set(i);
@@ -76,7 +91,8 @@ TEST_P(BitVectorWidths, ForEachSetVisitsInOrder)
 
 TEST_P(BitVectorWidths, ResetClearsEverything)
 {
-    BitVector v(GetParam());
+    Backed backed(GetParam());
+    BitVector &v = backed.v;
     for (std::size_t i = 0; i < v.size(); ++i)
         v.set(i);
     v.reset();
@@ -89,26 +105,17 @@ INSTANTIATE_TEST_SUITE_P(Widths, BitVectorWidths,
 
 TEST(BitVector, OutOfRangePanics)
 {
-    BitVector v(64);
+    Backed backed(64);
+    BitVector &v = backed.v;
     EXPECT_THROW(v.test(64), check::CheckError);
     EXPECT_THROW(v.set(64), check::CheckError);
     EXPECT_THROW(v.clear(1000), check::CheckError);
 }
 
-TEST(BitVector, EqualityComparesContentAndWidth)
-{
-    BitVector a(64), b(64), c(65);
-    EXPECT_TRUE(a == b);
-    EXPECT_FALSE(a == c);
-    a.set(5);
-    EXPECT_FALSE(a == b);
-    b.set(5);
-    EXPECT_TRUE(a == b);
-}
-
 TEST(BitVector, WordBoundaryBitsAreIndependent)
 {
-    BitVector v(128);
+    Backed backed(128);
+    BitVector &v = backed.v;
     v.set(63);
     v.set(64);
     EXPECT_TRUE(v.test(63));
@@ -116,6 +123,29 @@ TEST(BitVector, WordBoundaryBitsAreIndependent)
     v.clear(63);
     EXPECT_FALSE(v.test(63));
     EXPECT_TRUE(v.test(64));
+}
+
+TEST(BitVector, ViewsShareTheirOwnersWordsOnly)
+{
+    // Two 96-bit vectors back to back, two words each, as an owner
+    // lays out a table of them.
+    std::vector<std::uint64_t> words(4, 0);
+    BitVector first(words.data(), 96);
+    BitVector second(words.data() + 2, 96);
+    first.set(95);
+    second.set(0);
+    EXPECT_EQ(words, (std::vector<std::uint64_t>{0, 1ULL << 31, 1, 0}));
+    EXPECT_EQ(first.popcount(), 1u);
+    EXPECT_EQ(second.popcount(), 1u);
+
+    // A read-only view sees what the writable one wrote.
+    const ConstBitVector reader(words.data(), 96);
+    EXPECT_TRUE(reader.test(95));
+    EXPECT_FALSE(reader.test(0));
+    first.reset();
+    EXPECT_TRUE(reader.none());
+    EXPECT_TRUE(second.test(0));
+    EXPECT_EQ(words, (std::vector<std::uint64_t>{0, 0, 1, 0}));
 }
 
 } // namespace

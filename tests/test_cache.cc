@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/cache.hh"
+#include "ckpt/ckpt.hh"
 #include "common/check.hh"
 
 namespace rrm::cache
@@ -185,6 +186,69 @@ TEST(Cache, StatsCountHitsMissesEvictions)
     EXPECT_DOUBLE_EQ(scalar(g, "misses"), 1.0);
     EXPECT_DOUBLE_EQ(scalar(g, "hits"), 1.0);
     EXPECT_DOUBLE_EQ(scalar(g, "evictions"), 1.0);
+}
+
+TEST(Cache, AllocateAndLookupRejectLinesBeyondTheTagRange)
+{
+    // Tags are 32-bit line addresses and the all-ones tag marks a free
+    // way, so line 2^32 - 1 and every line past it must fail loudly
+    // rather than match a free way or alias a line 2^32 below.
+    Cache c(tinyConfig());
+    const Addr top = (Addr(1) << 32) - 1;
+    c.allocate((top - 1) * 64); // the last line in range
+    EXPECT_NE(c.find((top - 1) * 64), noWay);
+    for (const Addr line : {top, top + 1, top + 2, ~Addr(0) >> 6}) {
+        const Addr addr = line * 64;
+        EXPECT_THROW(c.allocate(addr), check::CheckError) << line;
+        EXPECT_THROW(c.lookup(addr), check::CheckError) << line;
+        EXPECT_THROW(c.invalidate(addr), check::CheckError) << line;
+    }
+    EXPECT_EQ(c.numValidLines(), 1u);
+
+    // So is such a tag in a checkpoint (all-ones still means free).
+    for (const std::uint64_t bad : {std::uint64_t(top), std::uint64_t(top) + 1,
+                                    ~std::uint64_t(0) - 1}) {
+        ckpt::ChunkWriter w;
+        w.u64(1);
+        w.u32(64);
+        for (std::size_t i = 0; i < 64; ++i) {
+            w.u64(i == 5 ? bad : ~std::uint64_t(0));
+            w.u64(i == 5 ? 1 : 0);
+            w.b(false);
+        }
+        Cache target(tinyConfig());
+        ckpt::ChunkReader r(w.data().data(), w.size(), "CACH");
+        EXPECT_THROW(target.restoreCkpt(r), ckpt::CkptError) << bad;
+    }
+}
+
+TEST(Cache, CheckpointWritesSixtyFourBitTags)
+{
+    // The format-8 layout: each tag is a u64 line address and a free
+    // way is all-ones, whatever the width of the tag array.
+    Cache c(tinyConfig());
+    c.markDirty(c.allocate(0x1000).way);
+    ckpt::ChunkWriter w;
+    c.saveCkpt(w);
+
+    ckpt::ChunkReader raw(w.data().data(), w.size(), "CACH");
+    raw.u64(); // LRU clock
+    ASSERT_EQ(raw.u32(), 64u);
+    const Way way = c.find(0x1000);
+    for (Way i = 0; i < 64; ++i) {
+        EXPECT_EQ(raw.u64(), i == way ? 0x1000u / 64 : ~std::uint64_t(0))
+            << i;
+        raw.u64(); // stamp
+        raw.b();   // dirty
+    }
+    raw.expectDone();
+
+    Cache restored(tinyConfig());
+    ckpt::ChunkReader r(w.data().data(), w.size(), "CACH");
+    restored.restoreCkpt(r);
+    EXPECT_EQ(restored.find(0x1000), way);
+    EXPECT_TRUE(restored.isDirty(way));
+    EXPECT_EQ(restored.numValidLines(), 1u);
 }
 
 TEST(Cache, BadGeometryPanics)

@@ -7,7 +7,10 @@
  * one uniform "install a line, push its victim down" rule. Seeded
  * random and adversarial traffic (same-set thrash, write-heavy
  * streams, invalidation holes, cores sharing lines) must produce the
- * same hits, victims, HierarchyEvents and per-level counters.
+ * same hits, victims, HierarchyEvents and per-level counters. The
+ * reference back-invalidates an LLC victim from every core, so it
+ * checks the real hierarchy's sharer rows independently; the tiny3
+ * and tiny64 cases give those rows an unused bit and a whole word.
  */
 
 #include <gtest/gtest.h>
@@ -603,7 +606,9 @@ TEST_P(HierarchyOracle, CoresShareAFewHotLines)
 INSTANTIATE_TEST_SUITE_P(
     Geometries, HierarchyOracle,
     ::testing::Values(OracleCase{"tiny1", tinyConfig, 1},
+                      OracleCase{"tiny3", tinyConfig, 3},
                       OracleCase{"tiny4", tinyConfig, 4},
+                      OracleCase{"tiny64", tinyConfig, 64},
                       OracleCase{"wide1", wideConfig, 1},
                       OracleCase{"wide4", wideConfig, 4}));
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "memctrl/controller.hh"
@@ -78,6 +79,85 @@ TEST_P(RegionSizes, AdjacentRegionsAreIndependent)
     rrm.registerLlcWrite(a, true);
     EXPECT_TRUE(rrm.isHot(a));
     EXPECT_FALSE(rrm.isTracked(b));
+}
+
+TEST_P(RegionSizes, SameSetEntriesKeepTheirOwnBits)
+{
+    // Two hot regions in one set sit in adjacent entries, and so in
+    // adjacent slices of the monitor's one vector-word array (at
+    // 16 KiB, four words each). Bits set in one must not show in the
+    // other, nor be refreshed or cleared with it.
+    monitor::RrmConfig cfg;
+    cfg.regionBytes = GetParam();
+    cfg.numSets = 8;
+    cfg.assoc = 4;
+    cfg.hotThreshold = 1;
+    cfg.timeScale = 1.0;
+    cfg.decayStretch = 1.0;
+    EventQueue queue;
+    monitor::RegionMonitor rrm(cfg, queue);
+    std::vector<monitor::RefreshRequest> refreshes;
+    rrm.setRefreshCallback([&](const monitor::RefreshRequest &r) {
+        refreshes.push_back(r);
+    });
+    const Addr a = 5 * GetParam();
+    const Addr b = (5 + cfg.numSets) * GetParam(); // same set as a
+    const Addr blocks = GetParam() / 64;
+    const std::vector<Addr> a_blocks = {0, blocks / 2 - 1, blocks / 2,
+                                        blocks - 1};
+    const std::vector<Addr> b_blocks = {1, blocks / 2, blocks - 2};
+    for (const Addr k : a_blocks)
+        rrm.registerLlcWrite(a + k * 64, true);
+    for (const Addr k : b_blocks)
+        rrm.registerLlcWrite(b + k * 64, true);
+    ASSERT_TRUE(rrm.isHot(a));
+    ASSERT_TRUE(rrm.isHot(b));
+    EXPECT_EQ(rrm.shortRetentionBlockCount(),
+              a_blocks.size() + b_blocks.size());
+    for (Addr k = 0; k < blocks; ++k) {
+        const bool in_a =
+            std::find(a_blocks.begin(), a_blocks.end(), k) != a_blocks.end();
+        const bool in_b =
+            std::find(b_blocks.begin(), b_blocks.end(), k) != b_blocks.end();
+        ASSERT_EQ(rrm.shortRetentionBit(a + k * 64), in_a) << k;
+        ASSERT_EQ(rrm.shortRetentionBit(b + k * 64), in_b) << k;
+    }
+
+    // One refresh round: each flagged block once, entry by entry.
+    rrm.runSelectiveRefresh();
+    std::vector<Addr> want;
+    for (const Addr k : a_blocks)
+        want.push_back(a + k * 64);
+    for (const Addr k : b_blocks)
+        want.push_back(b + k * 64);
+    std::vector<Addr> got;
+    for (const auto &r : refreshes)
+        got.push_back(r.blockAddr);
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(got, want);
+
+    // Evicting a's entry flushes exactly a's blocks and leaves b's.
+    refreshes.clear();
+    rrm.registerLlcWrite(b, true); // a is now the set's LRU entry
+    for (Addr i = 2; i < 2 + cfg.assoc - 1; ++i)
+        rrm.registerLlcWrite((5 + i * cfg.numSets) * GetParam(), true);
+    ASSERT_FALSE(rrm.isTracked(a));
+    ASSERT_TRUE(rrm.isTracked(b));
+    got.clear();
+    for (const auto &r : refreshes) {
+        EXPECT_TRUE(r.fromDecay);
+        got.push_back(r.blockAddr);
+    }
+    want.clear();
+    for (const Addr k : a_blocks)
+        want.push_back(a + k * 64);
+    EXPECT_EQ(got, want);
+    // b gained block 0; each of the three new entries one block.
+    EXPECT_EQ(rrm.shortRetentionBlockCount(), b_blocks.size() + 1 + 3);
+    for (const Addr k : b_blocks)
+        EXPECT_TRUE(rrm.shortRetentionBit(b + k * 64)) << k;
+    EXPECT_NO_THROW(rrm.audit());
 }
 
 INSTANTIATE_TEST_SUITE_P(Fig13Sizes, RegionSizes,

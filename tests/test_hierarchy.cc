@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "cache/hierarchy.hh"
+#include "ckpt/ckpt.hh"
 #include "common/check.hh"
 #include "common/random.hh"
 
@@ -87,6 +92,15 @@ TEST(Hierarchy, DoubleFillPanics)
     CacheHierarchy h(tinyHierarchy());
     h.fill(0, 0x40, false);
     EXPECT_THROW(h.fill(0, 0x40, false), check::CheckError);
+}
+
+TEST(Hierarchy, RejectsMoreCoresThanASharerRowHolds)
+{
+    HierarchyConfig cfg = tinyHierarchy();
+    cfg.numCores = 64;
+    EXPECT_NO_THROW(CacheHierarchy{cfg});
+    cfg.numCores = 65;
+    EXPECT_THROW(CacheHierarchy{cfg}, check::CheckError);
 }
 
 /**
@@ -329,6 +343,106 @@ TEST(Hierarchy, AtMostOneRegistrationAndWritePerFill)
             }
         }
     }
+}
+
+/** Every valid line of `c` with its dirty bit. */
+std::map<Addr, bool>
+contentsOf(const Cache &c)
+{
+    std::map<Addr, bool> out;
+    c.forEachValidLine([&](Addr a) { out[a] = dirtyIn(c, a); });
+    return out;
+}
+
+TEST(Hierarchy, RestoreRebuildsSharersExactly)
+{
+    // Four cores over a footprint twice the LLC, half of it shared, so
+    // LLC victims are often held by other cores' L1/L2. The sharer
+    // rows are not checkpointed: a restored hierarchy must rebuild
+    // them from its L2s, or its back-invalidations would leave stale
+    // upper copies that the original removes.
+    HierarchyConfig cfg = tinyHierarchy();
+    cfg.numCores = 4;
+    CacheHierarchy original(cfg);
+    Random rng(4242);
+    const auto step = [&](CacheHierarchy &h, unsigned core, Addr addr,
+                          bool is_write) {
+        HierarchyEvents ev = h.access(core, addr, is_write);
+        if (ev.llcMiss)
+            ev = h.fill(core, addr, is_write);
+        return ev;
+    };
+    const auto next_op = [&](unsigned &core, Addr &addr, bool &is_write) {
+        core = static_cast<unsigned>(rng.uniform(4));
+        addr = rng.chance(0.5) ? rng.uniform(64) * 64
+                               : (64 + core * 32 + rng.uniform(32)) * 64;
+        is_write = rng.chance(0.4);
+    };
+    for (int i = 0; i < 5000; ++i) {
+        unsigned core = 0;
+        Addr addr = 0;
+        bool is_write = false;
+        next_op(core, addr, is_write);
+        step(original, core, addr, is_write);
+    }
+
+    ckpt::ChunkWriter w;
+    original.saveCkpt(w);
+    CacheHierarchy restored(cfg);
+    ckpt::ChunkReader r(w.data().data(), w.size(), "CACH");
+    restored.restoreCkpt(r);
+    r.expectDone();
+    ASSERT_NO_THROW(restored.audit());
+
+    stats::StatGroup original_stats("original");
+    stats::StatGroup restored_stats("restored");
+    original.regStats(original_stats);
+    restored.regStats(restored_stats);
+    unsigned llc_write_backs = 0;
+    for (int i = 0; i < 20000; ++i) {
+        unsigned core = 0;
+        Addr addr = 0;
+        bool is_write = false;
+        next_op(core, addr, is_write);
+        const HierarchyEvents want = step(original, core, addr, is_write);
+        const HierarchyEvents got = step(restored, core, addr, is_write);
+        ASSERT_EQ(got.hitLevel, want.hitLevel) << "op " << i;
+        ASSERT_EQ(got.latency, want.latency) << "op " << i;
+        ASSERT_EQ(got.memWrite, want.memWrite) << "op " << i;
+        ASSERT_EQ(got.memWriteAddr, want.memWriteAddr) << "op " << i;
+        ASSERT_EQ(got.registration, want.registration) << "op " << i;
+        ASSERT_EQ(got.registrationAddr, want.registrationAddr) << "op " << i;
+        ASSERT_EQ(got.registrationWasDirty, want.registrationWasDirty)
+            << "op " << i;
+        llc_write_backs += want.memWrite;
+    }
+    EXPECT_GT(llc_write_backs, 100u);
+
+    for (unsigned c = 0; c < cfg.numCores; ++c) {
+        EXPECT_EQ(contentsOf(restored.l1(c)), contentsOf(original.l1(c)))
+            << "l1 of core " << c;
+        EXPECT_EQ(contentsOf(restored.l2(c)), contentsOf(original.l2(c)))
+            << "l2 of core " << c;
+    }
+    EXPECT_EQ(contentsOf(restored.llc()), contentsOf(original.llc()));
+    std::vector<std::string> levels = {"llc"};
+    for (unsigned c = 0; c < cfg.numCores; ++c) {
+        levels.push_back("l1" + std::to_string(c));
+        levels.push_back("l2" + std::to_string(c));
+    }
+    for (const std::string &level : levels) {
+        for (const char *name :
+             {"hits", "misses", "evictions", "dirtyEvictions"}) {
+            const std::string path = level + "." + name;
+            const auto *want = dynamic_cast<const stats::Scalar *>(
+                original_stats.find(path));
+            const auto *got = dynamic_cast<const stats::Scalar *>(
+                restored_stats.find(path));
+            ASSERT_TRUE(want && got) << path;
+            EXPECT_EQ(got->value(), want->value()) << path;
+        }
+    }
+    EXPECT_NO_THROW(restored.audit());
 }
 
 TEST(Hierarchy, DefaultConfigMatchesTable4)

@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the deterministic PRNG and the Zipf sampler.
+ * Tests for the deterministic PRNG, the geometric gap sampler and the
+ * Zipf sampler.
  */
 
 #include <gtest/gtest.h>
@@ -114,29 +115,102 @@ TEST(Random, ChanceFrequencyTracksProbability)
     EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
-TEST(Random, GeometricMeanMatches)
+TEST(GeometricSampler, MeanMatches)
 {
     Random rng(33);
     for (double mean : {1.0, 2.0, 10.0, 50.0}) {
+        const GeometricSampler gap(mean);
         double sum = 0;
         const int n = 50000;
         for (int i = 0; i < n; ++i)
-            sum += static_cast<double>(rng.geometric(mean));
+            sum += static_cast<double>(gap.sample(rng));
         EXPECT_NEAR(sum / n, mean, mean * 0.05) << "mean " << mean;
     }
 }
 
-TEST(Random, GeometricAtLeastOne)
+TEST(GeometricSampler, AtLeastOne)
 {
     Random rng(41);
+    const GeometricSampler gap(3.0);
     for (int i = 0; i < 10000; ++i)
-        ASSERT_GE(rng.geometric(3.0), 1u);
+        ASSERT_GE(gap.sample(rng), 1u);
 }
 
-TEST(Random, GeometricBelowOneMeanPanics)
+TEST(GeometricSampler, BelowOneMeanPanics)
 {
-    Random rng(2);
-    EXPECT_THROW(rng.geometric(0.5), check::CheckError);
+    EXPECT_THROW(GeometricSampler{0.5}, check::CheckError);
+}
+
+TEST(GeometricSampler, MatchesTheClosedFormBitForBit)
+{
+    // Every trace's instruction gaps come from this formula, so the
+    // run digests depend on each draw rounding exactly as written
+    // here: one uniform per draw, divided (not multiplied by a
+    // reciprocal) by log1p(-1/mean). A mean of 1 draws nothing.
+    for (const double mean : {1.0, 1.5, 1000.0 / 48.0, 1e4}) {
+        const GeometricSampler gap(mean);
+        Random rng(7);
+        Random twin(7);
+        for (int i = 0; i < 100000; ++i) {
+            std::uint64_t want = 1;
+            if (mean != 1.0) {
+                double u = twin.uniformDouble();
+                if (u <= 0.0)
+                    u = 0x1.0p-53;
+                const double v =
+                    std::ceil(std::log(u) / std::log1p(-1.0 / mean));
+                want = v < 1.0 ? 1 : static_cast<std::uint64_t>(v);
+            }
+            ASSERT_EQ(gap.sample(rng), want)
+                << "mean " << mean << " draw " << i;
+        }
+        EXPECT_EQ(rng.state(), twin.state()) << "mean " << mean;
+    }
+}
+
+/** A generator whose next uniformDouble() is k * 2^-53 (k < 2^53). */
+Random
+drawingNext(std::uint64_t k)
+{
+    // xoshiro256** returns rotl(s[1] * 5, 7) * 9 and uniformDouble()
+    // keeps its top 53 bits: invert both steps for s[1].
+    const auto inverse = [](std::uint64_t a) {
+        std::uint64_t x = a; // Newton's iteration for odd a, mod 2^64
+        for (int i = 0; i < 5; ++i)
+            x *= 2 - a * x;
+        return x;
+    };
+    const std::uint64_t rotated = (k << 11) * inverse(9);
+    Random rng;
+    rng.setState({0, ((rotated >> 7) | (rotated << 57)) * inverse(5), 0, 0});
+    return rng;
+}
+
+TEST(GeometricSampler, DividesRatherThanMultiplyingByTheReciprocal)
+{
+    // Random draws almost never land where the two roundings differ,
+    // so the closed-form test above cannot tell them apart. At these
+    // uniforms log(u) / log1p(-1/mean) falls within an ulp of an
+    // integer, and a multiply by the reciprocal rounds across it.
+    struct Point
+    {
+        double mean;
+        std::uint64_t k; ///< u = k * 2^-53
+        std::uint64_t gap;
+    };
+    for (const Point &p : {Point{2.0, 1ULL << 24, 30},
+                           Point{1000.0 / 48.0, 6383346345595854, 7},
+                           Point{1000.0 / 48.0, 4523838033935406, 14},
+                           Point{1e4, 8728753748856072, 315}}) {
+        const double u = static_cast<double>(p.k) * 0x1.0p-53;
+        const double keep = std::log1p(-1.0 / p.mean);
+        ASSERT_EQ(std::ceil(std::log(u) / keep), p.gap) << p.k;
+        ASSERT_NE(std::ceil(std::log(u) * (1.0 / keep)), p.gap) << p.k;
+        ASSERT_EQ(drawingNext(p.k).uniformDouble(), u) << p.k;
+        Random rng = drawingNext(p.k);
+        EXPECT_EQ(GeometricSampler(p.mean).sample(rng), p.gap)
+            << "mean " << p.mean << " u " << u;
+    }
 }
 
 TEST(Random, SplitStreamsAreDecorrelated)
