@@ -507,9 +507,10 @@ buildMatrixPlan(const std::vector<trace::Workload> &workloads,
 run::RunReport
 runPlan(const run::RunPlan &plan, const BenchOptions &opts)
 {
-    // ^C / SIGTERM becomes a graceful pool drain: in-flight runs
-    // write their final checkpoints (when configured), the report is
-    // completed, and the plan fails with a full summary below.
+    // ^C / SIGTERM becomes a graceful pool drain: in-flight runs stop
+    // and write nothing (their epoch checkpoints stay as they were,
+    // and --resume restores the newest), the report is completed, and
+    // the plan fails with a full summary below.
     installInterruptHandlers();
     const run::Runner runner(opts.runnerOptions(plan));
     run::RunReport report;

@@ -23,7 +23,6 @@ benchMain(int argc, char **argv)
     bench::printTitle(
         "Table I: write latency vs. retention trade-off in MLC PCM");
 
-    const pcm::DriftModel drift;
     const pcm::EnergyModel energy;
 
     std::printf("%-14s %9s %9s %12s %14s %14s %12s %12s\n",
@@ -38,8 +37,8 @@ benchMain(int argc, char **argv)
             p.setCurrentUa, p.normalizedEnergy,
             static_cast<unsigned long long>(p.latency / tickPerNs),
             p.retentionSeconds,
-            drift.retentionSeconds(mode),
-            drift.guardband(pcm::setIterations(mode)),
+            pcm::drift::retentionSeconds(mode),
+            pcm::drift::guardband(pcm::setIterations(mode)),
             energy.blockWriteEnergy(mode) * 1e9);
     }
     bench::printRule();
@@ -49,6 +48,6 @@ benchMain(int argc, char **argv)
         "uses; 'analytic' is this repo's drift model (log-linear band\n"
         "narrowing, alpha = %.2f), within ~1.5x everywhere.\n"
         "paper: 7-SETs 3054.9 s @ 1150 ns ... 3-SETs 2.01 s @ 550 ns.\n",
-        drift.params().alpha);
+        pcm::drift::alpha);
     return 0;
 }

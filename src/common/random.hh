@@ -134,9 +134,6 @@ class ZipfSampler
     /** Draw an item rank in [0, n). */
     std::uint64_t sample(Random &rng) const;
 
-    std::uint64_t numItems() const { return n_; }
-    double skew() const { return s_; }
-
   private:
     double h(double x) const;
     double hInverse(double x) const;

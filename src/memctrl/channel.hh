@@ -98,18 +98,6 @@ class Channel : public Auditable
      */
     bool quiescent() const;
 
-    /** Requests accepted into the given queue over the lifetime. */
-    std::uint64_t enqueuedCount(ReqKind kind) const
-    {
-        return enqueued_[static_cast<std::size_t>(kind)];
-    }
-
-    /** Requests fully retired (completion delivered). */
-    std::uint64_t retiredCount(ReqKind kind) const
-    {
-        return retired_[static_cast<std::size_t>(kind)];
-    }
-
     /**
      * @{ Checkpoint the channel at a quiescent point: all queues must
      * be empty, no bank mid-write, no read in flight, and no retry

@@ -13,101 +13,81 @@
  * `bandWidth(N) = bandWidth0 - bandWidthStep * N` decades above the
  * level target; the remaining `guardband(N) = levelSeparation -
  * bandWidth(N)` decades absorb drift. Retention is the time for the
- * worst-case cell (top of band, fastest drift) to cross the guardband:
+ * worst-case cell (top of band, nominal drift) to cross the
+ * guardband:
  *
  *     retention(N) = t0 * 10^(guardband(N) / alpha).
  *
- * Default parameters are fitted to the paper's Table I (which itself
- * comes from the multi-factor Li et al. model); the fit is within a
- * factor of ~1.5 of every Table I retention value and exactly
- * reproduces the monotone latency/retention trade-off. Simulation
- * timing uses the calibrated Table I constants; this model exists to
- * regenerate and sanity-check them, and to let users explore other
- * technology points.
+ * The constants are fitted to the paper's Table I (which itself comes
+ * from the multi-factor Li et al. model); the fit is within a factor
+ * of ~1.5 of every Table I retention value and exactly reproduces the
+ * monotone latency/retention trade-off. Simulation timing uses the
+ * calibrated Table I constants (write_mode.hh); this model only
+ * re-derives them, for bench_table1_write_model's analytic and guard
+ * columns. Per-cell process variation (a sampled drift exponent) is
+ * not modelled: it belongs with a reliability study that needs it.
  */
 
 #ifndef RRM_PCM_DRIFT_MODEL_HH
 #define RRM_PCM_DRIFT_MODEL_HH
 
-#include "common/random.hh"
+#include <cmath>
+
 #include "pcm/write_mode.hh"
 
-namespace rrm::pcm
+namespace rrm::pcm::drift
 {
 
-/** Technology parameters of the drift model. */
-struct DriftParams
+/** Drift exponent (typical amorphous GST: ~0.1). */
+constexpr double alpha = 0.1;
+
+/** Log10-resistance separation between adjacent MLC levels. */
+constexpr double levelSeparation = 0.5;
+
+/** Programming band width (decades) at zero SET iterations. */
+constexpr double bandWidth0 = 0.6954;
+
+/** Band narrowing (decades) per additional SET iteration. */
+constexpr double bandWidthStep = 0.0798;
+
+/** Drift normalization time t0 in seconds. */
+constexpr double t0Seconds = 1.0;
+
+/** Programming band width (decades) after n SET iterations. */
+constexpr double
+bandWidth(unsigned set_iterations)
 {
-    /** Drift exponent (typical amorphous GST: ~0.1). */
-    double alpha = 0.1;
+    return bandWidth0 - bandWidthStep * static_cast<double>(set_iterations);
+}
 
-    /** Std-dev of per-cell alpha under process variation. */
-    double alphaSigma = 0.01;
-
-    /** Log10-resistance separation between adjacent MLC levels. */
-    double levelSeparation = 0.5;
-
-    /** Programming band width (decades) at zero SET iterations. */
-    double bandWidth0 = 0.6954;
-
-    /** Band narrowing (decades) per additional SET iteration. */
-    double bandWidthStep = 0.0798;
-
-    /** Drift normalization time t0 in seconds. */
-    double t0Seconds = 1.0;
-};
-
-/** Closed-form drift/retention calculations. */
-class DriftModel
+/** Guardband (decades) left by an n-SET write. */
+constexpr double
+guardband(unsigned set_iterations)
 {
-  public:
-    explicit DriftModel(const DriftParams &params = DriftParams());
+    return levelSeparation - bandWidth(set_iterations);
+}
 
-    const DriftParams &params() const { return params_; }
+// The most precise supported write (7 SETs) must still fit inside the
+// level band, and even a 3-SET write must leave a guardband.
+static_assert(bandWidth(7) > 0.0,
+              "band width must stay positive up to 7 SET iterations");
+static_assert(guardband(3) > 0.0,
+              "even a 3-SET write must leave a positive guardband");
 
-    /** Programming band width (decades) after n SET iterations. */
-    double bandWidth(unsigned set_iterations) const;
+/** Worst-case retention of an n-SET write, in seconds. */
+inline double
+retentionSeconds(unsigned set_iterations)
+{
+    return t0Seconds * std::pow(10.0, guardband(set_iterations) / alpha);
+}
 
-    /** Guardband (decades) left by an n-SET write. */
-    double guardband(unsigned set_iterations) const;
+/** Retention of a WriteMode (convenience overload). */
+inline double
+retentionSeconds(WriteMode mode)
+{
+    return retentionSeconds(setIterations(mode));
+}
 
-    /**
-     * Drifted log10 resistance offset after `seconds`, for a cell with
-     * the given drift exponent.
-     */
-    double driftDecades(double seconds, double alpha) const;
-
-    /**
-     * Worst-case retention of an n-SET write, in seconds, with the
-     * nominal drift exponent.
-     */
-    double retentionSeconds(unsigned set_iterations) const;
-
-    /** Retention of a WriteMode (convenience overload). */
-    double
-    retentionSeconds(WriteMode mode) const
-    {
-        return retentionSeconds(setIterations(mode));
-    }
-
-    /**
-     * Sample a per-cell retention under process variation: the cell's
-     * alpha is drawn from N(alpha, alphaSigma) truncated at a small
-     * positive floor (fast-drifting tail shortens retention).
-     */
-    double sampleRetentionSeconds(unsigned set_iterations,
-                                  Random &rng) const;
-
-    /**
-     * Time (seconds) until a drift of `decades` accumulates at the
-     * nominal alpha.
-     */
-    double timeToDriftSeconds(double decades) const;
-
-  private:
-    DriftParams params_;
-};
-
-} // namespace rrm::pcm
+} // namespace rrm::pcm::drift
 
 #endif // RRM_PCM_DRIFT_MODEL_HH

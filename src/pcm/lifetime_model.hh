@@ -67,8 +67,6 @@ class LifetimeModel
   public:
     explicit LifetimeModel(std::uint64_t num_blocks);
 
-    std::uint64_t numBlocks() const { return numBlocks_; }
-
     /** Demand block writes per real second (whole array). */
     double demandWriteRate(const WearMeasurement &m) const;
 

@@ -7,8 +7,9 @@
  * leaving a larger guardband against resistance drift and therefore a
  * longer retention time — at the cost of write latency. The canonical
  * per-mode constants below are the paper's Table I, re-derived from the
- * 20 nm PCM chip demonstration; the analytic model behind them lives in
- * drift_model.hh.
+ * 20 nm PCM chip demonstration; they are what the simulator times and
+ * refreshes with. drift_model.hh re-derives the retention column from
+ * an analytic drift law whose constants are fitted to this table.
  */
 
 #ifndef RRM_PCM_WRITE_MODE_HH

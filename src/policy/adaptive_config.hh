@@ -1,21 +1,17 @@
 /**
  * @file
- * Configuration of the adaptive RRM write policy's feedback law.
+ * The adaptive RRM write policy's feedback law and its constants.
  */
 
 #ifndef RRM_POLICY_ADAPTIVE_CONFIG_HH
 #define RRM_POLICY_ADAPTIVE_CONFIG_HH
 
-#include <string>
-#include <vector>
-
 namespace rrm::policy
 {
 
 /**
- * Feedback-law knobs for AdaptiveRrmPolicy. Once per decay epoch the
- * policy reads two signals and re-points the RegionMonitor's
- * hot_threshold:
+ * Feedback law of AdaptiveRrmPolicy. Once per decay epoch the policy
+ * reads two signals and re-points the RegionMonitor's hot_threshold:
  *
  *  - *pressure*: refresh-path occupancy in [0, 1] (deepest refresh
  *    queue's fill fraction; 1.0 once refreshes have overflowed).
@@ -34,17 +30,19 @@ namespace rrm::policy
  *    the floor.
  *
  * The threshold always stays within [base, base * maxThresholdMultiple].
+ * The law's constants are fixed; the type stays so that callers read
+ * them through SystemConfig::adaptive (DESIGN.md section 3).
  */
 struct AdaptiveRrmConfig
 {
     /** Pressure at or above which the threshold doubles. */
-    double pressureHigh = 0.5;
+    static constexpr double pressureHigh = 0.5;
 
     /** Pressure at or below which the threshold may decay (halve). */
-    double pressureLow = 0.125;
+    static constexpr double pressureLow = 0.125;
 
     /** Hot-reuse fraction at or above which the threshold doubles. */
-    double reuseHigh = 0.53;
+    static constexpr double reuseHigh = 0.53;
 
     /**
      * Hot-reuse fraction below which decay is permitted. The gap up
@@ -52,39 +50,26 @@ struct AdaptiveRrmConfig
      * set matured is not unwound the moment hot reuse dips, which
      * would oscillate between two thresholds every other epoch.
      */
-    double reuseDecay = 0.30;
+    static constexpr double reuseDecay = 0.30;
 
     /** Hot-reuse fraction below which the epoch counts as streaming. */
-    double reuseLow = 0.12;
+    static constexpr double reuseLow = 0.12;
 
     /** Threshold ceiling as a multiple of the configured base. */
-    unsigned maxThresholdMultiple = 4;
+    static constexpr unsigned maxThresholdMultiple = 4;
 
-    /** Append one message per violated constraint. */
-    void
-    collectErrors(std::vector<std::string> &errors) const
-    {
-        if (pressureHigh <= 0.0 || pressureHigh > 1.0)
-            errors.push_back("adaptive pressureHigh must be in (0, 1]");
-        if (pressureLow < 0.0 || pressureLow >= pressureHigh) {
-            errors.push_back(
-                "adaptive pressureLow must be in [0, pressureHigh)");
-        }
-        if (reuseHigh <= 0.0 || reuseHigh > 1.0)
-            errors.push_back("adaptive reuseHigh must be in (0, 1]");
-        if (reuseDecay < 0.0 || reuseDecay >= reuseHigh) {
-            errors.push_back(
-                "adaptive reuseDecay must be in [0, reuseHigh)");
-        }
-        if (reuseLow < 0.0 || reuseLow > reuseDecay) {
-            errors.push_back(
-                "adaptive reuseLow must be in [0, reuseDecay]");
-        }
-        if (maxThresholdMultiple < 2) {
-            errors.push_back(
-                "adaptive maxThresholdMultiple must be >= 2");
-        }
-    }
+    static_assert(pressureHigh > 0.0 && pressureHigh <= 1.0,
+                  "pressureHigh must be in (0, 1]");
+    static_assert(pressureLow >= 0.0 && pressureLow < pressureHigh,
+                  "pressureLow must be in [0, pressureHigh)");
+    static_assert(reuseHigh > 0.0 && reuseHigh <= 1.0,
+                  "reuseHigh must be in (0, 1]");
+    static_assert(reuseDecay >= 0.0 && reuseDecay < reuseHigh,
+                  "reuseDecay must be in [0, reuseHigh)");
+    static_assert(reuseLow >= 0.0 && reuseLow <= reuseDecay,
+                  "reuseLow must be in [0, reuseDecay]");
+    static_assert(maxThresholdMultiple >= 2,
+                  "maxThresholdMultiple must be >= 2");
 };
 
 } // namespace rrm::policy

@@ -13,11 +13,8 @@ namespace rrm::policy
 {
 
 AdaptiveRrmPolicy::AdaptiveRrmPolicy(const monitor::RrmConfig &config,
-                                     const AdaptiveRrmConfig &adaptive,
                                      EventQueue &queue)
-    : RrmPolicy(config, queue),
-      adaptive_(adaptive),
-      baseThreshold_(config.hotThreshold)
+    : RrmPolicy(config, queue), baseThreshold_(config.hotThreshold)
 {
     monitor_->setDecayEpochHook([this] { onDecayEpoch(); });
 }
@@ -44,12 +41,12 @@ AdaptiveRrmPolicy::writeConfigJson(obs::JsonWriter &json) const
     RrmPolicy::writeConfigJson(json);
     json.key("adaptive");
     json.beginObject();
-    json.field("pressureHigh", adaptive_.pressureHigh);
-    json.field("pressureLow", adaptive_.pressureLow);
-    json.field("reuseHigh", adaptive_.reuseHigh);
-    json.field("reuseDecay", adaptive_.reuseDecay);
-    json.field("reuseLow", adaptive_.reuseLow);
-    json.field("maxThresholdMultiple", adaptive_.maxThresholdMultiple);
+    json.field("pressureHigh", Law::pressureHigh);
+    json.field("pressureLow", Law::pressureLow);
+    json.field("reuseHigh", Law::reuseHigh);
+    json.field("reuseDecay", Law::reuseDecay);
+    json.field("reuseLow", Law::reuseLow);
+    json.field("maxThresholdMultiple", Law::maxThresholdMultiple);
     json.field("baseHotThreshold", baseThreshold_);
     json.endObject();
 }
@@ -91,20 +88,20 @@ AdaptiveRrmPolicy::onDecayEpoch()
                              : 0.0;
     const bool active = d_lookups != 0;
 
-    const unsigned cap = baseThreshold_ * adaptive_.maxThresholdMultiple;
-    const unsigned floor = active && reuse < adaptive_.reuseLow
+    const unsigned cap = baseThreshold_ * Law::maxThresholdMultiple;
+    const unsigned floor = active && reuse < Law::reuseLow
                                ? std::min(cap, baseThreshold_ * 2)
                                : baseThreshold_;
 
     const unsigned current = monitor_->hotThreshold();
     unsigned next = current;
-    if (pressure >= adaptive_.pressureHigh ||
-        (active && reuse >= adaptive_.reuseHigh)) {
+    if (pressure >= Law::pressureHigh ||
+        (active && reuse >= Law::reuseHigh)) {
         // Saturated refresh path, or a mature hot set whose marginal
         // promotions add obligation without adding coverage.
         next = std::min(cap, current * 2);
-    } else if (pressure <= adaptive_.pressureLow &&
-               (!active || reuse < adaptive_.reuseDecay) &&
+    } else if (pressure <= Law::pressureLow &&
+               (!active || reuse < Law::reuseDecay) &&
                current > floor) {
         next = std::max(floor, current / 2);
     }

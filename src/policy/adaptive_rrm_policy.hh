@@ -20,9 +20,7 @@ namespace rrm::policy
 class AdaptiveRrmPolicy final : public RrmPolicy
 {
   public:
-    AdaptiveRrmPolicy(const monitor::RrmConfig &config,
-                      const AdaptiveRrmConfig &adaptive,
-                      EventQueue &queue);
+    AdaptiveRrmPolicy(const monitor::RrmConfig &config, EventQueue &queue);
 
     void setPressureProbe(PressureProbe probe) override
     {
@@ -37,8 +35,6 @@ class AdaptiveRrmPolicy final : public RrmPolicy
     void restoreCkpt(ckpt::ChunkReader &r) override;
     /** @} */
 
-    const AdaptiveRrmConfig &adaptiveConfig() const { return adaptive_; }
-
     /** The threshold the feedback law is currently holding. */
     unsigned currentHotThreshold() const
     {
@@ -51,7 +47,8 @@ class AdaptiveRrmPolicy final : public RrmPolicy
   private:
     void onDecayEpoch();
 
-    AdaptiveRrmConfig adaptive_;
+    using Law = AdaptiveRrmConfig;
+
     unsigned baseThreshold_;
     PressureProbe pressureProbe_;
 

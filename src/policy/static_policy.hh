@@ -27,8 +27,6 @@ class StaticPolicy final : public WritePolicy
         return mode_;
     }
 
-    pcm::WriteMode mode() const { return mode_; }
-
   private:
     pcm::WriteMode mode_;
 };

@@ -33,11 +33,9 @@ baseEpochBudget(const monitor::RegionMonitor *mon)
 } // namespace
 
 TenantQosPolicy::TenantQosPolicy(std::unique_ptr<WritePolicy> inner,
-                                 const TenantQosConfig &config,
                                  const TenantLayout &layout,
                                  EventQueue &queue)
-    : inner_(std::move(inner)), config_(config), layout_(layout),
-      queue_(queue)
+    : inner_(std::move(inner)), layout_(layout), queue_(queue)
 {
     RRM_CHECK(inner_ != nullptr, "TenantQosPolicy needs an inner policy");
     epochTicks_ = inner_->preferredSampleInterval();
@@ -52,7 +50,7 @@ TenantQosPolicy::TenantQosPolicy(std::unique_ptr<WritePolicy> inner,
 
     const double base = static_cast<double>(baseEpochBudget(
                             inner_->monitor())) *
-                        config_.budgetFactor;
+                        TenantQosConfig::budgetFactor;
     quota_.resize(num);
     for (unsigned t = 0; t < num; ++t) {
         const double share =
@@ -63,10 +61,8 @@ TenantQosPolicy::TenantQosPolicy(std::unique_ptr<WritePolicy> inner,
     attempted_.assign(num, 0);
     boosted_.assign(num, 0);
     boostedTotal_.assign(num, 0);
-    throttledTotal_.assign(num, 0);
     noisyEpochsTotal_.assign(num, 0);
     noisy_.assign(num, 0);
-    statThrottled_.assign(num, nullptr);
     statNoisyEpochs_.assign(num, nullptr);
     statBoosted_.assign(num, nullptr);
 }
@@ -89,26 +85,11 @@ TenantQosPolicy::start()
         armEpochTask(queue_.now() + epochTicks_);
 }
 
-pcm::WriteMode
-TenantQosPolicy::writeModeFor(Addr block_addr) const
-{
-    const unsigned t = layout_.tenantOfAddr(block_addr);
-    if (config_.demoteNoisy && noisy_[t])
-        return monitor::RrmConfig::slowMode;
-    return inner_->writeModeFor(block_addr);
-}
-
 void
 TenantQosPolicy::registerLlcWrite(Addr addr, bool was_dirty)
 {
     const unsigned t = layout_.tenantOfAddr(addr);
     ++attempted_[t];
-    if (config_.demoteNoisy && noisy_[t]) {
-        ++throttledTotal_[t];
-        if (statThrottled_[t])
-            ++*statThrottled_[t];
-        return;
-    }
     if (boosted_[t] < quota_[t]) {
         // Inside the tenant's guaranteed allotment: bypass the
         // streaming filter so neighbour-induced LLC evictions cannot
@@ -129,7 +110,7 @@ TenantQosPolicy::onEpoch()
     const unsigned num = layout_.numTenants();
     for (unsigned t = 0; t < num; ++t) {
         const double limit =
-            static_cast<double>(quota_[t]) * config_.noisyFactor;
+            static_cast<double>(quota_[t]) * TenantQosConfig::noisyFactor;
         const bool loud = static_cast<double>(attempted_[t]) > limit;
         noisy_[t] = loud ? 1 : 0;
         if (loud) {
@@ -155,10 +136,6 @@ TenantQosPolicy::regStats(stats::StatGroup &root)
             "boostedRegs",
             "registrations boosted past the streaming filter under "
             "the tenant's allotment");
-        statThrottled_[t] = &g.addScalar(
-            "throttledRegs",
-            "registrations dropped while the tenant was noisy "
-            "(demoteNoisy)");
         statNoisyEpochs_[t] = &g.addScalar(
             "noisyEpochs", "epochs this tenant was marked noisy");
     }
@@ -170,9 +147,8 @@ TenantQosPolicy::writeConfigJson(obs::JsonWriter &json) const
     inner_->writeConfigJson(json);
     json.key("qos");
     json.beginObject();
-    json.field("budgetFactor", config_.budgetFactor);
-    json.field("noisyFactor", config_.noisyFactor);
-    json.field("demoteNoisy", config_.demoteNoisy);
+    json.field("budgetFactor", TenantQosConfig::budgetFactor);
+    json.field("noisyFactor", TenantQosConfig::noisyFactor);
     json.field("epochTicks", epochTicks_);
     json.key("tenantQuotas");
     json.beginArray();
@@ -191,7 +167,6 @@ TenantQosPolicy::saveCkpt(ckpt::ChunkWriter &w) const
         w.u64(attempted_[t]);
         w.u64(boosted_[t]);
         w.u64(boostedTotal_[t]);
-        w.u64(throttledTotal_[t]);
         w.u64(noisyEpochsTotal_[t]);
         w.b(noisy_[t] != 0);
     }
@@ -212,7 +187,6 @@ TenantQosPolicy::restoreCkpt(ckpt::ChunkReader &r)
         attempted_[t] = r.u64();
         boosted_[t] = r.u64();
         boostedTotal_[t] = r.u64();
-        throttledTotal_[t] = r.u64();
         noisyEpochsTotal_[t] = r.u64();
         noisy_[t] = r.b() ? 1 : 0;
     }

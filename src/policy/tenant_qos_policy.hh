@@ -17,13 +17,11 @@
  * bandwidth per epoch.
  *
  * A tenant attempting more than `noisyFactor x` its allotment in one
- * epoch is marked noisy for the next. With `demoteNoisy` (the
- * optional lifetime lever, off by default) a noisy tenant's
- * registrations are dropped entirely and its demand writes demote to
- * the slow mode, shedding its fast-write retention obligations; the
- * default leaves noisy tenants on the filtered path, because slow
- * writes occupy the shared banks longer (1150 ns vs 550 ns) and the
- * extra occupancy is exactly what a quiet neighbour suffers from.
+ * epoch is marked noisy for the next. The flag only reports (the
+ * `noisyEpochs` stat): a noisy tenant keeps the filtered path and its
+ * write modes, because demoting it to slow writes would hold the
+ * shared banks longer (1150 ns vs 550 ns), and that occupancy is
+ * exactly what a quiet neighbour suffers from.
  *
  * The decorator only uses the WritePolicy interface plus the
  * monitor's read-only config. With a single tenant the whole
@@ -94,7 +92,11 @@ struct TenantLayout
     }
 };
 
-/** Knobs of the tenant QoS decoration. */
+/**
+ * Constants of the tenant QoS decoration. They are fixed; the type
+ * stays so that callers read them through SystemConfig::qos
+ * (DESIGN.md section 3).
+ */
 struct TenantQosConfig
 {
     /**
@@ -103,41 +105,16 @@ struct TenantQosConfig
      * its ticks (numSets x assoc x hotThreshold /
      * decayTicksPerInterval), split between tenants by core share.
      */
-    double budgetFactor = 1.0;
+    static constexpr double budgetFactor = 1.0;
 
     /**
      * A tenant attempting more than noisyFactor x its allotment of
      * registrations in one epoch is noisy for the next epoch.
      */
-    double noisyFactor = 2.0;
+    static constexpr double noisyFactor = 2.0;
 
-    /**
-     * Lifetime lever: drop a noisy tenant's registrations and demote
-     * its demand writes to the slow mode. Off by default — slow
-     * writes hold the shared banks longer, which is what the quiet
-     * tenants are being protected from (see the file comment).
-     */
-    bool demoteNoisy = false;
-
-    /** Append one message per violated invariant. */
-    void
-    collectErrors(std::vector<std::string> &errors) const
-    {
-        if (budgetFactor <= 0.0)
-            errors.push_back("QoS budget factor must be positive");
-        if (noisyFactor < 1.0)
-            errors.push_back("QoS noisy factor must be >= 1");
-    }
-
-    /** True if any knob differs from the defaults. */
-    bool
-    isCustomized() const
-    {
-        const TenantQosConfig def;
-        return budgetFactor != def.budgetFactor ||
-               noisyFactor != def.noisyFactor ||
-               demoteNoisy != def.demoteNoisy;
-    }
+    static_assert(budgetFactor > 0.0, "QoS budget factor must be positive");
+    static_assert(noisyFactor >= 1.0, "QoS noisy factor must be >= 1");
 };
 
 /** Tenant-aware QoS decorator over an inner write policy. */
@@ -145,13 +122,16 @@ class TenantQosPolicy final : public WritePolicy
 {
   public:
     TenantQosPolicy(std::unique_ptr<WritePolicy> inner,
-                    const TenantQosConfig &config,
                     const TenantLayout &layout, EventQueue &queue);
     ~TenantQosPolicy() override;
 
     void start() override;
 
-    pcm::WriteMode writeModeFor(Addr block_addr) const override;
+    pcm::WriteMode writeModeFor(Addr block_addr) const override
+    {
+        return inner_->writeModeFor(block_addr);
+    }
+
     Tick accessLatency() const override { return inner_->accessLatency(); }
 
     bool isFastMode(pcm::WriteMode mode) const override
@@ -195,15 +175,9 @@ class TenantQosPolicy final : public WritePolicy
     }
 
     /** @{ Introspection (tests, tables). */
-    const TenantQosConfig &qosConfig() const { return config_; }
     const TenantLayout &layout() const { return layout_; }
     std::uint64_t tenantQuota(unsigned t) const { return quota_[t]; }
     bool tenantNoisy(unsigned t) const { return noisy_[t]; }
-    std::uint64_t
-    tenantThrottled(unsigned t) const
-    {
-        return throttledTotal_[t];
-    }
     std::uint64_t
     tenantBoosted(unsigned t) const
     {
@@ -219,7 +193,6 @@ class TenantQosPolicy final : public WritePolicy
     void armEpochTask(Tick first);
 
     std::unique_ptr<WritePolicy> inner_;
-    TenantQosConfig config_;
     TenantLayout layout_;
     EventQueue &queue_;
 
@@ -228,7 +201,6 @@ class TenantQosPolicy final : public WritePolicy
     std::vector<std::uint64_t> attempted_; ///< registrations this epoch
     std::vector<std::uint64_t> boosted_; ///< filter bypasses this epoch
     std::vector<std::uint64_t> boostedTotal_;   ///< cumulative bypasses
-    std::vector<std::uint64_t> throttledTotal_; ///< cumulative drops
     std::vector<std::uint64_t> noisyEpochsTotal_;
     // std::vector<bool> is avoided: per-element addresses are taken
     // by the tests and the ckpt path.
@@ -236,7 +208,6 @@ class TenantQosPolicy final : public WritePolicy
 
     std::unique_ptr<PeriodicTask> epochTask_;
 
-    std::vector<stats::Scalar *> statThrottled_;
     std::vector<stats::Scalar *> statNoisyEpochs_;
     std::vector<stats::Scalar *> statBoosted_;
 };

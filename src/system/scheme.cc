@@ -57,8 +57,8 @@ Scheme::name() const
 
 std::unique_ptr<policy::WritePolicy>
 Scheme::makePolicy(const monitor::RrmConfig &rrm,
-                   const policy::AdaptiveRrmConfig &adaptive,
-                   const policy::TenantQosConfig &qos,
+                   const policy::AdaptiveRrmConfig & /*adaptive*/,
+                   const policy::TenantQosConfig & /*qos*/,
                    const policy::TenantLayout &layout,
                    EventQueue &queue) const
 {
@@ -68,20 +68,16 @@ Scheme::makePolicy(const monitor::RrmConfig &rrm,
       case SchemeKind::Rrm:
         return std::make_unique<policy::RrmPolicy>(rrm, queue);
       case SchemeKind::AdaptiveRrm:
-        return std::make_unique<policy::AdaptiveRrmPolicy>(rrm, adaptive,
-                                                           queue);
+        return std::make_unique<policy::AdaptiveRrmPolicy>(rrm, queue);
       case SchemeKind::RrmQos:
         return std::make_unique<policy::TenantQosPolicy>(
-            std::make_unique<policy::RrmPolicy>(rrm, queue), qos, layout,
-            queue);
+            std::make_unique<policy::RrmPolicy>(rrm, queue), layout, queue);
     }
     fatal("scheme has corrupt kind ", static_cast<int>(kind));
 }
 
 void
 Scheme::collectConfigErrors(const monitor::RrmConfig &rrm,
-                            const policy::AdaptiveRrmConfig &adaptive,
-                            const policy::TenantQosConfig &qos,
                             double time_scale,
                             std::vector<std::string> &errors) const
 {
@@ -89,17 +85,9 @@ Scheme::collectConfigErrors(const monitor::RrmConfig &rrm,
         monitor::RrmConfig effective = rrm;
         effective.timeScale = time_scale >= 1.0 ? time_scale : 1.0;
         effective.collectErrors(errors);
-        if (kind == SchemeKind::AdaptiveRrm)
-            adaptive.collectErrors(errors);
-        if (kind == SchemeKind::RrmQos)
-            qos.collectErrors(errors);
     } else if (rrm.isCustomized()) {
         errors.push_back("RRM configured but the scheme is " + name() +
                          " (RRM settings would be silently ignored)");
-    }
-    if (kind != SchemeKind::RrmQos && qos.isCustomized()) {
-        errors.push_back("QoS configured but the scheme is " + name() +
-                         " (QoS settings would be silently ignored)");
     }
 }
 

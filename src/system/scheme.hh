@@ -117,8 +117,10 @@ struct Scheme
      * SchemeKind -> behaviour mapping in the codebase.
      *
      * @param rrm      RRM configuration (monitor-backed schemes).
-     * @param adaptive Feedback-law knobs (Adaptive-RRM only).
-     * @param qos      Tenant-quota knobs (RRM-QoS only).
+     * @param adaptive Feedback-law constants (Adaptive-RRM); unread,
+     *                 the policy takes them from the type.
+     * @param qos      Tenant-quota constants (RRM-QoS); unread, as
+     *                 `adaptive`.
      * @param layout   Tenant/address layout (RRM-QoS only).
      * @param queue    Event queue for the policy's periodic tasks.
      */
@@ -131,13 +133,10 @@ struct Scheme
 
     /**
      * Append one message per scheme-dependent configuration problem:
-     * monitor-backed schemes validate `rrm` (and, for Adaptive-RRM,
-     * `adaptive`); static schemes reject a customised RRM config that
-     * would be silently ignored.
+     * monitor-backed schemes validate `rrm`; static schemes reject a
+     * customised RRM config that would be silently ignored.
      */
     void collectConfigErrors(const monitor::RrmConfig &rrm,
-                             const policy::AdaptiveRrmConfig &adaptive,
-                             const policy::TenantQosConfig &qos,
                              double time_scale,
                              std::vector<std::string> &errors) const;
 };

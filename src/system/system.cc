@@ -48,7 +48,7 @@ SystemConfig::validate() const
     if (warmupFraction < 0.0 || warmupFraction >= 1.0)
         errors.push_back("warmup fraction must be in [0, 1)");
 
-    scheme.collectConfigErrors(rrm, adaptive, qos, timeScale, errors);
+    scheme.collectConfigErrors(rrm, timeScale, errors);
 
     fault.collectErrors(errors);
     if (wallTimeoutSeconds < 0.0)

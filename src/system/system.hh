@@ -100,18 +100,23 @@ struct SystemConfig
     memctrl::MemoryParams memory;
     monitor::RrmConfig rrm; ///< used only when scheme.usesMonitor()
 
-    /** Feedback-law knobs; used only by the Adaptive-RRM scheme. */
+    /**
+     * @{ The Adaptive-RRM feedback law's and the RRM-QoS quota's
+     * constants (DESIGN.md section 3): they hold nothing settable.
+     */
     policy::AdaptiveRrmConfig adaptive;
-
-    /** Tenant-quota knobs; used only by the RRM-QoS scheme. */
     policy::TenantQosConfig qos;
+    /** @} */
 
     /**
-     * Retention-interval compression (DESIGN.md section 3). 50 with
-     * the default 100 ms window represents the paper's 5 s run while
-     * keeping the scaled retention interval (40 ms) well above the
-     * LLC residency timescale (~3 ms) that gates the RRM's
-     * dirty-write filter.
+     * Retention-interval compression (DESIGN.md section 3). 50 keeps
+     * the scaled retention interval (40 ms) well above the LLC
+     * residency timescale (~3 ms) that gates the RRM's dirty-write
+     * filter. It does not make a 100 ms window the paper's 5 s run:
+     * at the auto decayStretch (50/16) a decay tick is 7.8125 ms, so
+     * an entry's first decay wrap comes 125 ms after it is allocated,
+     * and no 100 ms window runs the decay step (PAPER.md section 1
+     * step 5; ROADMAP item 2).
      */
     double timeScale = 50.0;
 
@@ -247,9 +252,6 @@ class System : public cpu::CorePort
     {
         return profiler_.get();
     }
-
-    /** The scheme's write policy (always present). */
-    const policy::WritePolicy &writePolicy() const { return *policy_; }
 
     /** The policy's RRM (nullptr for monitor-less policies). */
     const monitor::RegionMonitor *rrm() const

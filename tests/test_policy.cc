@@ -196,13 +196,11 @@ struct AdaptiveFixture
 {
     EventQueue queue;
     monitor::RrmConfig cfg = smallRrmConfig(4);
-    policy::AdaptiveRrmConfig acfg;
     double pressure = 0.0;
     std::unique_ptr<policy::AdaptiveRrmPolicy> pol;
 
     AdaptiveFixture()
-        : pol(std::make_unique<policy::AdaptiveRrmPolicy>(cfg, acfg,
-                                                          queue))
+        : pol(std::make_unique<policy::AdaptiveRrmPolicy>(cfg, queue))
     {
         pol->setPressureProbe([this] { return pressure; });
     }

@@ -3,9 +3,9 @@
  * Multi-tenant QoS layer tests (DESIGN.md section 17): the
  * TenantLayout address mapping, the TenantQosPolicy boost allotment
  * (filter bypass inside the quota, filtered path past it, epoch
- * rollover, noisy detection and the optional demotion lever), the
- * fairness metrics, whole-system multi-tenant runs, and checkpoint
- * resume byte-identity under RRM-QoS.
+ * rollover, noisy detection), the fairness metrics, whole-system
+ * multi-tenant runs, and checkpoint resume byte-identity under
+ * RRM-QoS.
  */
 
 #include <gtest/gtest.h>
@@ -59,30 +59,18 @@ TEST(TenantLayout, AddressSlicesFollowTheCoreOwnership)
     EXPECT_EQ(layout.tenantOfAddr(1ull << 40), 1u);
 }
 
-// ---- TenantQosConfig validation ----
-
-TEST(TenantQosConfig, CollectErrorsFlagsBadKnobs)
-{
-    policy::TenantQosConfig cfg;
-    std::vector<std::string> errors;
-    cfg.collectErrors(errors);
-    EXPECT_TRUE(errors.empty());
-    EXPECT_FALSE(cfg.isCustomized());
-
-    cfg.budgetFactor = 0.0;
-    cfg.noisyFactor = 0.5;
-    cfg.collectErrors(errors);
-    EXPECT_EQ(errors.size(), 2u);
-    EXPECT_TRUE(cfg.isCustomized());
-}
-
 // ---- TenantQosPolicy ----
 
+/**
+ * A structure sized so that its base budget, numSets * assoc *
+ * hotThreshold / decayTicksPerInterval = 32 * 2 * 4 / 16, is 16
+ * boosted registrations per epoch: 8 per tenant on a 1:1 layout.
+ */
 monitor::RrmConfig
 smallRrmConfig()
 {
     monitor::RrmConfig cfg;
-    cfg.numSets = 4;
+    cfg.numSets = 32;
     cfg.assoc = 2;
     cfg.hotThreshold = 4;
     cfg.timeScale = 1.0;
@@ -100,27 +88,23 @@ twoTenantLayout()
 }
 
 std::unique_ptr<policy::TenantQosPolicy>
-makeQosPolicy(EventQueue &queue, const policy::TenantQosConfig &qcfg,
-              const policy::TenantLayout &layout)
+makeQosPolicy(EventQueue &queue, const policy::TenantLayout &layout)
 {
     auto inner =
         std::make_unique<policy::RrmPolicy>(smallRrmConfig(), queue);
-    return std::make_unique<policy::TenantQosPolicy>(
-        std::move(inner), qcfg, layout, queue);
+    return std::make_unique<policy::TenantQosPolicy>(std::move(inner),
+                                                     layout, queue);
 }
 
 TEST(TenantQosPolicy, QuotaSplitsTheEpochBudgetByCoreShare)
 {
-    // Base budget: numSets * assoc * hotThreshold /
-    // decayTicksPerInterval = 4 * 2 * 4 / 16 = 2 per epoch; x8
-    // budgetFactor = 16, split 3:1 across a 4-core layout.
+    // The base budget of 16 per epoch, split 3:1 across a 4-core
+    // layout.
     EventQueue queue;
-    policy::TenantQosConfig qcfg;
-    qcfg.budgetFactor = 8.0;
     policy::TenantLayout layout;
     layout.tenantOf = {0, 0, 0, 1};
     layout.coreSliceBytes = 1u << 20;
-    auto p = makeQosPolicy(queue, qcfg, layout);
+    auto p = makeQosPolicy(queue, layout);
     EXPECT_NE(p->monitor(), nullptr);
     EXPECT_EQ(p->tenantQuota(0), 12u);
     EXPECT_EQ(p->tenantQuota(1), 4u);
@@ -131,9 +115,7 @@ TEST(TenantQosPolicy, BoostedRegistrationsBypassTheStreamingFilter)
     // Clean (was_dirty = false) writes normally never promote under
     // the dirty-write filter; inside the allotment they must.
     EventQueue queue;
-    policy::TenantQosConfig qcfg;
-    qcfg.budgetFactor = 8.0; // quota 8 per tenant on a 1:1 layout
-    auto p = makeQosPolicy(queue, qcfg, twoTenantLayout());
+    auto p = makeQosPolicy(queue, twoTenantLayout()); // quota 8 each
     const monitor::RrmConfig cfg = smallRrmConfig();
 
     const Addr hot = 0x1000; // tenant 0
@@ -148,9 +130,7 @@ TEST(TenantQosPolicy, BoostedRegistrationsBypassTheStreamingFilter)
 TEST(TenantQosPolicy, PastTheAllotmentTheFilterApplies)
 {
     EventQueue queue;
-    policy::TenantQosConfig qcfg;
-    qcfg.budgetFactor = 8.0; // quota 8 per tenant on a 1:1 layout
-    auto p = makeQosPolicy(queue, qcfg, twoTenantLayout());
+    auto p = makeQosPolicy(queue, twoTenantLayout()); // quota 8 each
     const monitor::RrmConfig cfg = smallRrmConfig();
 
     // Exhaust tenant 0's allotment on one region...
@@ -171,9 +151,7 @@ TEST(TenantQosPolicy, PastTheAllotmentTheFilterApplies)
 TEST(TenantQosPolicy, EpochRolloverRefillsTheAllotment)
 {
     EventQueue queue;
-    policy::TenantQosConfig qcfg;
-    qcfg.budgetFactor = 8.0;
-    auto p = makeQosPolicy(queue, qcfg, twoTenantLayout());
+    auto p = makeQosPolicy(queue, twoTenantLayout());
 
     const std::uint64_t quota = p->tenantQuota(0);
     for (std::uint64_t i = 0; i < quota + 4; ++i)
@@ -188,12 +166,9 @@ TEST(TenantQosPolicy, EpochRolloverRefillsTheAllotment)
 TEST(TenantQosPolicy, NoisyDetectionIsPerTenantAndPerEpoch)
 {
     EventQueue queue;
-    policy::TenantQosConfig qcfg;
-    qcfg.budgetFactor = 8.0;
-    qcfg.noisyFactor = 2.0;
-    auto p = makeQosPolicy(queue, qcfg, twoTenantLayout());
+    auto p = makeQosPolicy(queue, twoTenantLayout());
 
-    // Tenant 0 storms past 2x its quota; tenant 1 stays modest.
+    // Tenant 0 storms past noisyFactor (2) x its quota; tenant 1 stays modest.
     const std::uint64_t storm = 2 * p->tenantQuota(0) + 1;
     for (std::uint64_t i = 0; i < storm; ++i)
         p->registerLlcWrite(0x0, /*was_dirty=*/true);
@@ -211,13 +186,11 @@ TEST(TenantQosPolicy, NoisyDetectionIsPerTenantAndPerEpoch)
 
 TEST(TenantQosPolicy, DefaultNoisyHandlingKeepsWritesFlowing)
 {
-    // demoteNoisy is off by default: a noisy tenant keeps its write
+    // The noisy flag only reports: a noisy tenant keeps its write
     // modes and its registrations (slow writes would hold the shared
     // banks longer, hurting exactly the tenants QoS protects).
     EventQueue queue;
-    policy::TenantQosConfig qcfg;
-    qcfg.budgetFactor = 8.0;
-    auto p = makeQosPolicy(queue, qcfg, twoTenantLayout());
+    auto p = makeQosPolicy(queue, twoTenantLayout());
     const monitor::RrmConfig cfg = smallRrmConfig();
 
     const Addr hot = 0x1000;
@@ -230,39 +203,6 @@ TEST(TenantQosPolicy, DefaultNoisyHandlingKeepsWritesFlowing)
     p->rolloverNow();
     ASSERT_TRUE(p->tenantNoisy(0));
     EXPECT_EQ(p->writeModeFor(hot), cfg.fastMode);
-    p->registerLlcWrite(hot, /*was_dirty=*/true);
-    EXPECT_EQ(p->tenantThrottled(0), 0u);
-}
-
-TEST(TenantQosPolicy, DemoteNoisyShedsWritesAndRegistrations)
-{
-    EventQueue queue;
-    policy::TenantQosConfig qcfg;
-    qcfg.budgetFactor = 8.0;
-    qcfg.demoteNoisy = true;
-    auto p = makeQosPolicy(queue, qcfg, twoTenantLayout());
-    const monitor::RrmConfig cfg = smallRrmConfig();
-
-    const Addr hot = 0x1000;       // tenant 0
-    const Addr other = 0x100000;   // tenant 1
-    for (int i = 0; i < 6; ++i)
-        p->registerLlcWrite(hot, /*was_dirty=*/false);
-    ASSERT_EQ(p->writeModeFor(hot), cfg.fastMode);
-
-    for (std::uint64_t i = 0; i < 3 * p->tenantQuota(0); ++i)
-        p->registerLlcWrite(0x0, /*was_dirty=*/true);
-    p->rolloverNow();
-    ASSERT_TRUE(p->tenantNoisy(0));
-
-    // The noisy tenant demotes to the slow mode — even its hot
-    // blocks — and its registrations are dropped; the neighbour is
-    // untouched.
-    EXPECT_EQ(p->writeModeFor(hot), cfg.slowMode);
-    p->registerLlcWrite(hot, /*was_dirty=*/true);
-    EXPECT_EQ(p->tenantThrottled(0), 1u);
-    EXPECT_EQ(p->writeModeFor(other), cfg.slowMode);
-    p->registerLlcWrite(other, /*was_dirty=*/true);
-    EXPECT_EQ(p->tenantThrottled(1), 0u);
 }
 
 // ---- Fairness metrics ----
